@@ -1,10 +1,11 @@
 """In-process pub/sub bus.
 
-Topics are either namespaced to one robot (sensor and command channels) or
-global (opinion exchange). Delivery is synchronous: publishing appends the
-envelope to every queue subscribed at that moment, so anything published
-during a simulation tick is drainable before the next tick completes. There
-is no replay for late subscribers.
+The simulator routes only the swarm-global opinion exchange (VOTE_TOPIC)
+through it; sensor and command data pass between a robot's layers as direct
+calls. Delivery is synchronous: publishing appends the envelope to every
+queue subscribed at that moment, so anything published during a simulation
+tick is drainable before the next tick completes. There is no replay for
+late subscribers.
 """
 
 from __future__ import annotations
@@ -16,25 +17,12 @@ from typing import Any
 
 @dataclass(frozen=True, slots=True)
 class TopicName:
-    """Bus address. namespace is a robot id, or None for swarm-global topics."""
+    """Bus address."""
 
     name: str
-    namespace: int | None = None
 
 
 VOTE_TOPIC = TopicName("vote")
-
-
-def scan_topic(robot_id: int) -> TopicName:
-    return TopicName("scan", robot_id)
-
-
-def pattern_cmd_topic(robot_id: int) -> TopicName:
-    return TopicName("pattern_cmd", robot_id)
-
-
-def motor_cmd_topic(robot_id: int) -> TopicName:
-    return TopicName("motor_cmd", robot_id)
 
 
 @dataclass(frozen=True, slots=True)

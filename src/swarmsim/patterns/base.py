@@ -1,17 +1,17 @@
-"""Behavior protocol and composition machinery.
+"""Behavior protocol.
 
 A pattern is ticked once per control period with the freshest scan and any
 drained global messages. Movement patterns return a drive command every
-tick; voting patterns return only messages. Composition runs several
-patterns in lock-step and merges their outputs.
+tick; voting patterns return only messages. Combined behaviors (see
+combined.py) sequence their parts inside one tick themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
-from ..core import STOP, DriveCommand, ScanSnapshot
+from ..core import DriveCommand, ScanSnapshot
 
 # (payload, stamp) pairs drained from the global opinion topic this tick.
 Inbox = Sequence[tuple[Any, float]]
@@ -35,81 +35,3 @@ class Pattern:
     def opinion(self) -> int | None:
         """Current opinion for voting-capable behaviors, else None."""
         return None
-
-
-class CompositionError(ValueError):
-    pass
-
-
-class ParallelPattern(Pattern):
-    """Tick several patterns together and merge their outputs.
-
-    With more than one command-emitting child a selection rule is mandatory;
-    it receives the per-child command list (None for silent children) and
-    returns the command to forward.
-    """
-
-    def __init__(
-        self,
-        children: Sequence[Pattern],
-        select: Callable[[list[DriveCommand | None]], DriveCommand | None] | None = None,
-    ):
-        if not children:
-            raise CompositionError("need at least one child pattern")
-        emitters = sum(1 for c in children if c.emits_commands)
-        if emitters > 1 and select is None:
-            raise CompositionError("multiple movement patterns need a selection rule")
-        self.children = list(children)
-        self.select = select
-        self.emits_commands = emitters > 0
-
-    def tick(self, scan, now, dt, inbox) -> TickResult:
-        results = [c.tick(scan, now, dt, inbox) for c in self.children]
-        commands = [r.command for r in results]
-        if self.select is not None:
-            command = self.select(commands)
-        else:
-            command = next((c for c in commands if c is not None), None)
-        messages: list[Any] = []
-        for r in results:
-            messages.extend(r.messages)
-        return TickResult(command, messages)
-
-    @property
-    def opinion(self) -> int | None:
-        for c in self.children:
-            op = c.opinion
-            if op is not None:
-                return op
-        return None
-
-
-class TimeoutPattern(Pattern):
-    """Run a pattern until a deadline, then hold it stopped.
-
-    After expiry the child is no longer ticked; a movement child is replaced
-    by a standing (0, 0) command.
-    """
-
-    def __init__(self, child: Pattern, timeout: float):
-        if timeout <= 0:
-            raise CompositionError("timeout must be positive")
-        self.child = child
-        self.timeout = timeout
-        self.emits_commands = child.emits_commands
-        self._start: float | None = None
-
-    def tick(self, scan, now, dt, inbox) -> TickResult:
-        if self._start is None:
-            self._start = now
-        if now - self._start >= self.timeout:
-            return TickResult(STOP if self.child.emits_commands else None, [])
-        return self.child.tick(scan, now, dt, inbox)
-
-    @property
-    def opinion(self) -> int | None:
-        return self.child.opinion
-
-
-def with_timeout(pattern: Pattern, timeout: float) -> TimeoutPattern:
-    return TimeoutPattern(pattern, timeout)

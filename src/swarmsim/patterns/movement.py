@@ -1,13 +1,15 @@
 """Movement primitives: attraction, dispersion, drive, random walk, flocking.
 
 Each primitive is a pure step function over a scan (plus explicit state and
-RNG where needed), with a thin Pattern wrapper for the scheduler.
+RNG where needed). MovementPattern adapts the stateless ones to the
+scheduler; RandomWalkPattern also carries the walk state and its RNG.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -203,34 +205,17 @@ def flocking_step(scan: ScanSnapshot, cfg: FlockingConfig) -> DriveCommand:
     return cfg.limits.clamp(cfg.linear, 0.0)
 
 
-class AttractionPattern(Pattern):
+class MovementPattern(Pattern):
+    """Scheduler adapter for a stateless movement primitive: every tick maps
+    the scan to one drive command, e.g. ``partial(attraction_step, cfg=cfg)``."""
+
     emits_commands = True
 
-    def __init__(self, cfg: AttractionConfig):
-        self.cfg = cfg
+    def __init__(self, command: Callable[[ScanSnapshot], DriveCommand]):
+        self.command = command
 
     def tick(self, scan, now, dt, inbox) -> TickResult:
-        return TickResult(attraction_step(scan, self.cfg))
-
-
-class DispersionPattern(Pattern):
-    emits_commands = True
-
-    def __init__(self, cfg: DispersionConfig):
-        self.cfg = cfg
-
-    def tick(self, scan, now, dt, inbox) -> TickResult:
-        return TickResult(dispersion_step(scan, self.cfg))
-
-
-class DrivePattern(Pattern):
-    emits_commands = True
-
-    def __init__(self, cfg: DriveConfig):
-        self.cfg = cfg
-
-    def tick(self, scan, now, dt, inbox) -> TickResult:
-        return TickResult(drive_step(self.cfg))
+        return TickResult(self.command(scan))
 
 
 class RandomWalkPattern(Pattern):
@@ -244,13 +229,3 @@ class RandomWalkPattern(Pattern):
     def tick(self, scan, now, dt, inbox) -> TickResult:
         self.state, cmd = random_walk_step(self.state, dt, self.rng, self.cfg)
         return TickResult(cmd)
-
-
-class FlockingPattern(Pattern):
-    emits_commands = True
-
-    def __init__(self, cfg: FlockingConfig):
-        self.cfg = cfg
-
-    def tick(self, scan, now, dt, inbox) -> TickResult:
-        return TickResult(flocking_step(scan, self.cfg))

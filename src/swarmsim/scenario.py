@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -24,15 +25,16 @@ from .patterns.base import Pattern
 from .patterns.combined import DiscussedDispersionPattern, DiscussedDispersionState
 from .patterns.movement import (
     AttractionConfig,
-    AttractionPattern,
     DispersionConfig,
-    DispersionPattern,
     DriveConfig,
-    DrivePattern,
     FlockingConfig,
-    FlockingPattern,
+    MovementPattern,
     RandomWalkConfig,
     RandomWalkPattern,
+    attraction_step,
+    dispersion_step,
+    drive_step,
+    flocking_step,
 )
 from .patterns.voting import MAJORITY, VOTER, VotingPattern, VotingState
 from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
@@ -291,11 +293,14 @@ def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Patter
     kind = config.pattern
     p = config.pattern_params
     if kind == "attraction":
-        return AttractionPattern(AttractionConfig(p["attraction_range"], limits))
+        cfg = AttractionConfig(p["attraction_range"], limits)
+        return MovementPattern(partial(attraction_step, cfg=cfg))
     if kind == "dispersion":
-        return DispersionPattern(DispersionConfig(p["dispersion_range"], limits))
+        cfg = DispersionConfig(p["dispersion_range"], limits)
+        return MovementPattern(partial(dispersion_step, cfg=cfg))
     if kind == "drive":
-        return DrivePattern(DriveConfig(p["linear"], limits))
+        command = drive_step(DriveConfig(p["linear"], limits))
+        return MovementPattern(lambda scan: command)
     if kind == "random_walk":
         cfg = RandomWalkConfig(
             linear=p["linear"],
@@ -315,7 +320,7 @@ def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Patter
             angular=p["angular"],
             limits=limits,
         )
-        return FlockingPattern(cfg)
+        return MovementPattern(partial(flocking_step, cfg=cfg))
     opinion = config.initial_opinions[index]
     if kind in VOTING_KINDS:
         state = VotingState(

@@ -3,9 +3,13 @@
 World model: a walled rectangle (plus optional interior wall segments) and
 circular robot bodies moving under unicycle kinematics. Each robot carries a
 planar range sensor simulated by exact ray casting. One tick runs, robot by
-robot in id order: raycast and publish the scan, tick the behavior, run the
-protection arbiter; then all poses are integrated with the arbitrated
-commands and one trace row per robot is recorded. Robot-wall contact
+robot in id order: raycast the scan, tick the behavior on it and on the
+votes heard since its last tick, publish its votes, run the protection
+arbiter on the same scan; then all poses are integrated with the
+arbitrated commands and one trace row per robot is recorded. Votes go
+through the bus, so a robot hears a vote in the tick it is sent if it
+comes after the sender in id order, and in the next tick otherwise
+(the sender included). Robot-wall contact
 truncates motion at the contact point; robot-robot overlap is not prevented,
 only recorded downstream as a collision.
 """
@@ -13,15 +17,16 @@ only recorded downstream as a collision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bus import Envelope, MessageBus, motor_cmd_topic, pattern_cmd_topic, scan_topic, VOTE_TOPIC
+from .bus import Envelope, MessageBus, VOTE_TOPIC
 from .core import DriveCommand, Pose2D, ScanSnapshot
 from .patterns.base import Pattern
 from .platforms import PlatformSpec
 from .protection import ProtectionState, arbitrate, note_command, triggered
+from .trace import TraceRecorder
 
 # Turn rates below this integrate as straight-line motion.
 _OMEGA_EPS = 1e-9
@@ -213,42 +218,16 @@ def resolve_wall_contact(
 
 @dataclass
 class RobotNode:
-    """One robot's processing graph, wired through the bus."""
+    """One robot's sensor, behavior and protection layer."""
 
     robot_id: int
     spec: PlatformSpec
     behavior: Pattern
     protection: ProtectionState
 
-    def attach(self, bus: MessageBus) -> None:
-        # The behavior and the protection layer subscribe independently;
-        # negative subscriber ids keep the protection queues separate.
-        rid = self.robot_id
-        self.scan_sub = bus.subscribe(scan_topic(rid), rid)
-        self.vote_sub = bus.subscribe(VOTE_TOPIC, rid)
-        self.prot_scan_sub = bus.subscribe(scan_topic(rid), -rid - 1)
-        self.cmd_sub = bus.subscribe(pattern_cmd_topic(rid), -rid - 1)
-        self.motor_sub = bus.subscribe(motor_cmd_topic(rid), rid)
-
-
-@dataclass
-class TraceColumns:
-    tick: list = field(default_factory=list)
-    robot: list = field(default_factory=list)
-    clock: list = field(default_factory=list)
-    x: list = field(default_factory=list)
-    y: list = field(default_factory=list)
-    theta: list = field(default_factory=list)
-    pattern_linear: list = field(default_factory=list)
-    pattern_angular: list = field(default_factory=list)
-    cmd_linear: list = field(default_factory=list)
-    cmd_angular: list = field(default_factory=list)
-    suppressed: list = field(default_factory=list)
-    opinion: list = field(default_factory=list)
-
 
 class Simulation:
-    """Owns the world, the bus, and the robot nodes; records the trace."""
+    """Owns the world, the vote bus, and the robot nodes; records the trace."""
 
     def __init__(self, world: WorldState, nodes: list[RobotNode], meta: dict):
         if [n.robot_id for n in nodes] != [b.robot_id for b in world.robots]:
@@ -257,9 +236,8 @@ class Simulation:
         self.nodes = nodes
         self.meta = meta
         self.bus = MessageBus()
-        for node in nodes:
-            node.attach(self.bus)
-        self.columns = TraceColumns()
+        self.vote_subs = [self.bus.subscribe(VOTE_TOPIC, n.robot_id) for n in nodes]
+        self.columns = TraceRecorder()
 
     def step(self) -> None:
         world = self.world
@@ -267,50 +245,42 @@ class Simulation:
         dt = world.dt
         staged: list[tuple[DriveCommand | None, DriveCommand, bool]] = []
 
-        for node in self.nodes:
+        for node, vote_sub in zip(self.nodes, self.vote_subs):
             rid = node.robot_id
             scan = raycast_scan(world, rid, node.spec)
-            self.bus.publish(Envelope(scan_topic(rid), scan, rid, now))
-
-            scan_env = node.scan_sub.drain()[-1]
-            inbox = [(env.payload, env.stamp) for env in node.vote_sub.drain()]
-            result = node.behavior.tick(scan_env.payload, now, dt, inbox)
+            inbox = [(env.payload, env.stamp) for env in vote_sub.drain()]
+            result = node.behavior.tick(scan, now, dt, inbox)
             for msg in result.messages:
                 self.bus.publish(Envelope(VOTE_TOPIC, msg, rid, now))
             if result.command is not None:
-                self.bus.publish(Envelope(pattern_cmd_topic(rid), result.command, rid, now))
-
-            prot_scan = node.prot_scan_sub.drain()[-1].payload
-            for env in node.cmd_sub.drain():
-                note_command(node.protection, env.payload, env.stamp)
-            suppressed = triggered(node.protection, prot_scan)
-            actuator = arbitrate(node.protection, prot_scan, now)
-            self.bus.publish(Envelope(motor_cmd_topic(rid), actuator, rid, now))
+                note_command(node.protection, result.command, now)
+            suppressed = triggered(node.protection, scan)
+            actuator = arbitrate(node.protection, scan, now)
             staged.append((result.command, actuator, suppressed))
 
-        for node, body in zip(self.nodes, world.robots):
-            actuator = node.motor_sub.drain()[-1].payload
+        for (_, actuator, _), body in zip(staged, world.robots):
             body.pose = resolve_wall_contact(body.pose, actuator, dt, body.radius, world.walls)
 
         world.tick += 1
         clock = world.tick * dt
-        cols = self.columns
         for (pattern_cmd, actuator, suppressed), node, body in zip(
             staged, self.nodes, world.robots
         ):
-            cols.tick.append(world.tick)
-            cols.robot.append(node.robot_id)
-            cols.clock.append(clock)
-            cols.x.append(body.pose.x)
-            cols.y.append(body.pose.y)
-            cols.theta.append(body.pose.theta)
-            cols.pattern_linear.append(math.nan if pattern_cmd is None else pattern_cmd.linear)
-            cols.pattern_angular.append(math.nan if pattern_cmd is None else pattern_cmd.angular)
-            cols.cmd_linear.append(actuator.linear)
-            cols.cmd_angular.append(actuator.angular)
-            cols.suppressed.append(1 if suppressed else 0)
             opinion = node.behavior.opinion
-            cols.opinion.append(math.nan if opinion is None else float(opinion))
+            self.columns.record(
+                tick=world.tick,
+                robot=node.robot_id,
+                clock=clock,
+                x=body.pose.x,
+                y=body.pose.y,
+                theta=body.pose.theta,
+                pattern_linear=math.nan if pattern_cmd is None else pattern_cmd.linear,
+                pattern_angular=math.nan if pattern_cmd is None else pattern_cmd.angular,
+                cmd_linear=actuator.linear,
+                cmd_angular=actuator.angular,
+                suppressed=1 if suppressed else 0,
+                opinion=math.nan if opinion is None else float(opinion),
+            )
 
     def run(self, ticks: int) -> None:
         for _ in range(ticks):

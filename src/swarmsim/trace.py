@@ -4,6 +4,9 @@ The header line carries the fully resolved scenario so a trace is
 self-describing: metrics and replay need nothing but the file. Floats are
 written with repr (shortest round-trip), which makes files byte-stable for
 identical runs and lossless to parse.
+
+SCHEMA is the one list of trace columns: the in-memory Trace, the
+simulator's recorder, the writer and the reader are all driven from it.
 """
 
 from __future__ import annotations
@@ -12,41 +15,77 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
 HEADER_PREFIX = "# swarmsim-trace v1 "
-COLUMN_NAMES = (
-    "tick",
-    "robot",
-    "clock",
-    "x",
-    "y",
-    "theta",
-    "pattern_linear",
-    "pattern_angular",
-    "cmd_linear",
-    "cmd_angular",
-    "suppressed",
-    "opinion",
+
+
+@dataclass(frozen=True)
+class Column:
+    """One trace column: array dtype, text format, and text parser."""
+
+    name: str
+    dtype: type
+    format: Callable[[Any], str]
+    parse: Callable[[str], Any]
+
+
+def _fmt_int(value) -> str:
+    return str(int(value))
+
+
+def _fmt_float(value) -> str:
+    return repr(float(value))
+
+
+def _fmt_opinion(value) -> str:
+    return "" if math.isnan(value) else str(int(value))
+
+
+def _parse_opinion(text: str) -> float:
+    return math.nan if text == "" else float(text)
+
+
+def _int_column(name: str) -> Column:
+    return Column(name, int, _fmt_int, int)
+
+
+def _float_column(name: str) -> Column:
+    return Column(name, float, _fmt_float, float)
+
+
+SCHEMA = (
+    _int_column("tick"),
+    _int_column("robot"),
+    _float_column("clock"),
+    _float_column("x"),
+    _float_column("y"),
+    _float_column("theta"),
+    _float_column("pattern_linear"),
+    _float_column("pattern_angular"),
+    _float_column("cmd_linear"),
+    _float_column("cmd_angular"),
+    _int_column("suppressed"),
+    # empty for behaviors without an opinion
+    Column("opinion", float, _fmt_opinion, _parse_opinion),
 )
+COLUMN_NAMES = tuple(column.name for column in SCHEMA)
 
 
-@dataclass
 class Trace:
-    meta: dict
-    tick: np.ndarray
-    robot: np.ndarray
-    clock: np.ndarray
-    x: np.ndarray
-    y: np.ndarray
-    theta: np.ndarray
-    pattern_linear: np.ndarray
-    pattern_angular: np.ndarray
-    cmd_linear: np.ndarray
-    cmd_angular: np.ndarray
-    suppressed: np.ndarray
-    opinion: np.ndarray
+    """The header metadata plus one array attribute per schema column."""
+
+    def __init__(self, meta: dict, **columns: np.ndarray):
+        if columns.keys() != set(COLUMN_NAMES):
+            raise TypeError(f"trace columns must be exactly {COLUMN_NAMES}, got {tuple(columns)}")
+        lengths = {name: len(columns[name]) for name in COLUMN_NAMES}
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"trace columns differ in length: {lengths}")
+        self.meta = meta
+        for name in COLUMN_NAMES:
+            setattr(self, name, columns[name])
 
     @property
     def robot_ids(self) -> list[int]:
@@ -57,62 +96,42 @@ class Trace:
         return len(set(int(t) for t in self.tick))
 
 
+class TraceRecorder:
+    """Trace columns built row by row: one list attribute per schema column."""
+
+    def __init__(self):
+        for name in COLUMN_NAMES:
+            setattr(self, name, [])
+
+    def record(self, **row) -> None:
+        for name in COLUMN_NAMES:
+            getattr(self, name).append(row[name])
+
+
 def trace_from_columns(meta: dict, columns) -> Trace:
+    """Trace from any object with one sequence attribute per column."""
     return Trace(
-        meta=meta,
-        tick=np.asarray(columns.tick, dtype=int),
-        robot=np.asarray(columns.robot, dtype=int),
-        clock=np.asarray(columns.clock, dtype=float),
-        x=np.asarray(columns.x, dtype=float),
-        y=np.asarray(columns.y, dtype=float),
-        theta=np.asarray(columns.theta, dtype=float),
-        pattern_linear=np.asarray(columns.pattern_linear, dtype=float),
-        pattern_angular=np.asarray(columns.pattern_angular, dtype=float),
-        cmd_linear=np.asarray(columns.cmd_linear, dtype=float),
-        cmd_angular=np.asarray(columns.cmd_angular, dtype=float),
-        suppressed=np.asarray(columns.suppressed, dtype=int),
-        opinion=np.asarray(columns.opinion, dtype=float),
+        meta,
+        **{c.name: np.asarray(getattr(columns, c.name), dtype=c.dtype) for c in SCHEMA},
     )
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def write_trace(trace: Trace, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        HEADER_PREFIX + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")),
-        ",".join(COLUMN_NAMES),
-    ]
-    n = len(trace.tick)
-    for i in range(n):
-        opinion = trace.opinion[i]
-        lines.append(
-            ",".join(
-                (
-                    str(int(trace.tick[i])),
-                    str(int(trace.robot[i])),
-                    _fmt(trace.clock[i]),
-                    _fmt(trace.x[i]),
-                    _fmt(trace.y[i]),
-                    _fmt(trace.theta[i]),
-                    _fmt(trace.pattern_linear[i]),
-                    _fmt(trace.pattern_angular[i]),
-                    _fmt(trace.cmd_linear[i]),
-                    _fmt(trace.cmd_angular[i]),
-                    str(int(trace.suppressed[i])),
-                    "" if math.isnan(opinion) else str(int(opinion)),
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n")
+    formats = [c.format for c in SCHEMA]
+    with path.open("w") as fh:
+        fh.write(HEADER_PREFIX + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
+        fh.write("\n" + ",".join(COLUMN_NAMES) + "\n")
+        for row in zip(*(getattr(trace, name) for name in COLUMN_NAMES)):
+            fh.write(",".join([fmt(value) for fmt, value in zip(formats, row)]) + "\n")
     return path
 
 
 def read_trace(path: str | Path) -> Trace:
     path = Path(path)
+    width = len(SCHEMA)
+    raw: list[list[str]] = [[] for _ in SCHEMA]
     with path.open() as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(HEADER_PREFIX):
@@ -121,28 +140,19 @@ def read_trace(path: str | Path) -> Trace:
         names = fh.readline().rstrip("\n").split(",")
         if tuple(names) != COLUMN_NAMES:
             raise ValueError(f"unexpected trace columns: {names}")
-        cols: dict[str, list] = {name: [] for name in COLUMN_NAMES}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=3):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split(",")
-            for name, part in zip(COLUMN_NAMES, parts):
-                cols[name].append(part)
-    return Trace(
-        meta=meta,
-        tick=np.array([int(v) for v in cols["tick"]], dtype=int),
-        robot=np.array([int(v) for v in cols["robot"]], dtype=int),
-        clock=np.array([float(v) for v in cols["clock"]], dtype=float),
-        x=np.array([float(v) for v in cols["x"]], dtype=float),
-        y=np.array([float(v) for v in cols["y"]], dtype=float),
-        theta=np.array([float(v) for v in cols["theta"]], dtype=float),
-        pattern_linear=np.array([float(v) for v in cols["pattern_linear"]], dtype=float),
-        pattern_angular=np.array([float(v) for v in cols["pattern_angular"]], dtype=float),
-        cmd_linear=np.array([float(v) for v in cols["cmd_linear"]], dtype=float),
-        cmd_angular=np.array([float(v) for v in cols["cmd_angular"]], dtype=float),
-        suppressed=np.array([int(v) for v in cols["suppressed"]], dtype=int),
-        opinion=np.array(
-            [math.nan if v == "" else float(v) for v in cols["opinion"]], dtype=float
-        ),
-    )
+            if len(parts) != width:
+                raise ValueError(
+                    f"{path}, line {lineno}: {len(parts)} fields, expected {width}"
+                )
+            for cells, part in zip(raw, parts):
+                cells.append(part)
+    columns = {}
+    for column, cells in zip(SCHEMA, raw):
+        columns[column.name] = np.array([column.parse(v) for v in cells], dtype=column.dtype)
+        cells.clear()  # free each column's text once it is parsed
+    return Trace(meta, **columns)

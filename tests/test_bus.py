@@ -1,4 +1,4 @@
-"""Message bus: fan-out, ordering, namespaces, stamp discipline."""
+"""Message bus: fan-out, ordering, topic isolation, stamp discipline."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from swarmsim.bus import (
     MessageBus,
     TopicName,
     VOTE_TOPIC,
-    scan_topic,
 )
 
 
@@ -57,18 +56,13 @@ def test_duplicate_subscription_is_idempotent():
     assert len(first.drain()) == 1
 
 
-def test_namespace_isolation():
+def test_topics_are_isolated():
     bus = MessageBus()
-    mine = bus.subscribe(scan_topic(1), 1)
-    other = bus.subscribe(scan_topic(2), 2)
-    bus.publish(env(scan_topic(1), "scan-1", sender=1))
-    assert [e.payload for e in mine.drain()] == ["scan-1"]
-    assert other.drain() == []
-
-
-def test_same_name_distinct_namespaces_are_distinct_topics():
-    assert scan_topic(1) != scan_topic(2)
-    assert TopicName("vote") != TopicName("vote", namespace=4)
+    votes = bus.subscribe(VOTE_TOPIC, 1)
+    other = bus.subscribe(TopicName("other"), 1)
+    bus.publish(env(TopicName("other"), "x", sender=1))
+    assert votes.drain() == []
+    assert [e.payload for e in other.drain()] == ["x"]
 
 
 def test_independent_copies_per_subscriber():

@@ -1,29 +1,21 @@
-"""Discussed dispersion phases and pattern composition."""
+"""Discussed dispersion: phases, retargeting, and vote-then-move ticks."""
 
 from __future__ import annotations
-
-import math
 
 import pytest
 from hypothesis import given
 
-from swarmsim.core import STOP, DriveCommand, DriveLimits
+from swarmsim.core import STOP, DriveLimits
 from swarmsim.patterns import (
-    CompositionError,
     DISCUSS_ONLY,
     DISPERSE_AND_DISCUSS,
     DiscussedDispersionPattern,
     DiscussedDispersionState,
     DispersionConfig,
-    DriveConfig,
-    DrivePattern,
     OpinionMessage,
-    ParallelPattern,
-    VotingPattern,
     VotingState,
     discussed_dispersion_step,
     dispersion_step,
-    with_timeout,
 )
 
 from conftest import make_scan, scans
@@ -106,65 +98,3 @@ def test_pattern_votes_then_moves_in_one_tick():
     assert pattern.opinion == 2
     assert pattern.state.dispersion.dispersion_range == MAPPING[2]
     assert result.command != STOP
-
-
-# -- composition -----------------------------------------------------------------
-
-
-def test_compose_voting_only_emits_no_commands():
-    voting = VotingPattern(VotingState(robot_id=0, own_opinion=1, window_length=1.0))
-    combined = ParallelPattern([voting])
-    assert not combined.emits_commands
-    result = combined.tick(make_scan(), 0.0, 0.1, [])
-    assert result.command is None
-    assert result.messages == [OpinionMessage(0, 1)]
-
-
-def test_compose_drive_is_identity():
-    drive = DrivePattern(DriveConfig(linear=0.15, limits=LIMITS))
-    combined = ParallelPattern([drive])
-    result = combined.tick(make_scan(), 0.0, 0.1, [])
-    assert result.command == DriveCommand(0.15, 0.0)
-
-
-def test_compose_two_movement_patterns_without_rule_fails():
-    a = DrivePattern(DriveConfig(linear=0.1, limits=LIMITS))
-    b = DrivePattern(DriveConfig(linear=0.2, limits=LIMITS))
-    with pytest.raises(CompositionError):
-        ParallelPattern([a, b])
-
-
-def test_compose_selection_rule_picks_command():
-    a = DrivePattern(DriveConfig(linear=0.1, limits=LIMITS))
-    b = DrivePattern(DriveConfig(linear=0.2, limits=LIMITS))
-    combined = ParallelPattern([a, b], select=lambda cmds: cmds[1])
-    result = combined.tick(make_scan(), 0.0, 0.1, [])
-    assert result.command == DriveCommand(0.2, 0.0)
-
-
-def test_compose_merges_messages_and_commands():
-    voting = VotingPattern(VotingState(robot_id=3, own_opinion=2, window_length=1.0))
-    drive = DrivePattern(DriveConfig(linear=0.15, limits=LIMITS))
-    combined = ParallelPattern([voting, drive])
-    result = combined.tick(make_scan(), 0.0, 0.1, [])
-    assert result.command == DriveCommand(0.15, 0.0)
-    assert result.messages == [OpinionMessage(3, 2)]
-    assert combined.opinion == 2
-
-
-def test_timeout_forces_stop_after_expiry():
-    drive = DrivePattern(DriveConfig(linear=0.15, limits=LIMITS))
-    wrapped = with_timeout(drive, 0.5)
-    assert wrapped.tick(make_scan(), 0.0, 0.1, []).command == DriveCommand(0.15, 0.0)
-    assert wrapped.tick(make_scan(), 0.4, 0.1, []).command == DriveCommand(0.15, 0.0)
-    assert wrapped.tick(make_scan(), 0.5, 0.1, []).command == STOP
-    assert wrapped.tick(make_scan(), 9.0, 0.1, []).command == STOP
-
-
-def test_timeout_on_voting_pattern_goes_silent():
-    voting = VotingPattern(VotingState(robot_id=0, own_opinion=1, window_length=1.0))
-    wrapped = with_timeout(voting, 1.0)
-    assert wrapped.tick(make_scan(), 0.0, 0.1, []).messages  # initial announcement
-    late = wrapped.tick(make_scan(), 2.0, 0.1, [])
-    assert late.command is None
-    assert late.messages == []

@@ -8,7 +8,7 @@ import pytest
 
 from swarmsim import compute_metrics, load_scenario, read_trace, run, write_trace
 from swarmsim.metrics import write_metrics_json, write_series_csv
-from swarmsim.trace import Trace
+from swarmsim.trace import COLUMN_NAMES, Trace
 
 
 def meta_for(robot_count, dt=0.1, radius=0.15, walls=None, window_length=None):
@@ -174,6 +174,28 @@ def test_read_trace_rejects_other_files(tmp_path):
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         read_trace(path)
+
+
+@pytest.mark.parametrize("damage", ["short", "long"])
+def test_read_trace_rejects_rows_of_the_wrong_width(tmp_path, damage):
+    config = load_scenario("experiment1-waffle", seed=0, duration=0.5)
+    trace, _ = run(config)
+    path = tmp_path / "t.csv"
+    write_trace(trace, path)
+    lines = path.read_text().splitlines(keepends=True)
+    row = lines[4].rstrip("\n")
+    lines[4] = (row.rsplit(",", 1)[0] if damage == "short" else row + ",0") + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"t\.csv, line 5: "):
+        read_trace(path)
+
+
+def test_trace_rejects_ragged_columns():
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2)
+    columns = {name: getattr(trace, name) for name in COLUMN_NAMES}
+    columns["x"] = columns["x"][:-1]
+    with pytest.raises(ValueError, match="differ in length"):
+        Trace(trace.meta, **columns)
 
 
 def test_metrics_recompute_from_file_is_identical(tmp_path):

@@ -352,3 +352,56 @@ def test_two_runs_are_identical():
     a, b = run_once(), run_once()
     for name in ("tick", "robot", "clock", "x", "y", "theta", "cmd_linear", "cmd_angular"):
         assert getattr(a, name) == getattr(b, name)
+
+
+class Announcer(Pattern):
+    """Test behavior that sends one vote per tick, (own id, tick index),
+    and records every inbox it is handed."""
+
+    def __init__(self, robot_id: int):
+        self.robot_id = robot_id
+        self.sent = 0
+        self.inboxes = []
+
+    def tick(self, scan, now, dt, inbox):
+        self.inboxes.append(list(inbox))
+        msg = (self.robot_id, self.sent)
+        self.sent += 1
+        return TickResult(messages=[msg])
+
+
+def test_vote_delivery_order_across_robots():
+    spec = WAFFLE
+    world = WorldState(
+        walls=rect_walls(16.0, 16.0),
+        robots=[
+            RobotBody(robot_id=i, pose=Pose2D(3.0 * i - 3.0, 0.0, 0.0), radius=spec.body_radius)
+            for i in range(3)
+        ],
+    )
+    nodes = [
+        RobotNode(
+            robot_id=i,
+            spec=spec,
+            behavior=Announcer(i),
+            protection=ProtectionState(threshold=spec.protection_threshold, limits=spec.limits()),
+        )
+        for i in range(3)
+    ]
+    sim = Simulation(world, nodes, meta={})
+    sim.run(3)
+
+    # A vote (s, k) is sent by robot s in tick k. Robots after s hear it in
+    # tick k, robots before s and s itself in tick k + 1; each inbox is in
+    # publish order and every stamp is the sender's clock at sending.
+    expected = {
+        0: [[], [(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)]],
+        1: [[(0, 0)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (2, 1), (0, 2)]],
+        2: [[(0, 0), (1, 0)], [(2, 0), (0, 1), (1, 1)], [(2, 1), (0, 2), (1, 2)]],
+    }
+    for node in nodes:
+        heard = [[payload for payload, _ in inbox] for inbox in node.behavior.inboxes]
+        assert heard == expected[node.robot_id]
+        for inbox in node.behavior.inboxes:
+            for (sender, k), stamp in inbox:
+                assert stamp == k * world.dt
