@@ -1,13 +1,18 @@
-"""The committed golden runs replay byte for byte."""
+"""The committed golden runs replay byte for byte.
+
+scripts/make_goldens.py regenerates them; do that only for a change that is
+meant to alter trace bytes.
+"""
 
 from pathlib import Path
 
 import pytest
 
 from swarmsim import from_meta, read_trace, run
+from swarmsim.scenario import PATTERN_KINDS
 
-RUNS = Path(__file__).resolve().parent.parent / "runs"
-GOLDEN = sorted(RUNS.glob("*/*/trace.csv"))
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = sorted(GOLDEN_DIR.glob("*/trace.csv"))
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
@@ -15,3 +20,8 @@ def test_golden_run_replays_byte_identical(path, tmp_path):
     run(from_meta(read_trace(path).meta), out_dir=tmp_path)
     for name in ("trace.csv", "metrics.json", "series.csv"):
         assert (tmp_path / name).read_bytes() == (path.parent / name).read_bytes(), name
+
+
+def test_every_pattern_kind_has_a_golden():
+    covered = {read_trace(path).meta["scenario"]["pattern"] for path in GOLDEN}
+    assert set(PATTERN_KINDS) - covered == set()
