@@ -48,9 +48,6 @@ class Subscription:
         self._queue.clear()
         return out
 
-    def pending(self) -> int:
-        return len(self._queue)
-
 
 @dataclass
 class MessageBus:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .metrics import compute_metrics, write_metrics_json, write_series_csv
 from .scenario import from_meta, load_scenario, run
-from .trace import read_trace, write_trace
+from .trace import read_trace
 
 
 def _summary_lines(report) -> list[str]:

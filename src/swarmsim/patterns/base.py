@@ -24,9 +24,7 @@ class TickResult:
 
 
 class Pattern:
-    """Base behavior. Subclasses set emits_commands and implement tick()."""
-
-    emits_commands: bool = False
+    """Base behavior. Subclasses implement tick()."""
 
     def tick(self, scan: ScanSnapshot, now: float, dt: float, inbox: Inbox) -> TickResult:
         raise NotImplementedError

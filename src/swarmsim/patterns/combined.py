@@ -8,7 +8,7 @@ schedule. Opinion changes retarget the dispersion range in the same tick.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..core import STOP, DriveCommand, ScanSnapshot
 from .base import Pattern, TickResult
@@ -28,8 +28,6 @@ class DiscussedDispersionState:
     mapping: dict[int, float]
     decision_duration: float = DEFAULT_DECISION_DURATION
     phase: str = DISCUSS_ONLY
-    phase_start: float = 0.0
-    clock: float = 0.0
 
     def __post_init__(self):
         if self.decision_duration <= 0:
@@ -41,27 +39,21 @@ class DiscussedDispersionState:
 
 
 def discussed_dispersion_step(
-    state: DiscussedDispersionState, scan: ScanSnapshot, dt: float
-) -> tuple[DiscussedDispersionState, DriveCommand]:
-    """One control period: hold position while discussing, then disperse at
-    the distance mapped from the current opinion."""
-    now = state.clock
-    if state.phase == DISCUSS_ONLY and now >= state.phase_start + state.decision_duration:
+    state: DiscussedDispersionState, scan: ScanSnapshot, now: float
+) -> DriveCommand:
+    """One control period at time now: hold position while discussing, then
+    disperse at the distance mapped from the current opinion."""
+    if state.phase == DISCUSS_ONLY and now >= state.decision_duration:
         state.phase = DISPERSE_AND_DISCUSS
     if state.phase == DISCUSS_ONLY:
-        cmd = STOP
-    else:
-        target = state.mapping[state.voting.own_opinion]
-        if state.dispersion.dispersion_range != target:
-            state.dispersion = replace(state.dispersion, dispersion_range=target)
-        cmd = dispersion_step(scan, state.dispersion)
-    state.clock = now + dt
-    return state, cmd
+        return STOP
+    target = state.mapping[state.voting.own_opinion]
+    if state.dispersion.dispersion_range != target:
+        state.dispersion = replace(state.dispersion, dispersion_range=target)
+    return dispersion_step(scan, state.dispersion)
 
 
 class DiscussedDispersionPattern(Pattern):
-    emits_commands = True
-
     def __init__(self, state: DiscussedDispersionState):
         self.state = state
         self._voting = VotingPattern(state.voting)
@@ -74,6 +66,4 @@ class DiscussedDispersionPattern(Pattern):
         # Voting first so a window closing this tick retargets the range
         # before the movement command is computed.
         vote_result = self._voting.tick(scan, now, dt, inbox)
-        self.state.clock = now
-        _, cmd = discussed_dispersion_step(self.state, scan, dt)
-        return TickResult(cmd, vote_result.messages)
+        return TickResult(discussed_dispersion_step(self.state, scan, now), vote_result.messages)

@@ -209,8 +209,6 @@ class MovementPattern(Pattern):
     """Scheduler adapter for a stateless movement primitive: every tick maps
     the scan to one drive command, e.g. ``partial(attraction_step, cfg=cfg)``."""
 
-    emits_commands = True
-
     def __init__(self, command: Callable[[ScanSnapshot], DriveCommand]):
         self.command = command
 
@@ -219,8 +217,6 @@ class MovementPattern(Pattern):
 
 
 class RandomWalkPattern(Pattern):
-    emits_commands = True
-
     def __init__(self, cfg: RandomWalkConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.rng = rng

@@ -3,7 +3,7 @@
 Every robot buffers the opinions heard during the current window. When the
 clock crosses the window boundary it applies its decision rule (majority or
 voter), adopts the result, publishes it, and starts the next window with an
-empty buffer. Window k covers [t0 + k*L, t0 + (k+1)*L).
+empty buffer. Window k covers [k*L, (k+1)*L).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class VotingState:
     own_opinion: int
     window_length: float
     rule: str = MAJORITY
-    start_time: float = 0.0
     window_index: int = 0
     buffer: list[OpinionMessage] = field(default_factory=list)
     rng: np.random.Generator | None = None
@@ -46,11 +45,11 @@ class VotingState:
 
     @property
     def window_start(self) -> float:
-        return self.start_time + self.window_index * self.window_length
+        return self.window_index * self.window_length
 
     @property
     def window_end(self) -> float:
-        return self.start_time + (self.window_index + 1) * self.window_length
+        return (self.window_index + 1) * self.window_length
 
 
 def ingest(state: VotingState, msg: OpinionMessage, stamp: float) -> VotingState:
@@ -109,8 +108,6 @@ class VotingPattern(Pattern):
     """Scheduler adapter: routes heard opinions into windows by stamp and
     closes windows as the clock crosses their boundaries. Publishes the
     initial opinion on the first tick so window zero sees every robot."""
-
-    emits_commands = False
 
     def __init__(self, state: VotingState):
         self.state = state

@@ -74,44 +74,30 @@ PLATFORMS: dict[str, PlatformSpec] = {
 }
 
 # Default behavior parameters per platform; scenario files may override any
-# of these. Ranges scale with the platform's sensing and size.
+# of these. Ranges scale with the platform's sensing and size; the two
+# TurtleBot3 variants share one table.
+_TURTLEBOT3_DEFAULTS: dict[str, dict] = {
+    "attraction": {"attraction_range": 2.0},
+    "dispersion": {"dispersion_range": 1.0},
+    "drive": {"linear": 0.15},
+    "random_walk": {
+        "linear": 0.15,
+        "angular": 1.5,
+        "drive_duration": [0.5, 4.0],
+        "turn_angle": [0.3, math.pi],
+    },
+    "flocking": {
+        "r_near": 0.5,
+        "r_far": 1.2,
+        "linear": 0.15,
+        "linear_turning": 0.08,
+        "angular": 1.2,
+    },
+}
+
 PATTERN_DEFAULTS: dict[str, dict[str, dict]] = {
-    "turtlebot3_burger": {
-        "attraction": {"attraction_range": 2.0},
-        "dispersion": {"dispersion_range": 1.0},
-        "drive": {"linear": 0.15},
-        "random_walk": {
-            "linear": 0.15,
-            "angular": 1.5,
-            "drive_duration": [0.5, 4.0],
-            "turn_angle": [0.3, math.pi],
-        },
-        "flocking": {
-            "r_near": 0.5,
-            "r_far": 1.2,
-            "linear": 0.15,
-            "linear_turning": 0.08,
-            "angular": 1.2,
-        },
-    },
-    "turtlebot3_waffle_pi": {
-        "attraction": {"attraction_range": 2.0},
-        "dispersion": {"dispersion_range": 1.0},
-        "drive": {"linear": 0.15},
-        "random_walk": {
-            "linear": 0.15,
-            "angular": 1.5,
-            "drive_duration": [0.5, 4.0],
-            "turn_angle": [0.3, math.pi],
-        },
-        "flocking": {
-            "r_near": 0.5,
-            "r_far": 1.2,
-            "linear": 0.15,
-            "linear_turning": 0.08,
-            "angular": 1.2,
-        },
-    },
+    "turtlebot3_burger": _TURTLEBOT3_DEFAULTS,
+    "turtlebot3_waffle_pi": _TURTLEBOT3_DEFAULTS,
     "jackal": {
         "attraction": {"attraction_range": 3.0},
         "dispersion": {"dispersion_range": 2.0},

@@ -22,7 +22,11 @@ import yaml
 from .core import Pose2D
 from .metrics import MetricsReport, compute_metrics, write_metrics_json, write_series_csv
 from .patterns.base import Pattern
-from .patterns.combined import DiscussedDispersionPattern, DiscussedDispersionState
+from .patterns.combined import (
+    DEFAULT_DECISION_DURATION,
+    DiscussedDispersionPattern,
+    DiscussedDispersionState,
+)
 from .patterns.movement import (
     AttractionConfig,
     DispersionConfig,
@@ -122,12 +126,17 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
     layout = robots.get("layout", "line")
     if layout != "line":
         raise ScenarioError(f"unknown layout: {layout!r}")
-    count = int(robots.get("count", 1))
-    spacing = float(robots.get("spacing", 1.0))
+    count = _layout_number("count", robots.get("count", 1), int)
+    spacing = _layout_number("spacing", robots.get("spacing", 1.0))
     if count < 1 or spacing <= 0:
         raise ScenarioError("bad line layout parameters")
     headings = robots.get("headings", 0.0)
-    jitter = float(robots.get("heading_jitter", 0.0))
+    if headings not in ("random", "inward"):
+        listed = headings if isinstance(headings, (list, tuple)) else [headings] * count
+        headings = [_layout_number("headings", h) for h in listed]
+        if len(headings) != count:
+            raise ScenarioError(f"robots.headings: {len(headings)} headings, {count} robots")
+    jitter = _layout_number("heading_jitter", robots.get("heading_jitter", 0.0))
     if jitter < 0:
         raise ScenarioError("heading_jitter must be >= 0")
     center = -(count - 1) / 2.0 * spacing
@@ -140,14 +149,19 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
             # face the line's midpoint, the way robots get aimed at the
             # group when placed by hand for a gathering demo
             th = 0.0 if x <= center else math.pi
-        elif isinstance(headings, (list, tuple)):
-            th = float(headings[i])
         else:
-            th = float(headings)
+            th = headings[i]
         if jitter:
             th += float(rng.uniform(-jitter, jitter))
         poses.append(Pose2D(x, 0.0, th))
     return poses
+
+
+def _layout_number(key: str, value, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"robots.{key}: {value!r} is not a number") from None
 
 
 def _resolve_opinions(
@@ -174,7 +188,7 @@ def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
     if kind in VOTING_KINDS or kind == "discussed_dispersion":
         params.setdefault("window_length", DEFAULT_WINDOW_LENGTH)
     if kind == "discussed_dispersion":
-        params.setdefault("decision_duration", 20.0)
+        params.setdefault("decision_duration", DEFAULT_DECISION_DURATION)
         if "mapping" not in params:
             raise ScenarioError("discussed_dispersion needs an opinion mapping")
         params["mapping"] = {int(k): float(v) for k, v in params["mapping"].items()}
@@ -202,7 +216,6 @@ def load_scenario(
     platform = raw.get("platform")
     if platform not in PLATFORMS:
         raise UnknownPlatformError(f"unknown platform: {platform!r}")
-    spec = PLATFORMS[platform]
 
     pattern = raw.get("pattern") or {}
     kind = pattern.get("kind")
@@ -263,15 +276,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
 
     params = config.pattern_params
     kind = config.pattern
-    if kind == "attraction" and params["attraction_range"] <= spec.range_min:
-        raise ScenarioError("attraction_range must exceed the sensor floor")
-    if kind == "dispersion" and params["dispersion_range"] <= spec.range_min:
-        raise ScenarioError("dispersion_range must exceed the sensor floor")
-    if kind == "flocking":
-        if not (spec.range_min < params["r_near"] < params["r_far"] <= spec.range_max):
-            raise ScenarioError("flocking bands must fit inside the sensor window")
     if kind == "discussed_dispersion":
         mapping = params["mapping"]
+        missing = set(config.initial_opinions) - set(mapping)
+        if missing:
+            raise ScenarioError(f"initial opinions outside mapping domain: {sorted(missing)}")
         low = [op for op, dist in mapping.items() if dist < spec.protection_threshold]
         if low:
             raise MappingThresholdError(
@@ -280,72 +289,69 @@ def validate_scenario(config: ScenarioConfig) -> None:
             )
         if any(dist <= spec.range_min for dist in mapping.values()):
             raise ScenarioError("mapped distances must exceed the sensor floor")
-    if config.initial_opinions is not None and kind == "discussed_dispersion":
-        domain = set(config.pattern_params["mapping"])
-        missing = set(config.initial_opinions) - domain
-        if missing:
-            raise ScenarioError(f"initial opinions outside mapping domain: {sorted(missing)}")
+    # A movement kind's config dataclass is its parameter list, so building
+    # one behavior rejects unknown keys and out-of-range values; the voting
+    # kinds list their keys in _VOTING_PARAMS.
+    unknown = params.keys() - _VOTING_PARAMS.get(kind, params.keys())
+    if unknown:
+        raise ScenarioError(f"unknown {kind} parameters: {sorted(unknown)}")
+    try:
+        _build_behavior(config, 0, 0)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"bad {kind} parameters: {exc}") from exc
+    for key in ("attraction_range", "dispersion_range"):
+        if params.get(key, math.inf) <= spec.range_min:
+            raise ScenarioError(f"{key} must exceed the sensor floor")
+    if kind == "flocking":
+        if not (spec.range_min < params["r_near"] < params["r_far"] <= spec.range_max):
+            raise ScenarioError("flocking bands must fit inside the sensor window")
+
+
+# The voting states also hold run-time fields (window index, buffer,
+# phase), so the scenario parameters of the voting kinds are listed here.
+_VOTING_PARAMS = {
+    MAJORITY: {"window_length"},
+    VOTER: {"window_length"},
+    "discussed_dispersion": {"window_length", "decision_duration", "mapping"},
+}
+
+_SCAN_STEPS = {
+    "attraction": (AttractionConfig, attraction_step),
+    "dispersion": (DispersionConfig, dispersion_step),
+    "flocking": (FlockingConfig, flocking_step),
+}
 
 
 def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Pattern:
-    spec = config.spec
-    limits = spec.limits()
+    limits = config.spec.limits()
     kind = config.pattern
     p = config.pattern_params
-    if kind == "attraction":
-        cfg = AttractionConfig(p["attraction_range"], limits)
-        return MovementPattern(partial(attraction_step, cfg=cfg))
-    if kind == "dispersion":
-        cfg = DispersionConfig(p["dispersion_range"], limits)
-        return MovementPattern(partial(dispersion_step, cfg=cfg))
+    if kind in _SCAN_STEPS:
+        config_class, step = _SCAN_STEPS[kind]
+        return MovementPattern(partial(step, cfg=config_class(**p, limits=limits)))
     if kind == "drive":
-        command = drive_step(DriveConfig(p["linear"], limits))
+        command = drive_step(DriveConfig(**p, limits=limits))
         return MovementPattern(lambda scan: command)
     if kind == "random_walk":
-        cfg = RandomWalkConfig(
-            linear=p["linear"],
-            angular=p["angular"],
-            drive_duration=tuple(p["drive_duration"]),
-            turn_angle=tuple(p["turn_angle"]),
-            limits=limits,
-            curved_turns=bool(p.get("curved_turns", False)),
-        )
+        cfg = RandomWalkConfig(**p, limits=limits)
         return RandomWalkPattern(cfg, _rng(config.seed, _WALK_STREAM, robot_id))
-    if kind == "flocking":
-        cfg = FlockingConfig(
-            r_near=p["r_near"],
-            r_far=p["r_far"],
-            linear=p["linear"],
-            linear_turning=p["linear_turning"],
-            angular=p["angular"],
-            limits=limits,
-        )
-        return MovementPattern(partial(flocking_step, cfg=cfg))
     opinion = config.initial_opinions[index]
+    voting = VotingState(
+        robot_id,
+        opinion,
+        p["window_length"],
+        rule=MAJORITY if kind == "discussed_dispersion" else kind,
+        rng=_rng(config.seed, _VOTER_STREAM, robot_id) if kind == VOTER else None,
+    )
     if kind in VOTING_KINDS:
-        state = VotingState(
-            robot_id=robot_id,
-            own_opinion=opinion,
-            window_length=p["window_length"],
-            rule=kind,
-            rng=_rng(config.seed, _VOTER_STREAM, robot_id) if kind == VOTER else None,
-        )
-        return VotingPattern(state)
-    if kind == "discussed_dispersion":
-        voting = VotingState(
-            robot_id=robot_id,
-            own_opinion=opinion,
-            window_length=p["window_length"],
-            rule=MAJORITY,
-        )
-        state = DiscussedDispersionState(
-            voting=voting,
-            dispersion=DispersionConfig(p["mapping"][opinion], limits),
-            mapping=dict(p["mapping"]),
-            decision_duration=p["decision_duration"],
-        )
-        return DiscussedDispersionPattern(state)
-    raise ScenarioError(f"unknown pattern kind: {kind!r}")
+        return VotingPattern(voting)
+    state = DiscussedDispersionState(
+        voting=voting,
+        dispersion=DispersionConfig(p["mapping"][opinion], limits),
+        mapping=dict(p["mapping"]),
+        decision_duration=p["decision_duration"],
+    )
+    return DiscussedDispersionPattern(state)
 
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
@@ -403,30 +409,28 @@ def to_meta(config: ScenarioConfig) -> dict:
 
 
 def from_meta(meta: dict) -> ScenarioConfig:
+    """The scenario a trace header records, resolved again by load_scenario.
+
+    Fails if the header's platform_spec differs from the packaged preset.
+    """
     sc = meta["scenario"]
     params = dict(sc["pattern_params"])
-    if "mapping" in params and params["mapping"] is not None:
-        params["mapping"] = {int(k): float(v) for k, v in params["mapping"].items()}
-    config = ScenarioConfig(
-        name=sc["name"],
-        platform=sc["platform"],
-        arena_width=float(sc["arena"][0]),
-        arena_height=float(sc["arena"][1]),
-        poses=[Pose2D(x, y, th) for x, y, th in sc["poses"]],
-        pattern=sc["pattern"],
-        pattern_params=params,
-        seed=int(sc["seed"]),
-        duration=float(sc["duration"]),
-        dt=float(sc["dt"]),
-        extra_walls=[[float(v) for v in w] for w in sc["extra_walls"]],
-        initial_opinions=(
-            None if sc["initial_opinions"] is None else [int(v) for v in sc["initial_opinions"]]
-        ),
-        staleness_limit=float(sc.get("staleness_limit", DEFAULT_STALENESS_LIMIT)),
-    )
-    if config.platform not in PLATFORMS:
-        raise UnknownPlatformError(f"unknown platform: {config.platform!r}")
-    validate_scenario(config)
+    if sc["initial_opinions"] is not None:
+        params["opinions"] = sc["initial_opinions"]
+    width, height = sc["arena"]
+    keys = ("name", "platform", "seed", "duration", "dt", "extra_walls", "staleness_limit")
+    raw = {key: sc[key] for key in keys}
+    raw["arena"] = {"width": width, "height": height}
+    raw["robots"] = {"poses": sc["poses"]}
+    raw["pattern"] = {"kind": sc["pattern"], "params": params}
+    config = load_scenario(raw)
+    recorded, preset = sc["platform_spec"], asdict(config.spec)
+    differ = sorted(k for k in recorded.keys() | preset.keys() if recorded.get(k) != preset.get(k))
+    if differ:
+        raise ScenarioError(
+            f"trace platform_spec differs from the {config.platform} preset: "
+            + ", ".join(f"{k} {recorded.get(k)!r} != {preset.get(k)!r}" for k in differ)
+        )
     return config
 
 

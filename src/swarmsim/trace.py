@@ -87,14 +87,6 @@ class Trace:
         for name in COLUMN_NAMES:
             setattr(self, name, columns[name])
 
-    @property
-    def robot_ids(self) -> list[int]:
-        return sorted(set(int(r) for r in self.robot))
-
-    @property
-    def tick_count(self) -> int:
-        return len(set(int(t) for t in self.tick))
-
 
 class TraceRecorder:
     """Trace columns built row by row: one list attribute per schema column."""

@@ -45,26 +45,23 @@ def test_mapping_must_be_nonempty():
 @given(scans())
 def test_discussion_phase_is_standstill_for_any_scan(scan):
     state = combined_state()
-    state.clock = 5.0
-    state, cmd = discussed_dispersion_step(state, scan, 0.1)
+    cmd = discussed_dispersion_step(state, scan, 5.0)
     assert cmd == STOP
     assert state.phase == DISCUSS_ONLY
 
 
 def test_phase_transition_at_decision_duration():
     state = combined_state()
-    state.clock = 19.9
-    state, cmd = discussed_dispersion_step(state, make_scan(), 0.1)
+    discussed_dispersion_step(state, make_scan(), 19.9)
     assert state.phase == DISCUSS_ONLY
-    state, cmd = discussed_dispersion_step(state, make_scan(), 0.1)
+    discussed_dispersion_step(state, make_scan(), 20.0)
     assert state.phase == DISPERSE_AND_DISCUSS
 
 
 def test_phase_two_runs_dispersion_at_mapped_range():
     state = combined_state(own=1)
-    state.clock = 25.0
     scan = make_scan({0: 0.8})
-    state, cmd = discussed_dispersion_step(state, scan, 0.1)
+    cmd = discussed_dispersion_step(state, scan, 25.0)
     assert state.phase == DISPERSE_AND_DISCUSS
     assert cmd == dispersion_step(scan, DispersionConfig(1.0, LIMITS))
     assert cmd != STOP
@@ -72,10 +69,9 @@ def test_phase_two_runs_dispersion_at_mapped_range():
 
 def test_opinion_change_retargets_range_same_tick():
     state = combined_state(own=1)
-    state.clock = 25.0
     state.voting.own_opinion = 2
     scan = make_scan({0: 1.2})
-    state, cmd = discussed_dispersion_step(state, scan, 0.1)
+    cmd = discussed_dispersion_step(state, scan, 25.0)
     assert state.dispersion.dispersion_range == MAPPING[2]
     # 1.2 m is outside f(1)=1.0 but inside f(2)=1.4, so the command is live
     assert cmd != STOP

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from swarmsim import PLATFORMS, load_scenario, wrap_angle
+from swarmsim import PLATFORMS, build_simulation, load_scenario, wrap_angle
 from swarmsim.scenario import (
+    PATTERN_KINDS,
     MappingThresholdError,
     PoseOutsideArenaError,
     ScenarioError,
@@ -192,6 +193,47 @@ def test_opinion_outside_mapping_domain():
         load_scenario(raw)
 
 
+@pytest.mark.parametrize(
+    "kind, params, message",
+    [
+        ("drive", {"linear": -1}, "linear speed must be positive"),
+        ("drive", {"linear": "fast"}, "drive"),
+        ("random_walk", {"drive_duration": [3, 1]}, "drive_duration"),
+        ("random_walk", {"turn_angle": [0.5]}, "random_walk"),
+        ("majority", {"window_length": 0}, "window_length must be positive"),
+        ("discussed_dispersion", {"mapping": {0: 1.0}, "decision_duration": -1}, "decision"),
+        ("flocking", {"front_half_width": 1.0}, "partition the full circle"),
+        ("attraction", {"attraction_rnge": 2.0}, "attraction_rnge"),
+        ("majority", {"window_lenght": 1.0}, "window_lenght"),
+        ("discussed_dispersion", {"mapping": {0: 1.0}, "opinion_choices": [0]}, "opinion_choices"),
+    ],
+    ids=[
+        "negative-drive",
+        "text-drive",
+        "reversed-walk-durations",
+        "short-turn-angle",
+        "zero-window",
+        "negative-decision",
+        "flocking-half-widths",
+        "misspelt-movement-key",
+        "misspelt-voting-key",
+        "choices-for-mapped-opinions",
+    ],
+)
+def test_bad_pattern_params_fail_at_load(kind, params, message):
+    with pytest.raises(ScenarioError, match=kind) as info:
+        load_scenario(scenario_dict(pattern={"kind": kind, "params": params}))
+    assert message in str(info.value)
+
+
+def test_flocking_half_widths_take_effect():
+    half_widths = {"front_half_width": math.pi / 2, "back_half_width": 0.0}
+    cfg = load_scenario(scenario_dict(pattern={"kind": "flocking", "params": half_widths}))
+    flocking = build_simulation(cfg).nodes[0].behavior.command.keywords["cfg"]
+    assert (flocking.front_half_width, flocking.back_half_width) == (math.pi / 2, 0.0)
+    assert flocking.left_half_width == flocking.right_half_width == math.pi / 4
+
+
 def test_opinion_count_mismatch():
     raw = scenario_dict(
         pattern={"kind": "majority", "params": {"opinions": [0, 1, 0]}},
@@ -225,6 +267,23 @@ def test_scalar_heading_broadcasts():
     assert [p.theta for p in cfg.poses] == [1.5, 1.5]
 
 
+@pytest.mark.parametrize(
+    "robots, key",
+    [
+        ({"count": 3, "headings": [0.1, 0.2]}, "headings"),
+        ({"count": 2, "headings": [0.1, 0.2, 0.3]}, "headings"),
+        ({"count": 2, "headings": "outward"}, "headings"),
+        ({"count": 2, "spacing": "x"}, "spacing"),
+        ({"count": "two"}, "count"),
+        ({"count": 2, "heading_jitter": "x"}, "heading_jitter"),
+    ],
+    ids=["short-headings", "long-headings", "unknown-headings", "spacing", "count", "jitter"],
+)
+def test_bad_layout_value_names_the_key(robots, key):
+    with pytest.raises(ScenarioError, match=f"robots.{key}"):
+        load_scenario(scenario_dict(robots={"layout": "line", **robots}))
+
+
 def test_random_headings_within_range():
     cfg = load_scenario(
         scenario_dict(robots={"layout": "line", "count": 5, "headings": "random"}, seed=3)
@@ -235,7 +294,40 @@ def test_random_headings_within_range():
 # ----------------------------------------------------------------- round trip
 
 
-@pytest.mark.parametrize("preset", ["experiment1-waffle", "experiment2", "voting-demo"])
-def test_meta_round_trip(preset):
-    cfg = load_scenario(preset, seed=4)
+PRESETS = [
+    "experiment1-waffle",
+    "experiment1-burger",
+    "experiment1-jackal",
+    "experiment2",
+    "voting-demo",
+]
+KIND_PARAMS = {
+    "flocking": {"front_half_width": math.pi / 2, "back_half_width": 0.0},
+    "discussed_dispersion": {"mapping": {0: 0.6, 1: 1.0}, "decision_duration": 2.0},
+    "voter": {"opinion_choices": [0, 1, 2], "window_length": 0.5},
+}
+
+
+def kind_scenario(kind):
+    return scenario_dict(
+        pattern={"kind": kind, "params": KIND_PARAMS.get(kind, {})},
+        extra_walls=[[3.0, -2.0, 3.0, 2.0]],
+        staleness_limit=0.3,
+    )
+
+
+@pytest.mark.parametrize(
+    "source",
+    PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS],
+    ids=PRESETS + [f"dict-{kind}" for kind in PATTERN_KINDS],
+)
+def test_meta_round_trip(source):
+    cfg = load_scenario(source, seed=4)
     assert from_meta(to_meta(cfg)) == cfg
+
+
+def test_from_meta_rejects_an_edited_platform_spec():
+    meta = to_meta(load_scenario(scenario_dict()))
+    meta["scenario"]["platform_spec"]["range_max"] = 3.0
+    with pytest.raises(ScenarioError, match="range_max 3.0 != 3.5"):
+        from_meta(meta)

@@ -35,8 +35,6 @@ NO_CIRCLES = np.zeros((0, 3))
 class ConstantDrive(Pattern):
     """Test behavior that requests the same drive command every tick."""
 
-    emits_commands = True
-
     def __init__(self, cmd: DriveCommand):
         self.cmd = cmd
 
