@@ -57,13 +57,18 @@ def avoidance_command(state: ProtectionState, scan: ScanSnapshot) -> DriveComman
     return vector_to_drive(force, state.limits)
 
 
-def arbitrate(state: ProtectionState, scan: ScanSnapshot, now: float) -> DriveCommand:
+def arbitrate(
+    state: ProtectionState, scan: ScanSnapshot, now: float, suppressed: bool | None = None
+) -> DriveCommand:
     """Pick the actuator command for this scan.
 
     Priority: avoidance when something valid is inside the threshold, else the
-    fresh behavior command, else stop.
+    fresh behavior command, else stop. suppressed is ``triggered(state,
+    scan)`` when the caller has already computed it.
     """
-    if triggered(state, scan):
+    if suppressed is None:
+        suppressed = triggered(state, scan)
+    if suppressed:
         return avoidance_command(state, scan)
     if state.last_pattern_cmd is not None and now - state.last_cmd_stamp <= state.staleness_limit:
         return state.last_pattern_cmd

@@ -126,17 +126,17 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
     layout = robots.get("layout", "line")
     if layout != "line":
         raise ScenarioError(f"unknown layout: {layout!r}")
-    count = _layout_number("count", robots.get("count", 1), int)
-    spacing = _layout_number("spacing", robots.get("spacing", 1.0))
+    count = _whole_number("robots.count", robots.get("count", 1))
+    spacing = _number("robots.spacing", robots.get("spacing", 1.0))
     if count < 1 or spacing <= 0:
         raise ScenarioError("bad line layout parameters")
     headings = robots.get("headings", 0.0)
     if headings not in ("random", "inward"):
         listed = headings if isinstance(headings, (list, tuple)) else [headings] * count
-        headings = [_layout_number("headings", h) for h in listed]
+        headings = [_number("robots.headings", h) for h in listed]
         if len(headings) != count:
             raise ScenarioError(f"robots.headings: {len(headings)} headings, {count} robots")
-    jitter = _layout_number("heading_jitter", robots.get("heading_jitter", 0.0))
+    jitter = _number("robots.heading_jitter", robots.get("heading_jitter", 0.0))
     if jitter < 0:
         raise ScenarioError("heading_jitter must be >= 0")
     center = -(count - 1) / 2.0 * spacing
@@ -157,11 +157,24 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
     return poses
 
 
-def _layout_number(key: str, value, kind=float):
+def _number(key: str, value) -> float:
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError):
-        raise ScenarioError(f"robots.{key}: {value!r} is not a number") from None
+        raise ScenarioError(f"{key}: {value!r} is not a number") from None
+
+
+def _whole_number(key: str, value) -> int:
+    number = _number(key, value)
+    if not number.is_integer():
+        raise ScenarioError(f"{key}: {value!r} is not a whole number")
+    return int(number)
+
+
+def _whole_numbers(key: str, values) -> list[int]:
+    if not isinstance(values, (list, tuple)):
+        raise ScenarioError(f"{key}: {values!r} is not a list")
+    return [_whole_number(key, v) for v in values]
 
 
 def _resolve_opinions(
@@ -171,12 +184,12 @@ def _resolve_opinions(
         return None
     raw = params.pop("opinions", "random")
     if kind == "discussed_dispersion":
-        choices = sorted(int(k) for k in params["mapping"])
+        choices = sorted(params["mapping"])
     else:
-        choices = [int(c) for c in params.pop("opinion_choices", [0, 1])]
+        choices = _whole_numbers("opinion_choices", params.pop("opinion_choices", [0, 1]))
     if raw == "random":
         return [int(choices[rng.integers(len(choices))]) for _ in range(count)]
-    opinions = [int(v) for v in raw]
+    opinions = _whole_numbers("opinions", raw)
     if len(opinions) != count:
         raise ScenarioError("initial opinions must match the robot count")
     return opinions
@@ -191,7 +204,12 @@ def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
         params.setdefault("decision_duration", DEFAULT_DECISION_DURATION)
         if "mapping" not in params:
             raise ScenarioError("discussed_dispersion needs an opinion mapping")
-        params["mapping"] = {int(k): float(v) for k, v in params["mapping"].items()}
+        mapping = params["mapping"]
+        if not isinstance(mapping, dict):
+            raise ScenarioError(f"mapping: {mapping!r} is not an opinion -> distance mapping")
+        params["mapping"] = {
+            _whole_number("mapping", k): _number(f"mapping[{k!r}]", v) for k, v in mapping.items()
+        }
     return params
 
 
@@ -366,7 +384,6 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
         nodes.append(
             RobotNode(
                 robot_id=body.robot_id,
-                spec=spec,
                 behavior=_build_behavior(config, body.robot_id, i),
                 protection=ProtectionState(
                     threshold=spec.protection_threshold,
@@ -375,7 +392,7 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
                 ),
             )
         )
-    return Simulation(world, nodes, meta=to_meta(config))
+    return Simulation(world, nodes, spec, meta=to_meta(config))
 
 
 def to_meta(config: ScenarioConfig) -> dict:

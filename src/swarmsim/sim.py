@@ -2,16 +2,16 @@
 
 World model: a walled rectangle (plus optional interior wall segments) and
 circular robot bodies moving under unicycle kinematics. Each robot carries a
-planar range sensor simulated by exact ray casting. One tick runs, robot by
-robot in id order: raycast the scan, tick the behavior on it and on the
-votes heard since its last tick, publish its votes, run the protection
-arbiter on the same scan; then all poses are integrated with the
-arbitrated commands and one trace row per robot is recorded. Votes go
-through the bus, so a robot hears a vote in the tick it is sent if it
-comes after the sender in id order, and in the next tick otherwise
-(the sender included). Robot-wall contact
-truncates motion at the contact point; robot-robot overlap is not prevented,
-only recorded downstream as a collision.
+planar range sensor simulated by exact ray casting. One tick raycasts every
+robot's scan in one pass, then runs robot by robot in id order: tick the
+behavior on its scan and on the votes heard since its last tick, publish
+its votes, run the protection arbiter on the same scan; then all poses are
+integrated with the arbitrated commands and one trace row per robot is
+recorded. Votes go through the bus, so a robot hears a vote in the tick it
+is sent if it comes after the sender in id order, and in the next tick
+otherwise (the sender included). Robot-wall contact truncates motion at the
+contact point; robot-robot overlap is not prevented, only recorded
+downstream as a collision.
 """
 
 from __future__ import annotations
@@ -139,29 +139,109 @@ class WorldState:
         return self.tick * self.dt
 
 
-def raycast_scan(world: WorldState, robot_id: int, spec: PlatformSpec) -> ScanSnapshot:
-    """Simulated sweep for one robot: walls plus every other robot body.
+# Slack on the range_max cuts, so rounding at their boundary cannot drop a hit.
+_CULL_EPS = 1e-6
+# An origin this close to a body's surface (relative to its radius) is
+# treated as inside it, and every beam is tested against that body.
+_INSIDE_MARGIN = 1e-6
 
-    Hits beyond range_max are encoded as inf; hits below range_min keep
-    their raw distance. Both are invalid in-band per the scan contract.
+
+def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
+    """Simulated sweeps for every robot, in id order: walls plus the other
+    robot bodies, as one array pass.
+
+    Each scan holds the same bits as ``raycast`` over all walls and all
+    other bodies, with hits beyond range_max encoded as inf; hits below
+    range_min keep their raw distance. Both are invalid in-band per the scan
+    contract. A wall or body is tested only if it lies within range_max of
+    the origin, and a body only on the beams that can reach it; every tested
+    element uses raycast's own expressions, and min is exact, so the cuts
+    change no bit.
     """
-    me = next(b for b in world.robots if b.robot_id == robot_id)
-    circles = np.array(
-        [[b.pose.x, b.pose.y, b.radius] for b in world.robots if b.robot_id != robot_id]
-    ).reshape(-1, 3)
-    dist = raycast((me.pose.x, me.pose.y), me.pose.theta, spec.beam_count, world.walls, circles)
-    ranges = np.where(dist > spec.range_max, np.inf, dist)
-    return ScanSnapshot(
-        ranges=ranges,
-        angle_min=0.0,
-        angle_increment=math.tau / spec.beam_count,
-        range_min=spec.range_min,
-        range_max=spec.range_max,
-        stamp=world.clock,
-    )
+    B = spec.beam_count
+    R = len(world.robots)
+    if R == 0:
+        return []
+    poses = np.array([(b.pose.x, b.pose.y, b.pose.theta) for b in world.robots])
+    radii = np.array([b.radius for b in world.robots])
+    ox, oy = poses[:, 0], poses[:, 1]
+    step = math.tau / B
+    angles = poses[:, 2:3] + step * np.arange(B)  # (R, B)
+    dx = np.cos(angles)
+    dy = np.sin(angles)
+    best = np.full((R, B), np.inf)
+
+    # Wall cut: a segment farther than range_max from the origin can only be
+    # hit beyond range_max, which reads inf anyway.
+    walls = world.walls
+    wall_dist = _segment_distances(ox[:, None], oy[:, None], walls)  # (R, S)
+    k, s = np.nonzero(wall_dist <= spec.range_max + _CULL_EPS)
+    if k.size:
+        # raycast's wall expressions, on (robot-wall pair, beam) arrays
+        ax, ay = walls[s, 0], walls[s, 1]
+        ex, ey = (walls[s, 2] - ax)[:, None], (walls[s, 3] - ay)[:, None]
+        aox = (ax - ox[k])[:, None]
+        aoy = (ay - oy[k])[:, None]
+        denom = dx[k] * ey - dy[k] * ex
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (aox * ey - aoy * ex) / denom
+            u = (aox * dy[k] - aoy * dx[k]) / denom
+        hit = (denom != 0) & np.isfinite(t) & (t >= 0) & (u >= 0) & (u <= 1)
+        np.minimum.at(best, k, np.where(hit, t, np.inf))
+
+    # Neighbour cut, by the same argument: the nearest point of a body lies
+    # its radius short of its centre.
+    mx = ox[None, :] - ox[:, None]  # (R, R): body j seen from robot i
+    my = oy[None, :] - oy[:, None]
+    d2 = mx * mx + my * my
+    keep = d2 <= (spec.range_max + radii[None, :] + _CULL_EPS) ** 2
+    np.fill_diagonal(keep, False)
+    i, j = np.nonzero(keep)
+    if i.size:
+        mx, my, r = mx[i, j], my[i, j], radii[j]
+        c = mx * mx + my * my - r * r
+        # Beam window: the body spans asin(r/d) either side of the bearing to
+        # its centre; one more beam on each side. Beams outside it give a
+        # discriminant below zero by far more than rounding, or point away.
+        d = np.sqrt(d2[i, j])
+        inside = d <= r * (1.0 + _INSIDE_MARGIN)
+        half = np.arcsin(r / np.maximum(d, r))
+        centre = (np.arctan2(my, mx) - poses[i, 2]) / step
+        lo = np.floor(centre - half / step).astype(np.int64) - 1
+        hi = np.ceil(centre + half / step).astype(np.int64) + 1
+        n = np.where(inside | (hi - lo + 1 >= B), B, hi - lo + 1)
+        lo = np.where(n == B, 0, lo)
+        pair = np.repeat(np.arange(i.size), n)
+        start = np.cumsum(n) - n
+        beam = (lo[pair] + np.arange(pair.size) - start[pair]) % B
+        cell = i[pair] * B + beam
+        # raycast's circle expressions, on flat (pair, beam) arrays
+        b = dx.ravel()[cell] * mx[pair] + dy.ravel()[cell] * my[pair]
+        disc = b * b - c[pair]
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        t1 = b - sq
+        t2 = b + sq
+        t = np.where(t1 >= 0, t1, np.where(t2 >= 0, t2, np.inf))
+        t = np.where(disc >= 0, t, np.inf)
+        np.minimum.at(best.ravel(), cell, t)
+
+    ranges = np.where(best > spec.range_max, np.inf, best)
+    return [
+        ScanSnapshot(
+            ranges=row,
+            angle_min=0.0,
+            angle_increment=step,
+            range_min=spec.range_min,
+            range_max=spec.range_max,
+            stamp=world.clock,
+        )
+        for row in ranges
+    ]
 
 
-def _segment_distances(px: float, py: float, walls: np.ndarray) -> np.ndarray:
+def _segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
+    """Distance from a point to each wall segment; points broadcast against
+    the (S,) wall axis."""
     ax, ay = walls[:, 0], walls[:, 1]
     bx, by = walls[:, 2], walls[:, 3]
     ex, ey = bx - ax, by - ay
@@ -205,7 +285,7 @@ def resolve_wall_contact(
             hi = f
             break
     if hi is None:
-        return integrate_pose(pose, cmd, dt)
+        return p  # the last waypoint is the whole step: f == 1.0
     for _ in range(48):
         mid = 0.5 * (lo + hi)
         p = integrate_pose(pose, cmd, mid * dt)
@@ -218,22 +298,23 @@ def resolve_wall_contact(
 
 @dataclass
 class RobotNode:
-    """One robot's sensor, behavior and protection layer."""
+    """One robot's behavior and protection layer."""
 
     robot_id: int
-    spec: PlatformSpec
     behavior: Pattern
     protection: ProtectionState
 
 
 class Simulation:
-    """Owns the world, the vote bus, and the robot nodes; records the trace."""
+    """Owns the world, the vote bus, and the robot nodes; records the trace.
+    Every robot carries the same sensor, described by spec."""
 
-    def __init__(self, world: WorldState, nodes: list[RobotNode], meta: dict):
+    def __init__(self, world: WorldState, nodes: list[RobotNode], spec: PlatformSpec, meta: dict):
         if [n.robot_id for n in nodes] != [b.robot_id for b in world.robots]:
             raise ValueError("nodes must match world robots one to one, in id order")
         self.world = world
         self.nodes = nodes
+        self.spec = spec
         self.meta = meta
         self.bus = MessageBus()
         self.vote_subs = [self.bus.subscribe(VOTE_TOPIC, n.robot_id) for n in nodes]
@@ -245,9 +326,9 @@ class Simulation:
         dt = world.dt
         staged: list[tuple[DriveCommand | None, DriveCommand, bool]] = []
 
-        for node, vote_sub in zip(self.nodes, self.vote_subs):
+        scans = raycast_scan(world, self.spec)
+        for node, vote_sub, scan in zip(self.nodes, self.vote_subs, scans):
             rid = node.robot_id
-            scan = raycast_scan(world, rid, node.spec)
             inbox = [(env.payload, env.stamp) for env in vote_sub.drain()]
             result = node.behavior.tick(scan, now, dt, inbox)
             for msg in result.messages:
@@ -255,7 +336,7 @@ class Simulation:
             if result.command is not None:
                 note_command(node.protection, result.command, now)
             suppressed = triggered(node.protection, scan)
-            actuator = arbitrate(node.protection, scan, now)
+            actuator = arbitrate(node.protection, scan, now, suppressed)
             staged.append((result.command, actuator, suppressed))
 
         for (_, actuator, _), body in zip(staged, world.robots):

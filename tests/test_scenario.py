@@ -1,6 +1,7 @@
 """Scenario loading, validation, and round-trip tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -282,6 +283,39 @@ def test_scalar_heading_broadcasts():
 def test_bad_layout_value_names_the_key(robots, key):
     with pytest.raises(ScenarioError, match=f"robots.{key}"):
         load_scenario(scenario_dict(robots={"layout": "line", **robots}))
+
+
+@pytest.mark.parametrize(
+    "robots, pattern, key",
+    [
+        ({"count": 2.7}, None, "robots.count"),
+        ({"count": "2.5"}, None, "robots.count"),
+        (None, {"kind": "majority", "params": {"opinions": [0, "a"]}}, "opinions"),
+        (None, {"kind": "majority", "params": {"opinions": 1}}, "opinions"),
+        (None, {"kind": "voter", "params": {"opinion_choices": [0, 1.5]}}, "opinion_choices"),
+        (None, {"kind": "discussed_dispersion", "params": {"mapping": [1.0, 2.0]}}, "mapping"),
+        (None, {"kind": "discussed_dispersion", "params": {"mapping": {0: "far"}}}, "mapping"),
+        (None, {"kind": "discussed_dispersion", "params": {"mapping": {"a": 1.0}}}, "mapping"),
+    ],
+    ids=[
+        "fractional-count",
+        "fractional-count-text",
+        "opinion-not-a-number",
+        "opinions-not-a-list",
+        "fractional-opinion-choice",
+        "mapping-as-list",
+        "mapped-distance-not-a-number",
+        "mapped-opinion-not-a-number",
+    ],
+)
+def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
+    overrides = {}
+    if robots is not None:
+        overrides["robots"] = {"layout": "line", **robots}
+    if pattern is not None:
+        overrides["pattern"] = pattern
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        load_scenario(scenario_dict(**overrides))
 
 
 def test_random_headings_within_range():

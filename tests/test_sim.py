@@ -1,5 +1,6 @@
 """Simulator tests: exact kinematics, ray casting, wall contact, determinism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -153,7 +154,7 @@ def test_scan_lone_robot_in_large_arena_sees_nothing():
         walls=rect_walls(18.0, 18.0),
         robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
     )
-    scan = raycast_scan(world, 0, WAFFLE)
+    scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges.shape == (360,)
     assert np.all(np.isinf(scan.ranges))
     assert not scan.valid_mask().any()
@@ -167,7 +168,7 @@ def test_scan_other_robot_body_blocks_beam():
             RobotBody(robot_id=1, pose=Pose2D(1.0, 0.0, 0.0), radius=0.1),
         ],
     )
-    scan = raycast_scan(world, 0, WAFFLE)
+    scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges[0] == pytest.approx(0.9, abs=1e-12)
     assert scan.valid_mask()[0]
     assert scan.stamp == 0.0
@@ -178,9 +179,67 @@ def test_scan_hit_beyond_max_encodes_as_inf():
         walls=np.vstack([rect_walls(18.0, 18.0), [[3.6, -1.0, 3.6, 1.0]]]),
         robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
     )
-    scan = raycast_scan(world, 0, WAFFLE)
+    scan = raycast_scan(world, WAFFLE)[0]
     assert np.isinf(scan.ranges[0])
     assert not scan.valid_mask()[0]
+
+
+def _reference_scans(world, spec):
+    """raycast per robot over all walls and every other body, cut at range_max."""
+    scans = []
+    for me in world.robots:
+        circles = np.array(
+            [[b.pose.x, b.pose.y, b.radius] for b in world.robots if b is not me]
+        ).reshape(-1, 3)
+        dist = raycast((me.pose.x, me.pose.y), me.pose.theta, spec.beam_count, world.walls, circles)
+        scans.append(np.where(dist > spec.range_max, np.inf, dist))
+    return scans
+
+
+def _crowded_world(rng, range_max):
+    """Random bodies of mixed radii in a walled arena with interior walls.
+
+    The first body sits on a 1/64 m grid, so that one body touches its
+    centre exactly and another has its centre exactly range_max + r away;
+    a third body overlaps its centre and a fourth shares it.
+    """
+    width = float(rng.uniform(3.0, 12.0))
+    walls = [rect_walls(width, width)]
+    for _ in range(rng.integers(0, 4)):
+        x0, y0 = rng.uniform(-0.4 * width, 0.4 * width, 2)
+        ang, length = rng.uniform(0.0, math.tau), rng.uniform(0.2, 3.0)
+        walls.append([[x0, y0, x0 + length * math.cos(ang), y0 + length * math.sin(ang)]])
+    half = width / 2 - 0.5
+    poses = [[float(v) for v in rng.uniform(-half, half, 2)] for _ in range(rng.integers(1, 14))]
+    radii = [float(rng.choice([0.0625, 0.125, 0.15, 0.25, 0.4])) for _ in poses]
+    x0, y0 = poses[0] = [round(v * 64) / 64 for v in poses[0]]
+    poses.append([x0 + 0.03, y0 - 0.02])  # overlaps the first body's centre
+    radii.append(0.25)
+    poses.append([x0, y0])  # same centre as the first body
+    radii.append(0.15)
+    poses.append([x0, y0 + 0.125])  # the first body's centre on its surface
+    radii.append(0.125)
+    poses.append([x0 - (range_max + 0.25), y0])  # centre exactly range_max + r away
+    radii.append(0.25)
+    order = rng.permutation(len(poses))
+    bodies = [
+        RobotBody(k, Pose2D(*poses[n], rng.uniform(-math.pi, math.pi)), radii[n])
+        for k, n in enumerate(order)
+    ]
+    return WorldState(walls=np.vstack(walls), robots=bodies)
+
+
+@pytest.mark.parametrize("beams", [1, 2, 3, 7, 90, 360, 361, 720])
+def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
+    rng = np.random.default_rng(beams)
+    for _ in range(25):
+        range_max = float(rng.choice([1.0, 2.5, 3.5]))
+        spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
+        world = _crowded_world(rng, range_max)
+        scans = raycast_scan(world, spec)
+        assert len(scans) == len(world.robots)
+        for scan, expected in zip(scans, _reference_scans(world, spec)):
+            assert np.array_equal(scan.ranges.view(np.int64), expected.view(np.int64))
 
 
 def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
@@ -188,7 +247,7 @@ def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
         walls=np.vstack([rect_walls(18.0, 18.0), [[0.05, -1.0, 0.05, 1.0]]]),
         robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
     )
-    scan = raycast_scan(world, 0, WAFFLE)
+    scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges[0] == pytest.approx(0.05, abs=1e-12)
     assert not scan.valid_mask()[0]
 
@@ -260,14 +319,13 @@ def _single_robot_sim(pose, cmd, arena=4.0, threshold=None):
     )
     node = RobotNode(
         robot_id=0,
-        spec=spec,
         behavior=ConstantDrive(cmd),
         protection=ProtectionState(
             threshold=spec.protection_threshold if threshold is None else threshold,
             limits=spec.limits(),
         ),
     )
-    return Simulation(world, [node], meta={})
+    return Simulation(world, [node], spec, meta={})
 
 
 def test_trace_rows_hold_post_step_state():
@@ -307,13 +365,12 @@ def test_robot_overlap_recorded_not_prevented():
     nodes = [
         RobotNode(
             robot_id=i,
-            spec=spec,
-            behavior=ConstantDrive(DriveCommand(0.26, 0.0)),
+                behavior=ConstantDrive(DriveCommand(0.26, 0.0)),
             protection=ProtectionState(threshold=0.121, limits=spec.limits()),
         )
         for i in range(2)
     ]
-    sim = Simulation(world, nodes, meta={})
+    sim = Simulation(world, nodes, spec, meta={})
     sim.run(80)
     cols = sim.columns
     xs = np.asarray(cols.x).reshape(-1, 2)
@@ -332,12 +389,11 @@ def test_simulation_rejects_mismatched_nodes():
     )
     node = RobotNode(
         robot_id=1,
-        spec=spec,
         behavior=ConstantDrive(DriveCommand(0.1, 0.0)),
         protection=ProtectionState(threshold=0.5, limits=spec.limits()),
     )
     with pytest.raises(ValueError):
-        Simulation(world, [node], meta={})
+        Simulation(world, [node], spec, meta={})
 
 
 def test_two_runs_are_identical():
@@ -380,13 +436,12 @@ def test_vote_delivery_order_across_robots():
     nodes = [
         RobotNode(
             robot_id=i,
-            spec=spec,
-            behavior=Announcer(i),
+                behavior=Announcer(i),
             protection=ProtectionState(threshold=spec.protection_threshold, limits=spec.limits()),
         )
         for i in range(3)
     ]
-    sim = Simulation(world, nodes, meta={})
+    sim = Simulation(world, nodes, spec, meta={})
     sim.run(3)
 
     # A vote (s, k) is sent by robot s in tick k. Robots after s hear it in
