@@ -6,8 +6,10 @@ commands come out. No simulator or middleware coupling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -122,8 +124,35 @@ class ScanSnapshot:
     def bearings(self) -> np.ndarray:
         return self.angle_min + np.arange(self.ranges.size) * self.angle_increment
 
+    def trig(self) -> "BeamTrig":
+        """cos, sin and wrapped bearing of every beam, shared by all scans
+        with the same beam set."""
+        return beam_trig(self.angle_min, self.angle_increment, self.ranges.size)
+
     def valid_mask(self) -> np.ndarray:
         return (self.ranges >= self.range_min) & (self.ranges <= self.range_max)
+
+
+class BeamTrig(NamedTuple):
+    cos: np.ndarray
+    sin: np.ndarray
+    wrapped: np.ndarray  # arctan2(sin, cos): the bearing wrapped to [-pi, pi]
+
+
+@functools.lru_cache(maxsize=64)
+def beam_trig(angle_min: float, angle_increment: float, beam_count: int) -> BeamTrig:
+    """Per-beam trig tables for one beam set, computed once and read-only.
+
+    Each entry is the elementwise function of ``ScanSnapshot.bearings()``, so
+    indexing a table gives the same bits as applying the function to the
+    indexed bearings.
+    """
+    bearings = angle_min + np.arange(beam_count) * angle_increment
+    cos, sin = np.cos(bearings), np.sin(bearings)
+    tables = BeamTrig(cos, sin, np.arctan2(sin, cos))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def nearest_obstacle(scan: ScanSnapshot) -> tuple[float, float] | None:
@@ -148,18 +177,23 @@ def potential_field(scan: ScanSnapshot, effect_range: float, polarity: str = ATT
     if polarity not in (ATTRACTIVE, REPULSIVE):
         raise ValueError(f"unknown polarity: {polarity!r}")
     r = scan.ranges
-    considered = scan.valid_mask() & (r <= effect_range)
-    if not considered.any():
+    # min() keeps a NaN effect_range, so it considers nothing, as r <= NaN does.
+    considered = (r >= scan.range_min) & (r <= min(effect_range, scan.range_max))
+    count = np.count_nonzero(considered)
+    if not count:
         return ZERO_VECTOR
     span = effect_range - scan.range_min
     if span > 0:
-        w = np.clip((effect_range - r[considered]) / span, 0.0, 1.0)
+        # Already in [0, 1], with no clip: a considered r lies in
+        # [range_min, effect_range] and rounding is monotonic, so
+        # 0 <= effect_range - r <= span holds for the rounded values too.
+        w = (effect_range - r[considered]) / span
     else:
         # Degenerate window: every considered reading sits at range_min.
-        w = np.ones(int(considered.sum()))
-    theta = scan.bearings()[considered]
-    fx = float(np.sum(w * np.cos(theta)))
-    fy = float(np.sum(w * np.sin(theta)))
+        w = np.ones(count)
+    trig = scan.trig()
+    fx = float(np.add.reduce(w * trig.cos[considered]))
+    fy = float(np.add.reduce(w * trig.sin[considered]))
     if polarity == REPULSIVE:
         return Vector2(-fx, -fy)
     return Vector2(fx, fy)

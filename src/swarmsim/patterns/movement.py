@@ -170,7 +170,7 @@ class FlockingConfig:
 
 def _sector_minima(scan: ScanSnapshot, cfg: FlockingConfig) -> tuple[float, float]:
     """Nearest valid reading in the left and right sectors (inf when empty)."""
-    phi = np.arctan2(np.sin(scan.bearings()), np.cos(scan.bearings()))
+    phi = scan.trig().wrapped
     valid = scan.valid_mask()
     left = valid & (phi > cfg.front_half_width) & (
         phi <= cfg.front_half_width + 2 * cfg.left_half_width

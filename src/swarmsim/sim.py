@@ -144,9 +144,33 @@ _CULL_EPS = 1e-6
 # An origin this close to a body's surface (relative to its radius) is
 # treated as inside it, and every beam is tested against that body.
 _INSIDE_MARGIN = 1e-6
+# Slack on the wall-contact reach cut. A computed waypoint strays from its
+# exact arc by rounding, most near the straight-line branch where v/w is
+# large: under 1e-6 m for |v| <= 2 m/s. A millimetre stays clear of that.
+_REACH_EPS = 1e-3
 
 
-def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
+def wall_distances(world: WorldState) -> np.ndarray:
+    """(R, S) distance from every robot's centre to every wall segment."""
+    x = np.array([b.pose.x for b in world.robots])
+    y = np.array([b.pose.y for b in world.robots])
+    return _segment_distances(x[:, None], y[:, None], world.walls)
+
+
+def walls_in_reach(wall_dist: np.ndarray, travel: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """(R, S) mask of the walls each robot can touch in one step.
+
+    Every waypoint of a step lies within its arc length, travel = |v|*dt, of
+    the start pose, so a wall farther than travel + radius from the start
+    stays more than radius from every waypoint and bisection point. Leaving
+    it out of ``resolve_wall_contact`` changes no clearance test.
+    """
+    return wall_dist <= (travel + radii + _REACH_EPS)[:, None]
+
+
+def raycast_scan(
+    world: WorldState, spec: PlatformSpec, wall_dist: np.ndarray | None = None
+) -> list[ScanSnapshot]:
     """Simulated sweeps for every robot, in id order: walls plus the other
     robot bodies, as one array pass.
 
@@ -156,7 +180,8 @@ def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
     contract. A wall or body is tested only if it lies within range_max of
     the origin, and a body only on the beams that can reach it; every tested
     element uses raycast's own expressions, and min is exact, so the cuts
-    change no bit.
+    change no bit. wall_dist is ``wall_distances(world)``, when the caller
+    already has it.
     """
     B = spec.beam_count
     R = len(world.robots)
@@ -164,28 +189,32 @@ def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
         return []
     poses = np.array([(b.pose.x, b.pose.y, b.pose.theta) for b in world.robots])
     radii = np.array([b.radius for b in world.robots])
-    ox, oy = poses[:, 0], poses[:, 1]
+    ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
     step = math.tau / B
-    angles = poses[:, 2:3] + step * np.arange(B)  # (R, B)
-    dx = np.cos(angles)
-    dy = np.sin(angles)
+    # Beam b of robot i points along heading[i] + offset[b]. Its cos and sin
+    # are taken only where a test reads them; each is elementwise in the
+    # same angle, so it has the same bits as in raycast's full row.
+    offset = step * np.arange(B)
     best = np.full((R, B), np.inf)
 
     # Wall cut: a segment farther than range_max from the origin can only be
     # hit beyond range_max, which reads inf anyway.
     walls = world.walls
-    wall_dist = _segment_distances(ox[:, None], oy[:, None], walls)  # (R, S)
+    if wall_dist is None:
+        wall_dist = wall_distances(world)
     k, s = np.nonzero(wall_dist <= spec.range_max + _CULL_EPS)
     if k.size:
+        angles = heading[k, None] + offset  # full rows, only for kept pairs
+        dx, dy = np.cos(angles), np.sin(angles)
         # raycast's wall expressions, on (robot-wall pair, beam) arrays
         ax, ay = walls[s, 0], walls[s, 1]
         ex, ey = (walls[s, 2] - ax)[:, None], (walls[s, 3] - ay)[:, None]
         aox = (ax - ox[k])[:, None]
         aoy = (ay - oy[k])[:, None]
-        denom = dx[k] * ey - dy[k] * ex
+        denom = dx * ey - dy * ex
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (aox * ey - aoy * ex) / denom
-            u = (aox * dy[k] - aoy * dx[k]) / denom
+            u = (aox * dy - aoy * dx) / denom
         hit = (denom != 0) & np.isfinite(t) & (t >= 0) & (u >= 0) & (u <= 1)
         np.minimum.at(best, k, np.where(hit, t, np.inf))
 
@@ -206,7 +235,7 @@ def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
         d = np.sqrt(d2[i, j])
         inside = d <= r * (1.0 + _INSIDE_MARGIN)
         half = np.arcsin(r / np.maximum(d, r))
-        centre = (np.arctan2(my, mx) - poses[i, 2]) / step
+        centre = (np.arctan2(my, mx) - heading[i]) / step
         lo = np.floor(centre - half / step).astype(np.int64) - 1
         hi = np.ceil(centre + half / step).astype(np.int64) + 1
         n = np.where(inside | (hi - lo + 1 >= B), B, hi - lo + 1)
@@ -214,16 +243,16 @@ def raycast_scan(world: WorldState, spec: PlatformSpec) -> list[ScanSnapshot]:
         pair = np.repeat(np.arange(i.size), n)
         start = np.cumsum(n) - n
         beam = (lo[pair] + np.arange(pair.size) - start[pair]) % B
-        cell = i[pair] * B + beam
+        angles = heading[i[pair]] + offset[beam]
         # raycast's circle expressions, on flat (pair, beam) arrays
-        b = dx.ravel()[cell] * mx[pair] + dy.ravel()[cell] * my[pair]
+        b = np.cos(angles) * mx[pair] + np.sin(angles) * my[pair]
         disc = b * b - c[pair]
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
         t2 = b + sq
         t = np.where(t1 >= 0, t1, np.where(t2 >= 0, t2, np.inf))
         t = np.where(disc >= 0, t, np.inf)
-        np.minimum.at(best.ravel(), cell, t)
+        np.minimum.at(best.ravel(), i[pair] * B + beam, t)
 
     ranges = np.where(best > spec.range_max, np.inf, best)
     return [
@@ -326,7 +355,8 @@ class Simulation:
         dt = world.dt
         staged: list[tuple[DriveCommand | None, DriveCommand, bool]] = []
 
-        scans = raycast_scan(world, self.spec)
+        wall_dist = wall_distances(world)
+        scans = raycast_scan(world, self.spec, wall_dist)
         for node, vote_sub, scan in zip(self.nodes, self.vote_subs, scans):
             rid = node.robot_id
             inbox = [(env.payload, env.stamp) for env in vote_sub.drain()]
@@ -339,8 +369,15 @@ class Simulation:
             actuator = arbitrate(node.protection, scan, now, suppressed)
             staged.append((result.command, actuator, suppressed))
 
-        for (_, actuator, _), body in zip(staged, world.robots):
-            body.pose = resolve_wall_contact(body.pose, actuator, dt, body.radius, world.walls)
+        travel = np.array([abs(actuator.linear) * dt for _, actuator, _ in staged])
+        radii = np.array([body.radius for body in world.robots])
+        in_reach = walls_in_reach(wall_dist, travel, radii)
+        no_walls = world.walls[:0]  # most robots: cheaper than indexing an all-False row
+        for (_, actuator, _), body, near, any_near in zip(
+            staged, world.robots, in_reach, in_reach.any(axis=1).tolist()
+        ):
+            walls = world.walls[near] if any_near else no_walls
+            body.pose = resolve_wall_contact(body.pose, actuator, dt, body.radius, walls)
 
         world.tick += 1
         clock = world.tick * dt

@@ -3,6 +3,8 @@
 These deliberately avoid the closed-form solutions used by the simulator:
 pose integration is checked against a classical RK4 integrator run at a
 fine substep, and ray casting against a brute-force marching sampler.
+``potential_field_reference`` is the exception: it is the plain form of
+``potential_field``, kept to check the fast one bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import math
 
 import numpy as np
 
+from swarmsim.core import REPULSIVE, ZERO_VECTOR, Vector2
 from swarmsim.sim import rect_walls, wall_clearance
 
 
@@ -39,6 +42,26 @@ def rk4_pose(x, y, theta, v, w, dt, substeps: int = 1000):
         y = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
         theta = theta + (h / 6.0) * (k1t + 2 * k2t + 2 * k3t + k4t)
     return x, y, theta
+
+
+def potential_field_reference(scan, effect_range, polarity):
+    """potential_field as plain numpy: the valid mask, np.clip on the
+    weights, cos/sin of the considered bearings and np.sum."""
+    r = scan.ranges
+    considered = scan.valid_mask() & (r <= effect_range)
+    if not considered.any():
+        return ZERO_VECTOR
+    span = effect_range - scan.range_min
+    if span > 0:
+        w = np.clip((effect_range - r[considered]) / span, 0.0, 1.0)
+    else:
+        w = np.ones(int(considered.sum()))
+    theta = scan.bearings()[considered]
+    fx = float(np.sum(w * np.cos(theta)))
+    fy = float(np.sum(w * np.sin(theta)))
+    if polarity == REPULSIVE:
+        return Vector2(-fx, -fy)
+    return Vector2(fx, fy)
 
 
 def marching_raycast(origin, heading, beam_count, walls, circles, step=1e-3, cap=12.0):

@@ -17,6 +17,7 @@ from swarmsim.core import (
     Pose2D,
     ScanSnapshot,
     Vector2,
+    beam_trig,
     nearest_obstacle,
     potential_field,
     vector_to_drive,
@@ -24,6 +25,7 @@ from swarmsim.core import (
 )
 
 from conftest import make_scan, scan_from_array, scans
+from oracles import potential_field_reference
 
 
 def field_oracle(scan: ScanSnapshot, effect_range: float, polarity: str) -> Vector2:
@@ -203,6 +205,61 @@ def test_field_roll_preserves_magnitude(scan, shift):
     want_y = f0.x * math.sin(delta) + f0.y * math.cos(delta)
     assert f1.x == pytest.approx(want_x, abs=1e-9)
     assert f1.y == pytest.approx(want_y, abs=1e-9)
+
+
+def _bits(force: Vector2) -> np.ndarray:
+    return np.array([force.x, force.y]).view(np.int64)
+
+
+def _random_ranges(rng, beams, range_min, range_max, effect_range):
+    """Valid, below-floor, beyond-range and inf readings, plus readings
+    exactly at range_min, range_max and effect_range."""
+    ranges = rng.uniform(0.0, 1.3 * range_max, beams)
+    ranges[rng.random(beams) < 0.3] = np.inf
+    for value in (range_min, range_max, effect_range):
+        ranges[rng.random(beams) < 0.05] = value
+    return ranges
+
+
+@pytest.mark.parametrize("beams", [1, 2, 3, 7, 360, 361, 720])
+def test_field_matches_reference_bit_for_bit(beams):
+    rng = np.random.default_rng(beams)
+    range_min, range_max = 0.12, 3.5
+    effect_ranges = [0.5, 2.0, 3.5, 5.0, math.inf, range_min, 0.1]  # last two: span <= 0
+    for trial in range(60):
+        angle_min = float(rng.choice([0.0, -math.pi, rng.uniform(-math.pi, math.pi)]))
+        effect_range = effect_ranges[trial % len(effect_ranges)]
+        scan = ScanSnapshot(
+            ranges=_random_ranges(rng, beams, range_min, range_max, effect_range),
+            angle_min=angle_min,
+            angle_increment=math.tau / beams,
+            range_min=range_min,
+            range_max=range_max,
+        )
+        for polarity in (ATTRACTIVE, REPULSIVE):
+            with np.errstate(invalid="ignore"):  # inf / inf weights at effect_range inf
+                got = potential_field(scan, effect_range, polarity)
+                want = potential_field_reference(scan, effect_range, polarity)
+            assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("beams", [1, 7, 360, 361])
+def test_beam_trig_indexes_to_the_bits_of_the_bearings(beams):
+    rng = np.random.default_rng(beams)
+    for angle_min in (0.0, -math.pi, 0.3):
+        scan = make_scan(beam_count=beams)
+        scan.angle_min = angle_min
+        trig = scan.trig()
+        assert trig is beam_trig(angle_min, scan.angle_increment, beams)
+        assert not trig.cos.flags.writeable
+        for _ in range(50):
+            theta = scan.bearings()
+            mask = rng.random(beams) < rng.random()
+            cos, sin = np.cos(theta[mask]), np.sin(theta[mask])
+            assert np.array_equal(trig.cos[mask].view(np.int64), cos.view(np.int64))
+            assert np.array_equal(trig.sin[mask].view(np.int64), sin.view(np.int64))
+            wrapped = np.arctan2(np.sin(theta), np.cos(theta))[mask]
+            assert np.array_equal(trig.wrapped[mask].view(np.int64), wrapped.view(np.int64))
 
 
 # -- vector_to_drive ----------------------------------------------------------

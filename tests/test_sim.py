@@ -25,7 +25,15 @@ from swarmsim import (
     wrap_angle,
 )
 from swarmsim.patterns.base import Pattern, TickResult
-from swarmsim.sim import raycast_scan, rect_walls, resolve_wall_contact, wall_clearance
+from swarmsim.sim import (
+    _REACH_EPS,
+    raycast_scan,
+    rect_walls,
+    resolve_wall_contact,
+    wall_clearance,
+    wall_distances,
+    walls_in_reach,
+)
 
 WAFFLE = PLATFORMS["turtlebot3_waffle_pi"]
 
@@ -285,6 +293,89 @@ def test_wall_contact_never_penetrates(x, y, theta, v, w):
     assert wall_clearance(p.x, p.y, walls) >= 0.15 - 1e-9
 
 
+def _contact_scene(rng):
+    """Pose, command, dt, radius and walls, biased toward wall contact.
+
+    The arena holds interior walls and one zero-length wall. The body
+    starts clear of every wall, between radius and radius + |v|*dt + 0.3 m
+    from a random one, and half the time heads for it. Turn rates mix
+    straight moves, rates either side of the straight-line threshold, and
+    arcs.
+    """
+    width, height = (float(v) for v in rng.uniform(2.0, 6.0, 2))
+    walls = [rect_walls(width, height)]
+    for _ in range(rng.integers(0, 4)):
+        x0, y0 = rng.uniform(-0.4 * width, 0.4 * width), rng.uniform(-0.4 * height, 0.4 * height)
+        ang, length = rng.uniform(0.0, math.tau), rng.uniform(0.3, 2.0)
+        walls.append([[x0, y0, x0 + length * math.cos(ang), y0 + length * math.sin(ang)]])
+    x0, y0 = rng.uniform(-0.4 * width, 0.4 * width), rng.uniform(-0.4 * height, 0.4 * height)
+    walls.append([[x0, y0, x0, y0]])
+    walls = np.vstack(walls)
+    radius = float(rng.choice([0.1, 0.15, 0.25]))
+    dt = float(rng.choice([0.1, 0.5, 1.0]))
+    v = float(rng.choice([0.0, rng.uniform(0.05, 3.0), -rng.uniform(0.05, 3.0)]))
+    w = float(rng.choice([0.0, 2e-9, -5e-10, rng.uniform(-0.5, 0.5), rng.uniform(-5.0, 5.0)]))
+    travel = abs(v) * dt
+    while True:
+        ax, ay, bx, by = walls[rng.integers(walls.shape[0])]
+        f = rng.uniform()
+        fx, fy = ax + f * (bx - ax), ay + f * (by - ay)
+        ang = rng.uniform(0.0, math.tau)
+        gap = rng.uniform(radius, radius + travel + 0.3)
+        x, y = fx + gap * math.cos(ang), fy + gap * math.sin(ang)
+        inside = abs(x) < width / 2 - radius and abs(y) < height / 2 - radius
+        if inside and wall_clearance(x, y, walls) >= radius:
+            break
+    theta = math.atan2(fy - y, fx - x) if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
+    return Pose2D(x, y, theta), DriveCommand(v, w), dt, radius, walls
+
+
+def _resolve_in_reach(pose, cmd, dt, radius, walls):
+    world = WorldState(walls=walls, robots=[RobotBody(0, pose, radius)])
+    travel = np.array([abs(cmd.linear) * dt])
+    near = walls_in_reach(wall_distances(world), travel, np.array([radius]))[0]
+    return resolve_wall_contact(pose, cmd, dt, radius, walls[near]), near
+
+
+def _pose_bits(p):
+    return np.array([p.x, p.y, p.theta]).view(np.int64)
+
+
+def test_wall_contact_on_walls_in_reach_matches_all_walls_bit_for_bit():
+    rng = np.random.default_rng(8)
+    seen = {"contact": 0, "cut": 0, "no wall": 0}
+    for _ in range(1500):
+        pose, cmd, dt, radius, walls = _contact_scene(rng)
+        cut, near = _resolve_in_reach(pose, cmd, dt, radius, walls)
+        full = resolve_wall_contact(pose, cmd, dt, radius, walls)
+        assert np.array_equal(_pose_bits(cut), _pose_bits(full))
+        free = integrate_pose(pose, cmd, dt)
+        seen["contact"] += (full.x, full.y) != (free.x, free.y)  # truncated by bisection
+        seen["cut"] += 0 < near.sum() < near.size
+        seen["no wall"] += not near.any()
+    assert min(seen.values()) >= 50, seen
+
+
+@pytest.mark.parametrize("v", [0.0, 0.26, 1.0, 2.9])
+def test_wall_contact_cut_keeps_a_wall_at_the_cut_distance(v):
+    """A wall straight ahead at |v|*dt + r is touched at the end of the
+    step; at the cut's edge it is kept, just past it dropped."""
+    dt, radius = 0.5, 0.15
+    pose, cmd = Pose2D(0.0, 0.0, 0.0), DriveCommand(v, 0.0)
+    edge = abs(v) * dt + radius + _REACH_EPS
+    for x, kept in [
+        (abs(v) * dt + radius, True),
+        (edge, True),
+        (np.nextafter(edge, math.inf), False),
+    ]:
+        walls = np.vstack([rect_walls(20.0, 20.0), [[x, -1.0, x, 1.0]]])
+        cut, near = _resolve_in_reach(pose, cmd, dt, radius, walls)
+        assert near.tolist() == [False] * 4 + [kept]
+        full = resolve_wall_contact(pose, cmd, dt, radius, walls)
+        assert np.array_equal(_pose_bits(cut), _pose_bits(full))
+        assert cut.x == pytest.approx(abs(v) * dt, abs=1e-9)
+
+
 # ----------------------------------------------------------- world validation
 
 
@@ -348,6 +439,39 @@ def test_drive_into_wall_suppression_prevents_contact():
     assert min(clearances) >= 0.3  # protection turns the robot well clear of the wall
     assert max(cols.suppressed) == 1
     assert max(cols.x) < 2.0 - WAFFLE.body_radius
+
+
+def test_step_integrates_on_walls_in_reach_as_on_all_walls():
+    """Robots pressed against walls, and others far from any, move in
+    Simulation.step exactly as resolve_wall_contact moves them against every
+    wall."""
+    spec = WAFFLE
+    cmds = [(0.26, 0.0), (0.26, 0.9), (0.2, -1.5), (0.26, 1e-10), (0.1, 0.0), (0.0, 1.0)]
+    poses = [(0.0, 0.0, 0.0), (-1.0, 1.0, 2.0), (1.0, -1.0, -2.5), (-1.2, -0.3, 3.0),
+             (0.5, 1.5, 1.2), (0.0, -1.5, 0.0)]
+    world = WorldState(
+        walls=np.vstack([rect_walls(4.0, 4.0), [[-0.5, 0.6, 0.8, 0.6]]]),
+        robots=[RobotBody(k, Pose2D(*p), spec.body_radius) for k, p in enumerate(poses)],
+    )
+    nodes = [
+        RobotNode(k, ConstantDrive(DriveCommand(*c)), ProtectionState(0.05, spec.limits()))
+        for k, c in enumerate(cmds)
+    ]
+    sim = Simulation(world, nodes, spec, meta={})
+    contacts = 0
+    for tick in range(150):
+        before = [b.pose for b in world.robots]
+        sim.step()
+        rows = slice(tick * len(poses), (tick + 1) * len(poses))
+        for pose, body, v, w in zip(
+            before, world.robots, sim.columns.cmd_linear[rows], sim.columns.cmd_angular[rows]
+        ):
+            cmd = DriveCommand(v, w)
+            want = resolve_wall_contact(pose, cmd, world.dt, body.radius, world.walls)
+            assert np.array_equal(_pose_bits(body.pose), _pose_bits(want))
+            free = integrate_pose(pose, cmd, world.dt)
+            contacts += (want.x, want.y) != (free.x, free.y)
+    assert contacts >= 100
 
 
 def test_robot_overlap_recorded_not_prevented():
