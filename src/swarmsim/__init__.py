@@ -27,7 +27,7 @@ from .metrics import MetricsReport, compute_metrics
 from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
 from .protection import ProtectionState, arbitrate, avoidance_command, triggered
 from .scenario import ScenarioConfig, build_simulation, from_meta, load_scenario, run
-from .sim import RobotBody, RobotNode, Simulation, WorldState, integrate_pose, raycast
+from .sim import RobotNode, Simulation, WorldState, integrate_pose, raycast
 from .trace import Trace, read_trace, write_trace
 
 __version__ = "0.1.0"
@@ -47,7 +47,6 @@ __all__ = [
     "PlatformSpec",
     "Pose2D",
     "ProtectionState",
-    "RobotBody",
     "RobotNode",
     "ScanSnapshot",
     "ScenarioConfig",

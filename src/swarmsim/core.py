@@ -103,7 +103,6 @@ class ScanSnapshot:
     angle_increment: float
     range_min: float
     range_max: float
-    stamp: float = 0.0
 
     def __post_init__(self):
         self.ranges = np.asarray(self.ranges, dtype=float)
@@ -153,6 +152,21 @@ def beam_trig(angle_min: float, angle_increment: float, beam_count: int) -> Beam
     for table in tables:
         table.flags.writeable = False
     return tables
+
+
+def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
+    """Distance from a point to each segment of an (S, 4) wall array; points
+    broadcast against the trailing (S,) wall axis."""
+    ax, ay = walls[:, 0], walls[:, 1]
+    bx, by = walls[:, 2], walls[:, 3]
+    ex, ey = bx - ax, by - ay
+    L2 = ex * ex + ey * ey
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((px - ax) * ex + (py - ay) * ey) / L2
+    s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
+    cx = ax + s * ex
+    cy = ay + s * ey
+    return np.hypot(px - cx, py - cy)
 
 
 def nearest_obstacle(scan: ScanSnapshot) -> tuple[float, float] | None:

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import segment_distances
 from .trace import Trace
 
 
@@ -32,20 +33,6 @@ class MetricsReport:
     @property
     def tick_count(self) -> int:
         return len(self.clock)
-
-
-def _point_segment_distances(points: np.ndarray, walls: np.ndarray) -> np.ndarray:
-    """Distances from N points to S segments, shape (N, S)."""
-    ax, ay = walls[:, 0][None, :], walls[:, 1][None, :]
-    ex = walls[:, 2][None, :] - ax
-    ey = walls[:, 3][None, :] - ay
-    px = points[:, 0][:, None]
-    py = points[:, 1][:, None]
-    L2 = ex * ex + ey * ey
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = ((px - ax) * ex + (py - ay) * ey) / L2
-    s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
-    return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
 
 
 def compute_metrics(trace: Trace) -> MetricsReport:
@@ -90,11 +77,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     pair_masked = np.where(eye[None, :, :], np.inf, pair)
     min_pairwise = pair_masked.min(axis=(1, 2)) if R > 1 else np.full(T, np.inf)
 
-    points = np.stack([xs.ravel(), ys.ravel()], axis=1)
-    if walls.shape[0]:
-        wall_clear = _point_segment_distances(points, walls).min(axis=1).reshape(T, R)
-    else:
-        wall_clear = np.full((T, R), np.inf)
+    wall_clear = segment_distances(xs[..., None], ys[..., None], walls).min(axis=2, initial=np.inf)
     if R > 1:
         surface = pair_masked - radii[None, None, :]
         robot_clear = surface.min(axis=2)

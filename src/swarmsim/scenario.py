@@ -43,7 +43,7 @@ from .patterns.movement import (
 from .patterns.voting import MAJORITY, VOTER, VotingPattern, VotingState
 from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
 from .protection import DEFAULT_STALENESS_LIMIT, ProtectionState
-from .sim import RobotBody, RobotNode, Simulation, WorldState, rect_walls, wall_clearance
+from .sim import RobotNode, Simulation, WorldState, rect_walls, wall_clearance
 from .trace import Trace, trace_from_columns, write_trace
 
 MOVEMENT_KINDS = ("attraction", "dispersion", "drive", "random_walk", "flocking")
@@ -119,7 +119,7 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
     if unknown:
         raise ScenarioError(f"unknown robot keys: {sorted(unknown)}")
     if "poses" in robots:
-        poses = [Pose2D(float(x), float(y), float(th)) for x, y, th in robots["poses"]]
+        poses = [Pose2D(*row) for row in _rows("robots.poses", robots["poses"], 3)]
         if not poses:
             raise ScenarioError("need at least one robot")
         return poses
@@ -165,10 +165,28 @@ def _number(key: str, value) -> float:
 
 
 def _whole_number(key: str, value) -> int:
+    if isinstance(value, int):
+        return int(value)  # exact: a float round trip rounds integers above 2**53
     number = _number(key, value)
     if not number.is_integer():
         raise ScenarioError(f"{key}: {value!r} is not a whole number")
     return int(number)
+
+
+def _positive(key: str, value) -> float:
+    number = _number(key, value)
+    if not 0 < number < math.inf:
+        raise ScenarioError(f"{key}: {value!r} is not a positive finite number")
+    return number
+
+
+def _rows(key: str, rows, width: int) -> list[list[float]]:
+    if not isinstance(rows, (list, tuple)):
+        raise ScenarioError(f"{key}: {rows!r} is not a list")
+    for row in rows:
+        if not isinstance(row, (list, tuple)) or len(row) != width:
+            raise ScenarioError(f"{key}: {row!r} is not a row of {width} numbers")
+    return [[_number(key, v) for v in row] for row in rows]
 
 
 def _whole_numbers(key: str, values) -> list[int]:
@@ -241,24 +259,28 @@ def load_scenario(
         raise ScenarioError(f"unknown pattern kind: {kind!r}")
     params = _merged_params(platform, kind, pattern.get("params") or {})
 
-    use_seed = int(raw.get("seed", 0)) if seed is None else int(seed)
-    use_duration = float(raw.get("duration", 60.0)) if duration is None else float(duration)
+    use_seed = _whole_number("seed", raw.get("seed", 0) if seed is None else seed)
+    if use_seed < 0:
+        raise ScenarioError(f"seed: {use_seed} is negative")
+    use_duration = _number("duration", raw.get("duration", 60.0) if duration is None else duration)
     rng = _rng(use_seed, _SCENARIO_STREAM)
 
     arena = raw.get("arena") or {}
     config = ScenarioConfig(
         name=str(raw.get("name", "scenario")),
         platform=platform,
-        arena_width=float(arena.get("width", 18.0)),
-        arena_height=float(arena.get("height", 18.0)),
+        arena_width=_positive("arena.width", arena.get("width", 18.0)),
+        arena_height=_positive("arena.height", arena.get("height", 18.0)),
         poses=_resolve_poses(raw, rng),
         pattern=kind,
         pattern_params=params,
         seed=use_seed,
         duration=use_duration,
-        dt=float(raw.get("dt", 0.1)),
-        extra_walls=[[float(v) for v in w] for w in raw.get("extra_walls", [])],
-        staleness_limit=float(raw.get("staleness_limit", DEFAULT_STALENESS_LIMIT)),
+        dt=_positive("dt", raw.get("dt", 0.1)),
+        extra_walls=_rows("extra_walls", raw.get("extra_walls", []), 4),
+        staleness_limit=_positive(
+            "staleness_limit", raw.get("staleness_limit", DEFAULT_STALENESS_LIMIT)
+        ),
     )
     config.initial_opinions = _resolve_opinions(kind, params, len(config.poses), rng)
     validate_scenario(config)
@@ -314,7 +336,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
     if unknown:
         raise ScenarioError(f"unknown {kind} parameters: {sorted(unknown)}")
     try:
-        _build_behavior(config, 0, 0)
+        _build_behavior(config, 0)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {kind} parameters: {exc}") from exc
     for key in ("attraction_range", "dispersion_range"):
@@ -340,7 +362,7 @@ _SCAN_STEPS = {
 }
 
 
-def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Pattern:
+def _build_behavior(config: ScenarioConfig, robot: int) -> Pattern:
     limits = config.spec.limits()
     kind = config.pattern
     p = config.pattern_params
@@ -352,14 +374,14 @@ def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Patter
         return MovementPattern(lambda scan: command)
     if kind == "random_walk":
         cfg = RandomWalkConfig(**p, limits=limits)
-        return RandomWalkPattern(cfg, _rng(config.seed, _WALK_STREAM, robot_id))
-    opinion = config.initial_opinions[index]
+        return RandomWalkPattern(cfg, _rng(config.seed, _WALK_STREAM, robot))
+    opinion = config.initial_opinions[robot]
     voting = VotingState(
-        robot_id,
+        robot,
         opinion,
         p["window_length"],
         rule=MAJORITY if kind == "discussed_dispersion" else kind,
-        rng=_rng(config.seed, _VOTER_STREAM, robot_id) if kind == VOTER else None,
+        rng=_rng(config.seed, _VOTER_STREAM, robot) if kind == VOTER else None,
     )
     if kind in VOTING_KINDS:
         return VotingPattern(voting)
@@ -374,24 +396,19 @@ def _build_behavior(config: ScenarioConfig, robot_id: int, index: int) -> Patter
 
 def build_simulation(config: ScenarioConfig) -> Simulation:
     spec = config.spec
-    bodies = [
-        RobotBody(robot_id=i, pose=pose, radius=spec.body_radius)
-        for i, pose in enumerate(config.poses)
-    ]
-    world = WorldState(walls=config.walls(), robots=bodies, dt=config.dt)
-    nodes = []
-    for i, body in enumerate(bodies):
-        nodes.append(
-            RobotNode(
-                robot_id=body.robot_id,
-                behavior=_build_behavior(config, body.robot_id, i),
-                protection=ProtectionState(
-                    threshold=spec.protection_threshold,
-                    limits=spec.limits(),
-                    staleness_limit=config.staleness_limit,
-                ),
-            )
+    count = len(config.poses)
+    world = WorldState(config.walls(), list(config.poses), [spec.body_radius] * count, config.dt)
+    nodes = [
+        RobotNode(
+            behavior=_build_behavior(config, i),
+            protection=ProtectionState(
+                threshold=spec.protection_threshold,
+                limits=spec.limits(),
+                staleness_limit=config.staleness_limit,
+            ),
         )
+        for i in range(count)
+    ]
     return Simulation(world, nodes, spec, meta=to_meta(config))
 
 

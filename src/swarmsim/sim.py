@@ -1,17 +1,17 @@
 """Deterministic fixed-timestep 2D simulator.
 
 World model: a walled rectangle (plus optional interior wall segments) and
-circular robot bodies moving under unicycle kinematics. Each robot carries a
-planar range sensor simulated by exact ray casting. One tick raycasts every
-robot's scan in one pass, then runs robot by robot in id order: tick the
-behavior on its scan and on the votes heard since its last tick, publish
-its votes, run the protection arbiter on the same scan; then all poses are
-integrated with the arbitrated commands and one trace row per robot is
-recorded. Votes go through the bus, so a robot hears a vote in the tick it
-is sent if it comes after the sender in id order, and in the next tick
-otherwise (the sender included). Robot-wall contact truncates motion at the
-contact point; robot-robot overlap is not prevented, only recorded
-downstream as a collision.
+circular robot bodies moving under unicycle kinematics. Robot i is index i
+everywhere: its pose, radius, node, vote sender and trace rows. Each robot
+carries a planar range sensor simulated by exact ray casting. One tick
+raycasts every robot's scan in one pass, then runs robot by robot in index
+order: tick the behavior on its scan and the votes heard since its last
+tick, publish its votes, run the protection arbiter on the same scan, move
+it with the arbitrated command and record its trace row. A robot hears a
+vote in the tick it is sent if it comes after the sender in index order,
+and in the next tick otherwise (the sender included). Robot-wall contact
+truncates motion at the contact point; robot-robot overlap is not
+prevented, only recorded downstream as a collision.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bus import Envelope, MessageBus, VOTE_TOPIC
-from .core import DriveCommand, Pose2D, ScanSnapshot
+from .core import DriveCommand, Pose2D, ScanSnapshot, segment_distances
 from .patterns.base import Pattern
 from .platforms import PlatformSpec
 from .protection import ProtectionState, arbitrate, note_command, triggered
@@ -113,26 +113,22 @@ def raycast(
 
 
 @dataclass
-class RobotBody:
-    robot_id: int
-    pose: Pose2D
-    radius: float
-
-
-@dataclass
 class WorldState:
+    """Walls plus robot i as a disc of radius radii[i] at poses[i]."""
+
     walls: np.ndarray
-    robots: list[RobotBody]
+    poses: list[Pose2D]
+    radii: np.ndarray
     dt: float = 0.1
     tick: int = 0
 
     def __post_init__(self):
         self.walls = np.asarray(self.walls, dtype=float).reshape(-1, 4)
+        self.radii = np.asarray(self.radii, dtype=float)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
-        ids = [b.robot_id for b in self.robots]
-        if sorted(ids) != ids or len(set(ids)) != len(ids):
-            raise ValueError("robots must be listed in strictly increasing id order")
+        if self.radii.shape != (len(self.poses),):
+            raise ValueError(f"need one radius per pose, got {self.radii.shape} radii")
 
     @property
     def clock(self) -> float:
@@ -152,26 +148,36 @@ _REACH_EPS = 1e-3
 
 def wall_distances(world: WorldState) -> np.ndarray:
     """(R, S) distance from every robot's centre to every wall segment."""
-    x = np.array([b.pose.x for b in world.robots])
-    y = np.array([b.pose.y for b in world.robots])
-    return _segment_distances(x[:, None], y[:, None], world.walls)
+    x = np.array([p.x for p in world.poses])
+    y = np.array([p.y for p in world.poses])
+    return segment_distances(x[:, None], y[:, None], world.walls)
 
 
-def walls_in_reach(wall_dist: np.ndarray, travel: np.ndarray, radii: np.ndarray) -> np.ndarray:
-    """(R, S) mask of the walls each robot can touch in one step.
+_NO_WALLS = np.empty((0, 4))
 
-    Every waypoint of a step lies within its arc length, travel = |v|*dt, of
-    the start pose, so a wall farther than travel + radius from the start
-    stays more than radius from every waypoint and bisection point. Leaving
-    it out of ``resolve_wall_contact`` changes no clearance test.
+
+def walls_in_reach(
+    walls: np.ndarray, dist: np.ndarray, nearest: float, travel: float, radius: float
+) -> np.ndarray:
+    """The walls one robot can touch in one step.
+
+    dist is the robot's row of ``wall_distances`` and nearest its minimum
+    (inf with no walls). Every waypoint of a step lies within its arc
+    length, travel = |v|*dt, of the start pose, so a wall farther than
+    travel + radius from the start stays more than radius from every
+    waypoint and bisection point. Leaving it out of ``resolve_wall_contact``
+    changes no clearance test.
     """
-    return wall_dist <= (travel + radii + _REACH_EPS)[:, None]
+    reach = travel + radius + _REACH_EPS
+    if nearest > reach:
+        return _NO_WALLS  # most robots: cheaper than indexing an all-False row
+    return walls[dist <= reach]
 
 
 def raycast_scan(
     world: WorldState, spec: PlatformSpec, wall_dist: np.ndarray | None = None
 ) -> list[ScanSnapshot]:
-    """Simulated sweeps for every robot, in id order: walls plus the other
+    """Simulated sweeps for every robot, in index order: walls plus the other
     robot bodies, as one array pass.
 
     Each scan holds the same bits as ``raycast`` over all walls and all
@@ -184,11 +190,11 @@ def raycast_scan(
     already has it.
     """
     B = spec.beam_count
-    R = len(world.robots)
+    R = len(world.poses)
     if R == 0:
         return []
-    poses = np.array([(b.pose.x, b.pose.y, b.pose.theta) for b in world.robots])
-    radii = np.array([b.radius for b in world.robots])
+    poses = np.array([(p.x, p.y, p.theta) for p in world.poses])
+    radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
     step = math.tau / B
     # Beam b of robot i points along heading[i] + offset[b]. Its cos and sin
@@ -262,32 +268,14 @@ def raycast_scan(
             angle_increment=step,
             range_min=spec.range_min,
             range_max=spec.range_max,
-            stamp=world.clock,
         )
         for row in ranges
     ]
 
 
-def _segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
-    """Distance from a point to each wall segment; points broadcast against
-    the (S,) wall axis."""
-    ax, ay = walls[:, 0], walls[:, 1]
-    bx, by = walls[:, 2], walls[:, 3]
-    ex, ey = bx - ax, by - ay
-    L2 = ex * ex + ey * ey
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = ((px - ax) * ex + (py - ay) * ey) / L2
-    s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
-    cx = ax + s * ex
-    cy = ay + s * ey
-    return np.hypot(px - cx, py - cy)
-
-
 def wall_clearance(x: float, y: float, walls: np.ndarray) -> float:
     """Distance from a point to the nearest wall segment (inf if no walls)."""
-    if walls.shape[0] == 0:
-        return math.inf
-    return float(_segment_distances(x, y, walls).min())
+    return float(segment_distances(x, y, walls).min(initial=math.inf))
 
 
 def resolve_wall_contact(
@@ -329,69 +317,62 @@ def resolve_wall_contact(
 class RobotNode:
     """One robot's behavior and protection layer."""
 
-    robot_id: int
     behavior: Pattern
     protection: ProtectionState
 
 
 class Simulation:
-    """Owns the world, the vote bus, and the robot nodes; records the trace.
-    Every robot carries the same sensor, described by spec."""
+    """Owns the world, the vote bus, and the robot nodes (node i drives robot
+    i); records the trace. Every robot carries the same sensor, described by
+    spec."""
 
     def __init__(self, world: WorldState, nodes: list[RobotNode], spec: PlatformSpec, meta: dict):
-        if [n.robot_id for n in nodes] != [b.robot_id for b in world.robots]:
-            raise ValueError("nodes must match world robots one to one, in id order")
+        if len(nodes) != len(world.poses):
+            raise ValueError(f"need one node per robot, got {len(nodes)} nodes")
         self.world = world
         self.nodes = nodes
         self.spec = spec
         self.meta = meta
         self.bus = MessageBus()
-        self.vote_subs = [self.bus.subscribe(VOTE_TOPIC, n.robot_id) for n in nodes]
+        self.vote_subs = [self.bus.subscribe(VOTE_TOPIC, i) for i in range(len(nodes))]
         self.columns = TraceRecorder()
 
     def step(self) -> None:
         world = self.world
         now = world.clock
         dt = world.dt
-        staged: list[tuple[DriveCommand | None, DriveCommand, bool]] = []
+        tick = world.tick + 1
+        clock = tick * dt
 
+        # Scans and wall distances are taken before any robot moves. Robot i
+        # moves only in its own cycle, so row i still holds its start pose.
         wall_dist = wall_distances(world)
         scans = raycast_scan(world, self.spec, wall_dist)
-        for node, vote_sub, scan in zip(self.nodes, self.vote_subs, scans):
-            rid = node.robot_id
+        nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
+        for i, (node, vote_sub, scan, dist, radius) in enumerate(
+            zip(self.nodes, self.vote_subs, scans, wall_dist, world.radii.tolist())
+        ):
             inbox = [(env.payload, env.stamp) for env in vote_sub.drain()]
             result = node.behavior.tick(scan, now, dt, inbox)
             for msg in result.messages:
-                self.bus.publish(Envelope(VOTE_TOPIC, msg, rid, now))
-            if result.command is not None:
-                note_command(node.protection, result.command, now)
+                self.bus.publish(Envelope(VOTE_TOPIC, msg, i, now))
+            pattern_cmd = result.command
+            if pattern_cmd is not None:
+                note_command(node.protection, pattern_cmd, now)
             suppressed = triggered(node.protection, scan)
             actuator = arbitrate(node.protection, scan, now, suppressed)
-            staged.append((result.command, actuator, suppressed))
 
-        travel = np.array([abs(actuator.linear) * dt for _, actuator, _ in staged])
-        radii = np.array([body.radius for body in world.robots])
-        in_reach = walls_in_reach(wall_dist, travel, radii)
-        no_walls = world.walls[:0]  # most robots: cheaper than indexing an all-False row
-        for (_, actuator, _), body, near, any_near in zip(
-            staged, world.robots, in_reach, in_reach.any(axis=1).tolist()
-        ):
-            walls = world.walls[near] if any_near else no_walls
-            body.pose = resolve_wall_contact(body.pose, actuator, dt, body.radius, walls)
+            near = walls_in_reach(world.walls, dist, nearest[i], abs(actuator.linear) * dt, radius)
+            pose = world.poses[i] = resolve_wall_contact(world.poses[i], actuator, dt, radius, near)
 
-        world.tick += 1
-        clock = world.tick * dt
-        for (pattern_cmd, actuator, suppressed), node, body in zip(
-            staged, self.nodes, world.robots
-        ):
             opinion = node.behavior.opinion
             self.columns.record(
-                tick=world.tick,
-                robot=node.robot_id,
+                tick=tick,
+                robot=i,
                 clock=clock,
-                x=body.pose.x,
-                y=body.pose.y,
-                theta=body.pose.theta,
+                x=pose.x,
+                y=pose.y,
+                theta=pose.theta,
                 pattern_linear=math.nan if pattern_cmd is None else pattern_cmd.linear,
                 pattern_angular=math.nan if pattern_cmd is None else pattern_cmd.angular,
                 cmd_linear=actuator.linear,
@@ -399,6 +380,7 @@ class Simulation:
                 suppressed=1 if suppressed else 0,
                 opinion=math.nan if opinion is None else float(opinion),
             )
+        world.tick = tick
 
     def run(self, ticks: int) -> None:
         for _ in range(ticks):

@@ -29,7 +29,6 @@ def make_scan(
     range_min: float = TB3_RANGE_MIN,
     range_max: float = TB3_RANGE_MAX,
     fill: float = math.inf,
-    stamp: float = 0.0,
 ) -> ScanSnapshot:
     """360-degree scan with every beam invalid except the given {index: range}."""
     ranges = np.full(beam_count, fill, dtype=float)
@@ -41,11 +40,10 @@ def make_scan(
         angle_increment=2.0 * math.pi / beam_count,
         range_min=range_min,
         range_max=range_max,
-        stamp=stamp,
     )
 
 
-def scan_from_array(ranges, range_min=TB3_RANGE_MIN, range_max=TB3_RANGE_MAX, stamp=0.0):
+def scan_from_array(ranges, range_min=TB3_RANGE_MIN, range_max=TB3_RANGE_MAX):
     ranges = np.asarray(ranges, dtype=float)
     return ScanSnapshot(
         ranges=ranges,
@@ -53,7 +51,6 @@ def scan_from_array(ranges, range_min=TB3_RANGE_MIN, range_max=TB3_RANGE_MAX, st
         angle_increment=2.0 * math.pi / len(ranges),
         range_min=range_min,
         range_max=range_max,
-        stamp=stamp,
     )
 
 

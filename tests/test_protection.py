@@ -48,7 +48,7 @@ def test_avoidance_is_repulsive_field_at_threshold():
 def test_suppression_replaces_fresh_pattern_command():
     st_ = state()
     note_command(st_, DriveCommand(0.2, 0.0), stamp=1.0)
-    scan = make_scan({0: 0.4}, stamp=1.0)
+    scan = make_scan({0: 0.4})
     cmd = arbitrate(st_, scan, now=1.0)
     assert cmd == avoidance_command(st_, scan)
     assert cmd != DriveCommand(0.2, 0.0)

@@ -318,6 +318,44 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         load_scenario(scenario_dict(**overrides))
 
 
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"dt": "fast"}, "dt"),
+        ({"duration": "long"}, "duration"),
+        ({"arena": {"width": "big", "height": 10.0}}, "arena.width"),
+        ({"arena": {"width": 10.0, "height": 0}}, "arena.height"),
+        ({"arena": {"width": math.inf, "height": 10.0}}, "arena.width"),
+        ({"staleness_limit": -1}, "staleness_limit"),
+        ({"extra_walls": [[0, 1, 2]]}, "extra_walls"),
+        ({"robots": {"poses": [[0, 0]]}}, "robots.poses"),
+    ],
+    ids=[
+        "fractional-seed",
+        "negative-seed",
+        "dt-not-a-number",
+        "duration-not-a-number",
+        "width-not-a-number",
+        "zero-height",
+        "infinite-width",
+        "negative-staleness-limit",
+        "short-wall-row",
+        "short-pose-row",
+    ],
+)
+def test_bad_top_level_value_names_the_key(overrides, key):
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        load_scenario(scenario_dict(**overrides))
+
+
+def test_large_int_seed_stays_exact():
+    seed = 2**64 + 1
+    assert load_scenario(scenario_dict(seed=seed)).seed == seed
+    assert load_scenario(scenario_dict(), seed=seed).seed == seed
+
+
 def test_random_headings_within_range():
     cfg = load_scenario(
         scenario_dict(robots={"layout": "line", "count": 5, "headings": "random"}, seed=3)

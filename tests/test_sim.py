@@ -14,7 +14,6 @@ from swarmsim import (
     PLATFORMS,
     Pose2D,
     ProtectionState,
-    RobotBody,
     RobotNode,
     Simulation,
     WorldState,
@@ -160,7 +159,8 @@ def test_raycast_matches_marching_oracle_on_random_scenes():
 def test_scan_lone_robot_in_large_arena_sees_nothing():
     world = WorldState(
         walls=rect_walls(18.0, 18.0),
-        robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
+        poses=[Pose2D(0.0, 0.0, 0.0)],
+        radii=[0.15],
     )
     scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges.shape == (360,)
@@ -171,21 +171,19 @@ def test_scan_lone_robot_in_large_arena_sees_nothing():
 def test_scan_other_robot_body_blocks_beam():
     world = WorldState(
         walls=rect_walls(18.0, 18.0),
-        robots=[
-            RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15),
-            RobotBody(robot_id=1, pose=Pose2D(1.0, 0.0, 0.0), radius=0.1),
-        ],
+        poses=[Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.0, 0.0)],
+        radii=[0.15, 0.1],
     )
     scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges[0] == pytest.approx(0.9, abs=1e-12)
     assert scan.valid_mask()[0]
-    assert scan.stamp == 0.0
 
 
 def test_scan_hit_beyond_max_encodes_as_inf():
     world = WorldState(
         walls=np.vstack([rect_walls(18.0, 18.0), [[3.6, -1.0, 3.6, 1.0]]]),
-        robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
+        poses=[Pose2D(0.0, 0.0, 0.0)],
+        radii=[0.15],
     )
     scan = raycast_scan(world, WAFFLE)[0]
     assert np.isinf(scan.ranges[0])
@@ -195,11 +193,10 @@ def test_scan_hit_beyond_max_encodes_as_inf():
 def _reference_scans(world, spec):
     """raycast per robot over all walls and every other body, cut at range_max."""
     scans = []
-    for me in world.robots:
-        circles = np.array(
-            [[b.pose.x, b.pose.y, b.radius] for b in world.robots if b is not me]
-        ).reshape(-1, 3)
-        dist = raycast((me.pose.x, me.pose.y), me.pose.theta, spec.beam_count, world.walls, circles)
+    bodies = [(p.x, p.y, r) for p, r in zip(world.poses, world.radii)]
+    for i, me in enumerate(world.poses):
+        circles = np.array(bodies[:i] + bodies[i + 1 :]).reshape(-1, 3)
+        dist = raycast((me.x, me.y), me.theta, spec.beam_count, world.walls, circles)
         scans.append(np.where(dist > spec.range_max, np.inf, dist))
     return scans
 
@@ -230,11 +227,11 @@ def _crowded_world(rng, range_max):
     poses.append([x0 - (range_max + 0.25), y0])  # centre exactly range_max + r away
     radii.append(0.25)
     order = rng.permutation(len(poses))
-    bodies = [
-        RobotBody(k, Pose2D(*poses[n], rng.uniform(-math.pi, math.pi)), radii[n])
-        for k, n in enumerate(order)
-    ]
-    return WorldState(walls=np.vstack(walls), robots=bodies)
+    return WorldState(
+        walls=np.vstack(walls),
+        poses=[Pose2D(*poses[n], rng.uniform(-math.pi, math.pi)) for n in order],
+        radii=[radii[n] for n in order],
+    )
 
 
 @pytest.mark.parametrize("beams", [1, 2, 3, 7, 90, 360, 361, 720])
@@ -245,7 +242,7 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
         spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
         world = _crowded_world(rng, range_max)
         scans = raycast_scan(world, spec)
-        assert len(scans) == len(world.robots)
+        assert len(scans) == len(world.poses)
         for scan, expected in zip(scans, _reference_scans(world, spec)):
             assert np.array_equal(scan.ranges.view(np.int64), expected.view(np.int64))
 
@@ -253,7 +250,8 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
 def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
     world = WorldState(
         walls=np.vstack([rect_walls(18.0, 18.0), [[0.05, -1.0, 0.05, 1.0]]]),
-        robots=[RobotBody(robot_id=0, pose=Pose2D(0.0, 0.0, 0.0), radius=0.15)],
+        poses=[Pose2D(0.0, 0.0, 0.0)],
+        radii=[0.15],
     )
     scan = raycast_scan(world, WAFFLE)[0]
     assert scan.ranges[0] == pytest.approx(0.05, abs=1e-12)
@@ -331,10 +329,10 @@ def _contact_scene(rng):
 
 
 def _resolve_in_reach(pose, cmd, dt, radius, walls):
-    world = WorldState(walls=walls, robots=[RobotBody(0, pose, radius)])
-    travel = np.array([abs(cmd.linear) * dt])
-    near = walls_in_reach(wall_distances(world), travel, np.array([radius]))[0]
-    return resolve_wall_contact(pose, cmd, dt, radius, walls[near]), near
+    """resolve_wall_contact on the walls in reach, cut as Simulation.step cuts them."""
+    dist = wall_distances(WorldState(walls=walls, poses=[pose], radii=[radius]))[0]
+    near = walls_in_reach(walls, dist, float(dist.min()), abs(cmd.linear) * dt, radius)
+    return resolve_wall_contact(pose, cmd, dt, radius, near), near
 
 
 def _pose_bits(p):
@@ -351,8 +349,8 @@ def test_wall_contact_on_walls_in_reach_matches_all_walls_bit_for_bit():
         assert np.array_equal(_pose_bits(cut), _pose_bits(full))
         free = integrate_pose(pose, cmd, dt)
         seen["contact"] += (full.x, full.y) != (free.x, free.y)  # truncated by bisection
-        seen["cut"] += 0 < near.sum() < near.size
-        seen["no wall"] += not near.any()
+        seen["cut"] += 0 < len(near) < len(walls)
+        seen["no wall"] += len(near) == 0
     assert min(seen.values()) >= 50, seen
 
 
@@ -370,7 +368,7 @@ def test_wall_contact_cut_keeps_a_wall_at_the_cut_distance(v):
     ]:
         walls = np.vstack([rect_walls(20.0, 20.0), [[x, -1.0, x, 1.0]]])
         cut, near = _resolve_in_reach(pose, cmd, dt, radius, walls)
-        assert near.tolist() == [False] * 4 + [kept]
+        assert near.tolist() == ([[x, -1.0, x, 1.0]] if kept else [])
         full = resolve_wall_contact(pose, cmd, dt, radius, walls)
         assert np.array_equal(_pose_bits(cut), _pose_bits(full))
         assert cut.x == pytest.approx(abs(v) * dt, abs=1e-9)
@@ -379,22 +377,20 @@ def test_wall_contact_cut_keeps_a_wall_at_the_cut_distance(v):
 # ----------------------------------------------------------- world validation
 
 
-def test_world_requires_increasing_robot_ids():
-    bodies = [
-        RobotBody(robot_id=1, pose=Pose2D(0, 0, 0), radius=0.1),
-        RobotBody(robot_id=0, pose=Pose2D(1, 0, 0), radius=0.1),
-    ]
-    with pytest.raises(ValueError):
-        WorldState(walls=rect_walls(4, 4), robots=bodies)
+@pytest.mark.parametrize("radii", [[], [0.1], [0.1, 0.1, 0.1], [[0.1, 0.1]]])
+def test_world_rejects_radii_not_matching_poses(radii):
+    poses = [Pose2D(0, 0, 0), Pose2D(1, 0, 0)]
+    with pytest.raises(ValueError, match="one radius per pose"):
+        WorldState(walls=rect_walls(4, 4), poses=poses, radii=radii)
 
 
 def test_world_rejects_nonpositive_dt():
     with pytest.raises(ValueError):
-        WorldState(walls=rect_walls(4, 4), robots=[], dt=0.0)
+        WorldState(walls=rect_walls(4, 4), poses=[], radii=[], dt=0.0)
 
 
 def test_world_clock_is_tick_times_dt():
-    world = WorldState(walls=rect_walls(4, 4), robots=[], dt=0.1)
+    world = WorldState(walls=rect_walls(4, 4), poses=[], radii=[], dt=0.1)
     world.tick = 7
     assert world.clock == pytest.approx(0.7)
 
@@ -406,10 +402,10 @@ def _single_robot_sim(pose, cmd, arena=4.0, threshold=None):
     spec = WAFFLE
     world = WorldState(
         walls=rect_walls(arena, arena),
-        robots=[RobotBody(robot_id=0, pose=pose, radius=spec.body_radius)],
+        poses=[pose],
+        radii=[spec.body_radius],
     )
     node = RobotNode(
-        robot_id=0,
         behavior=ConstantDrive(cmd),
         protection=ProtectionState(
             threshold=spec.protection_threshold if threshold is None else threshold,
@@ -451,24 +447,29 @@ def test_step_integrates_on_walls_in_reach_as_on_all_walls():
              (0.5, 1.5, 1.2), (0.0, -1.5, 0.0)]
     world = WorldState(
         walls=np.vstack([rect_walls(4.0, 4.0), [[-0.5, 0.6, 0.8, 0.6]]]),
-        robots=[RobotBody(k, Pose2D(*p), spec.body_radius) for k, p in enumerate(poses)],
+        poses=[Pose2D(*p) for p in poses],
+        radii=[spec.body_radius] * len(poses),
     )
     nodes = [
-        RobotNode(k, ConstantDrive(DriveCommand(*c)), ProtectionState(0.05, spec.limits()))
-        for k, c in enumerate(cmds)
+        RobotNode(ConstantDrive(DriveCommand(*c)), ProtectionState(0.05, spec.limits()))
+        for c in cmds
     ]
     sim = Simulation(world, nodes, spec, meta={})
     contacts = 0
     for tick in range(150):
-        before = [b.pose for b in world.robots]
+        before = list(world.poses)
         sim.step()
         rows = slice(tick * len(poses), (tick + 1) * len(poses))
-        for pose, body, v, w in zip(
-            before, world.robots, sim.columns.cmd_linear[rows], sim.columns.cmd_angular[rows]
+        for pose, after, radius, v, w in zip(
+            before,
+            world.poses,
+            world.radii.tolist(),
+            sim.columns.cmd_linear[rows],
+            sim.columns.cmd_angular[rows],
         ):
             cmd = DriveCommand(v, w)
-            want = resolve_wall_contact(pose, cmd, world.dt, body.radius, world.walls)
-            assert np.array_equal(_pose_bits(body.pose), _pose_bits(want))
+            want = resolve_wall_contact(pose, cmd, world.dt, radius, world.walls)
+            assert np.array_equal(_pose_bits(after), _pose_bits(want))
             free = integrate_pose(pose, cmd, world.dt)
             contacts += (want.x, want.y) != (free.x, free.y)
     assert contacts >= 100
@@ -481,15 +482,12 @@ def test_robot_overlap_recorded_not_prevented():
     spec = WAFFLE
     world = WorldState(
         walls=rect_walls(8.0, 8.0),
-        robots=[
-            RobotBody(robot_id=0, pose=Pose2D(-0.6, 0.0, 0.0), radius=spec.body_radius),
-            RobotBody(robot_id=1, pose=Pose2D(0.6, 0.0, math.pi), radius=spec.body_radius),
-        ],
+        poses=[Pose2D(-0.6, 0.0, 0.0), Pose2D(0.6, 0.0, math.pi)],
+        radii=[spec.body_radius] * 2,
     )
     nodes = [
         RobotNode(
-            robot_id=i,
-                behavior=ConstantDrive(DriveCommand(0.26, 0.0)),
+            behavior=ConstantDrive(DriveCommand(0.26, 0.0)),
             protection=ProtectionState(threshold=0.121, limits=spec.limits()),
         )
         for i in range(2)
@@ -509,15 +507,16 @@ def test_simulation_rejects_mismatched_nodes():
     spec = WAFFLE
     world = WorldState(
         walls=rect_walls(4.0, 4.0),
-        robots=[RobotBody(robot_id=0, pose=Pose2D(0, 0, 0), radius=spec.body_radius)],
+        poses=[Pose2D(0, 0, 0)],
+        radii=[spec.body_radius],
     )
     node = RobotNode(
-        robot_id=1,
         behavior=ConstantDrive(DriveCommand(0.1, 0.0)),
         protection=ProtectionState(threshold=0.5, limits=spec.limits()),
     )
-    with pytest.raises(ValueError):
-        Simulation(world, [node], spec, meta={})
+    for nodes in ([], [node, node]):
+        with pytest.raises(ValueError, match="one node per robot"):
+            Simulation(world, nodes, spec, meta={})
 
 
 def test_two_runs_are_identical():
@@ -552,15 +551,12 @@ def test_vote_delivery_order_across_robots():
     spec = WAFFLE
     world = WorldState(
         walls=rect_walls(16.0, 16.0),
-        robots=[
-            RobotBody(robot_id=i, pose=Pose2D(3.0 * i - 3.0, 0.0, 0.0), radius=spec.body_radius)
-            for i in range(3)
-        ],
+        poses=[Pose2D(3.0 * i - 3.0, 0.0, 0.0) for i in range(3)],
+        radii=[spec.body_radius] * 3,
     )
     nodes = [
         RobotNode(
-            robot_id=i,
-                behavior=Announcer(i),
+            behavior=Announcer(i),
             protection=ProtectionState(threshold=spec.protection_threshold, limits=spec.limits()),
         )
         for i in range(3)
@@ -576,9 +572,9 @@ def test_vote_delivery_order_across_robots():
         1: [[(0, 0)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (2, 1), (0, 2)]],
         2: [[(0, 0), (1, 0)], [(2, 0), (0, 1), (1, 1)], [(2, 1), (0, 2), (1, 2)]],
     }
-    for node in nodes:
+    for i, node in enumerate(nodes):
         heard = [[payload for payload, _ in inbox] for inbox in node.behavior.inboxes]
-        assert heard == expected[node.robot_id]
+        assert heard == expected[i]
         for inbox in node.behavior.inboxes:
             for (sender, k), stamp in inbox:
                 assert stamp == k * world.dt
