@@ -7,7 +7,7 @@ metrics). Scenario presets under swarmsim/scenarios reproduce the bundled
 experiments; the `swarmsim` CLI runs, replays, and scores them.
 """
 
-from .bus import Envelope, MessageBus, TopicName, VOTE_TOPIC
+from .bus import Envelope, MessageBus, VOTE_TOPIC
 from .core import (
     ATTRACTIVE,
     REPULSIVE,
@@ -51,7 +51,6 @@ __all__ = [
     "ScanSnapshot",
     "ScenarioConfig",
     "Simulation",
-    "TopicName",
     "Trace",
     "VOTE_TOPIC",
     "Vector2",

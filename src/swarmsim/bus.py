@@ -1,74 +1,49 @@
-"""In-process pub/sub bus.
+"""In-process vote bus: one mailbox per robot.
 
-The simulator routes only the swarm-global opinion exchange (VOTE_TOPIC)
-through it; sensor and command data pass between a robot's layers as direct
-calls. Delivery is synchronous: publishing appends the envelope to every
-queue subscribed at that moment, so anything published during a simulation
-tick is drainable before the next tick completes. There is no replay for
-late subscribers.
+Only the swarm-wide votes (topic VOTE_TOPIC) travel on it; sensor and
+command data pass between a robot's layers as direct calls. Publishing
+appends the envelope to every robot's mailbox, the sender's included, so a
+vote published during a tick is drainable before the next tick completes.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
-
-@dataclass(frozen=True, slots=True)
-class TopicName:
-    """Bus address."""
-
-    name: str
-
-
-VOTE_TOPIC = TopicName("vote")
+VOTE_TOPIC = "vote"
 
 
 @dataclass(frozen=True, slots=True)
 class Envelope:
-    topic: TopicName
+    topic: str
     payload: Any
     sender: int
     stamp: float
 
 
 class Subscription:
-    """Reader handle for one (subscriber, topic) pair. Drain pops FIFO."""
+    """One robot's mailbox. Drain pops FIFO."""
 
-    __slots__ = ("topic", "subscriber", "_queue")
+    __slots__ = ("_queue",)
 
-    def __init__(self, topic: TopicName, subscriber: int):
-        self.topic = topic
-        self.subscriber = subscriber
-        self._queue: deque[Envelope] = deque()
+    def __init__(self):
+        self._queue: list[Envelope] = []
 
     def drain(self) -> list[Envelope]:
-        out = list(self._queue)
-        self._queue.clear()
+        out, self._queue = self._queue, []
         return out
 
 
-@dataclass
 class MessageBus:
-    """Reliable in-order fan-out to the subscriptions present at publish time."""
+    """Reliable in-order fan-out to a fixed set of mailboxes, one per robot."""
 
-    _subs: dict[TopicName, list[Subscription]] = field(default_factory=dict)
-    _by_key: dict[tuple[TopicName, int], Subscription] = field(default_factory=dict)
-    _last_stamp: dict[int, float] = field(default_factory=dict)
-
-    def subscribe(self, topic: TopicName, subscriber: int) -> Subscription:
-        """Idempotent: the same (subscriber, topic) pair gets the same handle."""
-        key = (topic, subscriber)
-        sub = self._by_key.get(key)
-        if sub is None:
-            sub = Subscription(topic, subscriber)
-            self._by_key[key] = sub
-            self._subs.setdefault(topic, []).append(sub)
-        return sub
+    def __init__(self, robots: int):
+        self.mailboxes = [Subscription() for _ in range(robots)]
+        self._last_stamp: dict[int, float] = {}
 
     def publish(self, envelope: Envelope) -> int:
-        """Deliver to all current subscribers; returns the fan-out count.
+        """Deliver to every mailbox; returns the fan-out count.
 
         Envelope stamps must be nondecreasing per sender.
         """
@@ -78,7 +53,6 @@ class MessageBus:
                 f"sender {envelope.sender} published stamp {envelope.stamp} after {last}"
             )
         self._last_stamp[envelope.sender] = envelope.stamp
-        subs = self._subs.get(envelope.topic, ())
-        for sub in subs:
-            sub._queue.append(envelope)
-        return len(subs)
+        for box in self.mailboxes:
+            box._queue.append(envelope)
+        return len(self.mailboxes)

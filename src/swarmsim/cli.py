@@ -6,8 +6,9 @@
 
 run executes a scenario (preset name or YAML path) and writes trace.csv,
 metrics.json, and series.csv. replay re-executes the scenario embedded in a
-trace header and verifies the two files are byte-identical. metrics
-recomputes the report from a trace alone.
+trace header and verifies the two files are byte-identical; on a mismatch it
+prints where they first differ. metrics recomputes the report from a trace
+alone.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import argparse
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 from .metrics import compute_metrics, write_metrics_json, write_series_csv
 from .scenario import from_meta, load_scenario, run
-from .trace import read_trace
+from .trace import COLUMN_NAMES, read_trace
 
 
 def _summary_lines(report) -> list[str]:
@@ -44,6 +46,27 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _first_difference(recorded: bytes, replayed: bytes) -> str:
+    """Where two differing trace files first differ: the header, a (tick,
+    robot, column) cell, or a line present in only one of them."""
+    lines = zip_longest(recorded.decode().splitlines(True), replayed.decode().splitlines(True))
+    for lineno, (a, b) in enumerate(lines, start=1):
+        if a == b:
+            continue
+        if lineno <= 2:
+            return "header differs"
+        if a is None or b is None:
+            return f"line {lineno} only in the {'trace' if b is None else 'replay'}: {a or b!r}"
+        old, new = a.rstrip("\n").split(","), b.rstrip("\n").split(",")
+        for name, x, y in zip(COLUMN_NAMES, old, new):
+            if x != y:
+                return (
+                    f"tick {new[0]}, robot {new[1]}, column {name}: "
+                    f"{x!r} in the trace, {y!r} in the replay"
+                )
+        return f"line {lineno}: {a!r} in the trace, {b!r} in the replay"
+
+
 def _cmd_replay(args) -> int:
     original = Path(args.trace)
     trace = read_trace(original)
@@ -53,9 +76,12 @@ def _cmd_replay(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
     else:
         out = Path(tempfile.mkdtemp(prefix="swarmsim-replay-"))
-    new_trace, _ = run(config, out_dir=out)
-    same = (out / "trace.csv").read_bytes() == original.read_bytes()
+    run(config, out_dir=out)
+    recorded, replayed = original.read_bytes(), (out / "trace.csv").read_bytes()
+    same = replayed == recorded
     print(f"replayed {config.name} seed {config.seed}: {'MATCH' if same else 'MISMATCH'}")
+    if not same:
+        print(f"first difference: {_first_difference(recorded, replayed)}")
     print(f"replay artifacts in {out}")
     return 0 if same else 1
 

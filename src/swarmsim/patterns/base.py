@@ -1,26 +1,28 @@
 """Behavior protocol.
 
-A pattern is ticked once per control period with the freshest scan and any
-drained global messages. Movement patterns return a drive command every
-tick; voting patterns return only messages. Combined behaviors (see
-combined.py) sequence their parts inside one tick themselves.
+A pattern is ticked once per control period with the freshest scan and the
+votes drained from its mailbox. Movement patterns return a drive command
+every tick; voting patterns return only the opinions to publish, which the
+simulator wraps as vote envelopes. Combined behaviors (see combined.py)
+sequence their parts inside one tick themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
+from ..bus import Envelope
 from ..core import DriveCommand, ScanSnapshot
 
-# (payload, stamp) pairs drained from the global opinion topic this tick.
-Inbox = Sequence[tuple[Any, float]]
+# Vote envelopes drained from the robot's mailbox this tick, in publish order.
+Inbox = Sequence[Envelope]
 
 
 @dataclass
 class TickResult:
     command: DriveCommand | None = None
-    messages: list[Any] = field(default_factory=list)
+    messages: list[int] = field(default_factory=list)
 
 
 class Pattern:

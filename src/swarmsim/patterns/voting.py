@@ -13,16 +13,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..bus import Envelope
 from .base import Pattern, TickResult
 
 MAJORITY = "majority"
 VOTER = "voter"
-
-
-@dataclass(frozen=True, slots=True)
-class OpinionMessage:
-    robot_id: int
-    opinion: int
 
 
 @dataclass
@@ -32,7 +27,7 @@ class VotingState:
     window_length: float
     rule: str = MAJORITY
     window_index: int = 0
-    buffer: list[OpinionMessage] = field(default_factory=list)
+    buffer: list[Envelope] = field(default_factory=list)
     rng: np.random.Generator | None = None
 
     def __post_init__(self):
@@ -52,13 +47,13 @@ class VotingState:
         return (self.window_index + 1) * self.window_length
 
 
-def ingest(state: VotingState, msg: OpinionMessage, stamp: float) -> VotingState:
-    """Buffer one heard opinion. The stamp must fall in the current window."""
-    if not (state.window_start <= stamp < state.window_end):
+def ingest(state: VotingState, vote: Envelope) -> VotingState:
+    """Buffer one heard vote. Its stamp must fall in the current window."""
+    if not (state.window_start <= vote.stamp < state.window_end):
         raise ValueError(
-            f"stamp {stamp} outside window [{state.window_start}, {state.window_end})"
+            f"stamp {vote.stamp} outside window [{state.window_start}, {state.window_end})"
         )
-    state.buffer.append(msg)
+    state.buffer.append(vote)
     return state
 
 
@@ -66,8 +61,8 @@ def _majority_opinion(state: VotingState) -> int:
     # Latest message per sender wins; the robot's own slot is always its
     # current opinion, so the result is insensitive to hearing oneself.
     votes: dict[int, int] = {}
-    for msg in state.buffer:
-        votes[msg.robot_id] = msg.opinion
+    for vote in state.buffer:
+        votes[vote.sender] = vote.payload
     votes[state.robot_id] = state.own_opinion
     counts = Counter(votes.values())
     top = max(counts.values())
@@ -79,9 +74,9 @@ def _majority_opinion(state: VotingState) -> int:
 
 def _voter_opinion(state: VotingState) -> int:
     last: dict[int, int] = {}
-    for msg in state.buffer:
-        if msg.robot_id != state.robot_id:
-            last[msg.robot_id] = msg.opinion
+    for vote in state.buffer:
+        if vote.sender != state.robot_id:
+            last[vote.sender] = vote.payload
     if not last:
         return state.own_opinion
     senders = sorted(last)
@@ -89,10 +84,10 @@ def _voter_opinion(state: VotingState) -> int:
     return last[pick]
 
 
-def close_window(state: VotingState) -> tuple[VotingState, OpinionMessage]:
+def close_window(state: VotingState) -> tuple[VotingState, int]:
     """Apply the rule, adopt the result, advance the window, clear the buffer.
 
-    Returns the state and the opinion message to publish.
+    Returns the state and the new opinion, to publish.
     """
     if state.rule == MAJORITY:
         new_opinion = _majority_opinion(state)
@@ -101,7 +96,7 @@ def close_window(state: VotingState) -> tuple[VotingState, OpinionMessage]:
     state.own_opinion = new_opinion
     state.window_index += 1
     state.buffer.clear()
-    return state, OpinionMessage(state.robot_id, new_opinion)
+    return state, new_opinion
 
 
 class VotingPattern(Pattern):
@@ -118,16 +113,16 @@ class VotingPattern(Pattern):
         return self.state.own_opinion
 
     def tick(self, scan, now, dt, inbox) -> TickResult:
-        out: list[OpinionMessage] = []
+        out: list[int] = []
         if not self._announced:
-            out.append(OpinionMessage(self.state.robot_id, self.state.own_opinion))
+            out.append(self.state.own_opinion)
             self._announced = True
-        for payload, stamp in inbox:
-            while stamp >= self.state.window_end:
-                _, msg = close_window(self.state)
-                out.append(msg)
-            ingest(self.state, payload, stamp)
+        for vote in inbox:
+            while vote.stamp >= self.state.window_end:
+                _, opinion = close_window(self.state)
+                out.append(opinion)
+            ingest(self.state, vote)
         while now >= self.state.window_end:
-            _, msg = close_window(self.state)
-            out.append(msg)
+            _, opinion = close_window(self.state)
+            out.append(opinion)
         return TickResult(None, out)

@@ -183,10 +183,13 @@ def _positive(key: str, value) -> float:
 def _rows(key: str, rows, width: int) -> list[list[float]]:
     if not isinstance(rows, (list, tuple)):
         raise ScenarioError(f"{key}: {rows!r} is not a list")
+    out = []
     for row in rows:
-        if not isinstance(row, (list, tuple)) or len(row) != width:
-            raise ScenarioError(f"{key}: {row!r} is not a row of {width} numbers")
-    return [[_number(key, v) for v in row] for row in rows]
+        values = [_number(key, v) for v in row] if isinstance(row, (list, tuple)) else []
+        if len(values) != width or not all(map(math.isfinite, values)):
+            raise ScenarioError(f"{key}: {row!r} is not a row of {width} finite numbers")
+        out.append(values)
+    return out
 
 
 def _whole_numbers(key: str, values) -> list[int]:
@@ -263,6 +266,8 @@ def load_scenario(
     if use_seed < 0:
         raise ScenarioError(f"seed: {use_seed} is negative")
     use_duration = _number("duration", raw.get("duration", 60.0) if duration is None else duration)
+    if not 0 <= use_duration < math.inf:
+        raise ScenarioError(f"duration: {use_duration!r} is not a finite number >= 0")
     rng = _rng(use_seed, _SCENARIO_STREAM)
 
     arena = raw.get("arena") or {}
@@ -302,9 +307,6 @@ def _read_scenario_text(source: str | Path) -> str:
 
 def validate_scenario(config: ScenarioConfig) -> None:
     spec = config.spec
-    if config.duration < 0 or config.dt <= 0:
-        raise ScenarioError("need duration >= 0 and dt > 0")
-
     half_w = config.arena_width / 2.0
     half_h = config.arena_height / 2.0
     walls = config.walls()

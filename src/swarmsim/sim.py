@@ -333,8 +333,7 @@ class Simulation:
         self.nodes = nodes
         self.spec = spec
         self.meta = meta
-        self.bus = MessageBus()
-        self.vote_subs = [self.bus.subscribe(VOTE_TOPIC, i) for i in range(len(nodes))]
+        self.bus = MessageBus(len(nodes))
         self.columns = TraceRecorder()
 
     def step(self) -> None:
@@ -349,13 +348,12 @@ class Simulation:
         wall_dist = wall_distances(world)
         scans = raycast_scan(world, self.spec, wall_dist)
         nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
-        for i, (node, vote_sub, scan, dist, radius) in enumerate(
-            zip(self.nodes, self.vote_subs, scans, wall_dist, world.radii.tolist())
+        for i, (node, mailbox, scan, dist, radius) in enumerate(
+            zip(self.nodes, self.bus.mailboxes, scans, wall_dist, world.radii.tolist())
         ):
-            inbox = [(env.payload, env.stamp) for env in vote_sub.drain()]
-            result = node.behavior.tick(scan, now, dt, inbox)
-            for msg in result.messages:
-                self.bus.publish(Envelope(VOTE_TOPIC, msg, i, now))
+            result = node.behavior.tick(scan, now, dt, mailbox.drain())
+            for opinion in result.messages:
+                self.bus.publish(Envelope(VOTE_TOPIC, opinion, i, now))
             pattern_cmd = result.command
             if pattern_cmd is not None:
                 note_command(node.protection, pattern_cmd, now)

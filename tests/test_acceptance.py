@@ -28,7 +28,8 @@ from swarmsim import (
     wrap_angle,
 )
 from swarmsim.core import Pose2D
-from swarmsim.patterns import OpinionMessage, VotingState, close_window
+from swarmsim.bus import Envelope, VOTE_TOPIC
+from swarmsim.patterns import VotingState, close_window
 from swarmsim.protection import avoidance_command, note_command
 from oracles import marching_raycast, random_scene, rk4_pose
 
@@ -226,15 +227,15 @@ def test_criterion_5_oracle_equivalence():
         for _ in range(int(rng.integers(0, 12))):
             sender = int(rng.integers(0, 8))
             opinion = int(rng.integers(0, 5))
-            state.buffer.append(OpinionMessage(sender, opinion))
+            state.buffer.append(Envelope(VOTE_TOPIC, opinion, sender, 0.0))
             last[sender] = opinion
         last[self_id] = own
         counts = Counter(last.values())
         top = max(counts.values())
         tied = sorted(op for op, c in counts.items() if c == top)
         expected = own if own in tied else tied[0]
-        _, msg = close_window(state)
-        majority_exact += msg.opinion == expected
+        _, result = close_window(state)
+        majority_exact += result == expected
     majority_ok = majority_exact == 1000
 
     ok = pose_ok and ray_ok and majority_ok

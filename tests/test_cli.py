@@ -64,6 +64,24 @@ def test_replay_flags_tampered_trace(tmp_path, capsys):
     assert "MISMATCH" in capsys.readouterr().out
 
 
+def test_replay_names_first_differing_cell(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "experiment1-waffle", "--seed", "1", "--duration", "1.0", "--out", str(out)])
+    trace_path = out / "trace.csv"
+    lines = trace_path.read_text().split("\n")
+    row = lines[2 + 3 * 7 + 2].split(",")  # tick 4, robot 2
+    assert row[:2] == ["4", "2"]
+    original_x, row[3] = row[3], "1.25"
+    lines[2 + 3 * 7 + 2] = ",".join(row)
+    trace_path.write_text("\n".join(lines))
+    capsys.readouterr()
+    code = main(["replay", str(trace_path), "--out", str(tmp_path / "replay")])
+    assert code == 1
+    text = capsys.readouterr().out
+    assert "MISMATCH" in text
+    assert f"tick 4, robot 2, column x: '1.25' in the trace, '{original_x}' in the replay" in text
+
+
 def test_metrics_recomputes_from_trace_alone(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "experiment2", "--seed", "6", "--duration", "25.0", "--out", str(out)])

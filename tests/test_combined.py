@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given
 
+from swarmsim.bus import Envelope, VOTE_TOPIC
 from swarmsim.core import STOP, DriveLimits
 from swarmsim.patterns import (
     DISCUSS_ONLY,
@@ -12,7 +13,6 @@ from swarmsim.patterns import (
     DiscussedDispersionPattern,
     DiscussedDispersionState,
     DispersionConfig,
-    OpinionMessage,
     VotingState,
     discussed_dispersion_step,
     dispersion_step,
@@ -85,11 +85,7 @@ def test_pattern_votes_then_moves_in_one_tick():
         pattern.tick(make_scan(), now, 0.1, [])
         now = round(now + 0.1, 10)
     # a window closes this tick and flips the opinion to the heard majority
-    inbox = [
-        (OpinionMessage(1, 2), now - 0.05),
-        (OpinionMessage(2, 2), now - 0.05),
-        (OpinionMessage(3, 2), now - 0.05),
-    ]
+    inbox = [Envelope(VOTE_TOPIC, 2, sender, now - 0.05) for sender in (1, 2, 3)]
     result = pattern.tick(make_scan({0: 1.2}), now + 1.0, 0.1, inbox)
     assert pattern.opinion == 2
     assert pattern.state.dispersion.dispersion_range == MAPPING[2]

@@ -325,24 +325,34 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         ({"seed": -1}, "seed"),
         ({"dt": "fast"}, "dt"),
         ({"duration": "long"}, "duration"),
+        ({"duration": math.nan}, "duration"),
+        ({"duration": math.inf}, "duration"),
+        ({"duration": -1}, "duration"),
         ({"arena": {"width": "big", "height": 10.0}}, "arena.width"),
         ({"arena": {"width": 10.0, "height": 0}}, "arena.height"),
         ({"arena": {"width": math.inf, "height": 10.0}}, "arena.width"),
         ({"staleness_limit": -1}, "staleness_limit"),
         ({"extra_walls": [[0, 1, 2]]}, "extra_walls"),
+        ({"extra_walls": [[0, 1, 2, math.inf]]}, "extra_walls"),
         ({"robots": {"poses": [[0, 0]]}}, "robots.poses"),
+        ({"robots": {"poses": [[0, 0, math.nan]]}}, "robots.poses: [0, 0, nan]"),
     ],
     ids=[
         "fractional-seed",
         "negative-seed",
         "dt-not-a-number",
         "duration-not-a-number",
+        "nan-duration",
+        "infinite-duration",
+        "negative-duration",
         "width-not-a-number",
         "zero-height",
         "infinite-width",
         "negative-staleness-limit",
         "short-wall-row",
+        "infinite-wall-row",
         "short-pose-row",
+        "nan-pose-row",
     ],
 )
 def test_bad_top_level_value_names_the_key(overrides, key):

@@ -532,19 +532,15 @@ def test_two_runs_are_identical():
 
 
 class Announcer(Pattern):
-    """Test behavior that sends one vote per tick, (own id, tick index),
-    and records every inbox it is handed."""
+    """Test behavior that votes its own tick count once per tick and
+    records every inbox it is handed."""
 
-    def __init__(self, robot_id: int):
-        self.robot_id = robot_id
-        self.sent = 0
+    def __init__(self):
         self.inboxes = []
 
     def tick(self, scan, now, dt, inbox):
         self.inboxes.append(list(inbox))
-        msg = (self.robot_id, self.sent)
-        self.sent += 1
-        return TickResult(messages=[msg])
+        return TickResult(messages=[len(self.inboxes) - 1])
 
 
 def test_vote_delivery_order_across_robots():
@@ -556,7 +552,7 @@ def test_vote_delivery_order_across_robots():
     )
     nodes = [
         RobotNode(
-            behavior=Announcer(i),
+            behavior=Announcer(),
             protection=ProtectionState(threshold=spec.protection_threshold, limits=spec.limits()),
         )
         for i in range(3)
@@ -573,8 +569,8 @@ def test_vote_delivery_order_across_robots():
         2: [[(0, 0), (1, 0)], [(2, 0), (0, 1), (1, 1)], [(2, 1), (0, 2), (1, 2)]],
     }
     for i, node in enumerate(nodes):
-        heard = [[payload for payload, _ in inbox] for inbox in node.behavior.inboxes]
+        heard = [[(env.sender, env.payload) for env in inbox] for inbox in node.behavior.inboxes]
         assert heard == expected[i]
         for inbox in node.behavior.inboxes:
-            for (sender, k), stamp in inbox:
-                assert stamp == k * world.dt
+            for env in inbox:
+                assert env.stamp == env.payload * world.dt

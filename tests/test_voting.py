@@ -9,15 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from swarmsim.bus import Envelope, VOTE_TOPIC
 from swarmsim.patterns import (
     MAJORITY,
     VOTER,
-    OpinionMessage,
     VotingPattern,
     VotingState,
     close_window,
     ingest,
 )
+
+
+def vote(sender: int, opinion: int, stamp: float) -> Envelope:
+    return Envelope(VOTE_TOPIC, opinion, sender, stamp)
 
 
 def majority_state(own=0, robot_id=0, window=1.0):
@@ -51,34 +55,34 @@ def brute_force_majority(own: int, votes: dict[int, int], self_id: int) -> int:
 
 def test_ingest_appends():
     state = majority_state()
-    ingest(state, OpinionMessage(1, 2), stamp=0.5)
+    ingest(state, vote(1, 2, 0.5))
     assert len(state.buffer) == 1
 
 
 def test_ingest_duplicate_sender_keeps_both():
     state = majority_state()
-    ingest(state, OpinionMessage(1, 2), stamp=0.1)
-    ingest(state, OpinionMessage(1, 3), stamp=0.2)
-    assert [m.opinion for m in state.buffer] == [2, 3]
+    ingest(state, vote(1, 2, 0.1))
+    ingest(state, vote(1, 3, 0.2))
+    assert [m.payload for m in state.buffer] == [2, 3]
 
 
 def test_ingest_own_message_accepted():
     state = majority_state(robot_id=0)
-    ingest(state, OpinionMessage(0, 0), stamp=0.0)
+    ingest(state, vote(0, 0, 0.0))
     assert len(state.buffer) == 1
 
 
 def test_ingest_stamp_at_window_end_rejected():
     state = majority_state(window=1.0)
     with pytest.raises(ValueError):
-        ingest(state, OpinionMessage(1, 2), stamp=1.0)
+        ingest(state, vote(1, 2, 1.0))
 
 
 def test_ingest_stamp_before_window_rejected():
     state = majority_state()
     state.window_index = 2
     with pytest.raises(ValueError):
-        ingest(state, OpinionMessage(1, 2), stamp=0.5)
+        ingest(state, vote(1, 2, 0.5))
 
 
 # -- majority rule ----------------------------------------------------------------
@@ -88,23 +92,23 @@ def test_majority_worked_example():
     # seven distinct senders including self; opinion 1 appears four times
     state = majority_state(own=0, robot_id=0)
     for sender, op in [(1, 1), (2, 1), (3, 2), (4, 1), (5, 0), (6, 1)]:
-        ingest(state, OpinionMessage(sender, op), stamp=0.1)
-    ingest(state, OpinionMessage(0, 0), stamp=0.1)
-    state, msg = close_window(state)
+        ingest(state, vote(sender, op, 0.1))
+    ingest(state, vote(0, 0, 0.1))
+    state, opinion = close_window(state)
     assert state.own_opinion == 1
-    assert msg == OpinionMessage(0, 1)
+    assert opinion == 1
 
 
 def test_majority_empty_buffer_keeps_own():
     state = majority_state(own=5)
-    state, msg = close_window(state)
+    state, opinion = close_window(state)
     assert state.own_opinion == 5
-    assert msg.opinion == 5
+    assert opinion == 5
 
 
 def test_majority_tie_keeps_own_when_among_maxima():
     state = majority_state(own=2, robot_id=0)
-    ingest(state, OpinionMessage(1, 1), stamp=0.0)
+    ingest(state, vote(1, 1, 0.0))
     state, _ = close_window(state)
     assert state.own_opinion == 2
 
@@ -112,7 +116,7 @@ def test_majority_tie_keeps_own_when_among_maxima():
 def test_majority_tie_without_own_picks_smallest():
     state = majority_state(own=9, robot_id=0)
     for sender, op in [(1, 3), (2, 3), (3, 1), (4, 1)]:
-        ingest(state, OpinionMessage(sender, op), stamp=0.0)
+        ingest(state, vote(sender, op, 0.0))
     state, _ = close_window(state)
     assert state.own_opinion == 1
 
@@ -120,10 +124,10 @@ def test_majority_tie_without_own_picks_smallest():
 def test_majority_latest_message_per_sender_wins():
     state = majority_state(own=0, robot_id=0)
     for op in (1, 1, 1):
-        ingest(state, OpinionMessage(1, op), stamp=0.0)
-    ingest(state, OpinionMessage(1, 2), stamp=0.5)
-    ingest(state, OpinionMessage(2, 2), stamp=0.5)
-    ingest(state, OpinionMessage(3, 2), stamp=0.5)
+        ingest(state, vote(1, op, 0.0))
+    ingest(state, vote(1, 2, 0.5))
+    ingest(state, vote(2, 2, 0.5))
+    ingest(state, vote(3, 2, 0.5))
     state, _ = close_window(state)
     # sender 1 counts once, with its latest opinion 2
     assert state.own_opinion == 2
@@ -131,14 +135,14 @@ def test_majority_latest_message_per_sender_wins():
 
 def test_majority_own_slot_overrides_stale_self_message():
     state = majority_state(own=4, robot_id=0)
-    ingest(state, OpinionMessage(0, 1), stamp=0.0)  # stale echo of an old self opinion
+    ingest(state, vote(0, 1, 0.0))  # stale echo of an old self opinion
     state, _ = close_window(state)
     assert state.own_opinion == 4
 
 
 def test_close_window_advances_and_clears():
     state = majority_state()
-    ingest(state, OpinionMessage(1, 1), stamp=0.3)
+    ingest(state, vote(1, 1, 0.3))
     state, _ = close_window(state)
     assert state.window_index == 1
     assert state.buffer == []
@@ -156,7 +160,7 @@ def test_majority_matches_counting_oracle(own, messages):
     state = majority_state(own=own, robot_id=0)
     last: dict[int, int] = {}
     for sender, op in messages:
-        ingest(state, OpinionMessage(sender, op), stamp=0.0)
+        ingest(state, vote(sender, op, 0.0))
         last[sender] = op
     state, _ = close_window(state)
     assert state.own_opinion == brute_force_majority(own, last, 0)
@@ -166,7 +170,7 @@ def test_majority_matches_counting_oracle(own, messages):
 def test_close_window_result_came_from_buffer_or_own(own, messages):
     state = majority_state(own=own, robot_id=0)
     for sender, op in messages:
-        ingest(state, OpinionMessage(sender, op), stamp=0.0)
+        ingest(state, vote(sender, op, 0.0))
     state, _ = close_window(state)
     assert state.own_opinion in {op for _, op in messages} | {own}
 
@@ -176,15 +180,15 @@ def test_close_window_result_came_from_buffer_or_own(own, messages):
 
 def test_voter_single_sender_is_only_choice():
     state = voter_state(own=0)
-    ingest(state, OpinionMessage(1, 2), stamp=0.0)
+    ingest(state, vote(1, 2, 0.0))
     state, _ = close_window(state)
     assert state.own_opinion == 2
 
 
 def test_voter_excludes_self():
     state = voter_state(own=0, robot_id=0)
-    ingest(state, OpinionMessage(0, 7), stamp=0.0)
-    ingest(state, OpinionMessage(1, 3), stamp=0.0)
+    ingest(state, vote(0, 7, 0.0))
+    ingest(state, vote(1, 3, 0.0))
     state, _ = close_window(state)
     assert state.own_opinion == 3
 
@@ -199,8 +203,8 @@ def test_voter_uniform_over_distinct_senders():
     picks = Counter()
     for seed in range(400):
         state = voter_state(own=0, seed=seed)
-        ingest(state, OpinionMessage(1, 1), stamp=0.0)
-        ingest(state, OpinionMessage(2, 2), stamp=0.0)
+        ingest(state, vote(1, 1, 0.0))
+        ingest(state, vote(2, 2, 0.0))
         state, _ = close_window(state)
         picks[state.own_opinion] += 1
     assert picks[1] + picks[2] == 400
@@ -231,23 +235,23 @@ def test_pattern_announces_initial_opinion_once():
     pattern = VotingPattern(majority_state(own=3, robot_id=0))
     first = pattern.tick(None, 0.0, 0.1, [])
     assert first.command is None
-    assert first.messages == [OpinionMessage(0, 3)]
+    assert first.messages == [3]
     second = pattern.tick(None, 0.1, 0.1, [])
     assert second.messages == []
 
 
 def test_pattern_closes_window_on_clock_crossing():
     pattern = VotingPattern(majority_state(own=0, robot_id=0))
-    pattern.tick(None, 0.0, 0.1, [(OpinionMessage(1, 1), 0.0), (OpinionMessage(2, 1), 0.0)])
+    pattern.tick(None, 0.0, 0.1, [vote(1, 1, 0.0), vote(2, 1, 0.0)])
     result = pattern.tick(None, 1.0, 0.1, [])
     assert pattern.state.own_opinion == 1
-    assert OpinionMessage(0, 1) in result.messages
+    assert 1 in result.messages
 
 
 def test_pattern_routes_messages_to_windows_by_stamp():
     pattern = VotingPattern(majority_state(own=0, robot_id=0))
     # both messages arrive in one tick but belong to different windows
-    inbox = [(OpinionMessage(1, 1), 0.9), (OpinionMessage(2, 2), 1.0)]
+    inbox = [vote(1, 1, 0.9), vote(2, 2, 1.0)]
     pattern.tick(None, 0.9, 0.1, inbox)
     # the stamp-1.0 message must not have influenced window zero
-    assert [m.opinion for m in pattern.state.buffer] == [2]
+    assert [m.payload for m in pattern.state.buffer] == [2]
