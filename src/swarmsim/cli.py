@@ -8,7 +8,8 @@ run executes a scenario (preset name or YAML path) and writes trace.csv,
 metrics.json, and series.csv. replay re-executes the scenario embedded in a
 trace header and verifies the two files are byte-identical; on a mismatch it
 prints where they first differ. metrics recomputes the report from a trace
-alone.
+alone. A bad scenario, a bad trace or a file that cannot be read prints one
+``error:`` line on stderr and exits with status 2.
 """
 
 from __future__ import annotations
@@ -125,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (ValueError, OSError) as exc:  # ScenarioError is a ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

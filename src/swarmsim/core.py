@@ -33,9 +33,6 @@ class Vector2:
     def norm(self) -> float:
         return math.hypot(self.x, self.y)
 
-    def __neg__(self) -> "Vector2":
-        return Vector2(-self.x, -self.y)
-
 
 ZERO_VECTOR = Vector2(0.0, 0.0)
 
@@ -154,19 +151,37 @@ def beam_trig(angle_min: float, angle_increment: float, beam_count: int) -> Beam
     return tables
 
 
+class Segments:
+    """Wall segments with the per-wall terms of ``segment_distances`` taken once."""
+
+    __slots__ = ("ax", "ay", "ex", "ey", "L2", "degenerate")
+
+    def __init__(self, walls: np.ndarray):
+        self.ax, self.ay = walls[:, 0], walls[:, 1]
+        self.ex, self.ey = walls[:, 2] - self.ax, walls[:, 3] - self.ay
+        self.L2 = self.ex * self.ex + self.ey * self.ey
+        self.degenerate = not (self.L2 > 0).all()
+
+    def distances(self, px, py) -> np.ndarray:
+        """Distance from a point to each segment; points broadcast against
+        the trailing (S,) wall axis."""
+        ax, ay, ex, ey, L2 = self.ax, self.ay, self.ex, self.ey, self.L2
+        if self.degenerate:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s = ((px - ax) * ex + (py - ay) * ey) / L2
+            s = np.where(L2 > 0, s, 0.0)
+        else:
+            s = ((px - ax) * ex + (py - ay) * ey) / L2
+        # np.clip without its wrapper; they differ only in the sign of a zero
+        # s, which no distance can show.
+        s = np.minimum(np.maximum(s, 0.0), 1.0)
+        return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
+
+
 def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
     """Distance from a point to each segment of an (S, 4) wall array; points
     broadcast against the trailing (S,) wall axis."""
-    ax, ay = walls[:, 0], walls[:, 1]
-    bx, by = walls[:, 2], walls[:, 3]
-    ex, ey = bx - ax, by - ay
-    L2 = ex * ex + ey * ey
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = ((px - ax) * ex + (py - ay) * ey) / L2
-    s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
-    cx = ax + s * ex
-    cy = ay + s * ey
-    return np.hypot(px - cx, py - cy)
+    return Segments(walls).distances(px, py)
 
 
 def nearest_obstacle(scan: ScanSnapshot) -> tuple[float, float] | None:
@@ -181,36 +196,83 @@ def nearest_obstacle(scan: ScanSnapshot) -> tuple[float, float] | None:
     return float(scan.ranges[idx]), float(scan.angle_min + idx * scan.angle_increment)
 
 
+def nearest_distances(ranges: np.ndarray, range_min: float, range_max: float) -> np.ndarray:
+    """Closest valid reading of every row of an (R, B) ranges block, inf
+    where a row has none: the distance ``nearest_obstacle`` gives per scan."""
+    valid = (ranges >= range_min) & (ranges <= range_max)
+    return np.where(valid, ranges, np.inf).min(axis=1)
+
+
+class FieldRequest(NamedTuple):
+    """A command a behaviour leaves to the simulator's field pass: steer
+    along ``potential_field(scan, effect_range, polarity)`` within limits."""
+
+    effect_range: float
+    polarity: str
+    limits: DriveLimits
+
+    def command(self, scan: ScanSnapshot) -> DriveCommand:
+        """The request resolved on one scan."""
+        force = potential_field(scan, self.effect_range, self.polarity)
+        return vector_to_drive(force, self.limits)
+
+
 def potential_field(scan: ScanSnapshot, effect_range: float, polarity: str = ATTRACTIVE) -> Vector2:
     """Weighted sum of unit bearing vectors over readings within effect_range.
 
     Weight falls off linearly from 1 at range_min to 0 at effect_range and is
     clamped to [0, 1]. Repulsive polarity is the exact negation of the
-    attractive sum. Returns the zero vector when no reading qualifies.
+    attractive sum. Returns the zero vector when no reading qualifies. This
+    is the one-row call of ``potential_fields``.
     """
-    if polarity not in (ATTRACTIVE, REPULSIVE):
-        raise ValueError(f"unknown polarity: {polarity!r}")
-    r = scan.ranges
-    # min() keeps a NaN effect_range, so it considers nothing, as r <= NaN does.
-    considered = (r >= scan.range_min) & (r <= min(effect_range, scan.range_max))
-    count = np.count_nonzero(considered)
-    if not count:
-        return ZERO_VECTOR
-    span = effect_range - scan.range_min
-    if span > 0:
-        # Already in [0, 1], with no clip: a considered r lies in
-        # [range_min, effect_range] and rounding is monotonic, so
-        # 0 <= effect_range - r <= span holds for the rounded values too.
-        w = (effect_range - r[considered]) / span
-    else:
-        # Degenerate window: every considered reading sits at range_min.
-        w = np.ones(count)
     trig = scan.trig()
-    fx = float(np.add.reduce(w * trig.cos[considered]))
-    fy = float(np.add.reduce(w * trig.sin[considered]))
-    if polarity == REPULSIVE:
-        return Vector2(-fx, -fy)
-    return Vector2(fx, fy)
+    return potential_fields(
+        scan.ranges[None, :], scan.range_min, scan.range_max, trig, [effect_range], [polarity]
+    )[0]
+
+
+def potential_fields(
+    ranges: np.ndarray,
+    range_min: float,
+    range_max: float,
+    trig: BeamTrig,
+    effect_ranges,
+    polarities,
+) -> list[Vector2]:
+    """``potential_field`` of every row of a (K, B) ranges block, row k with
+    its own effect range and polarity; every row has the beam set of trig.
+
+    Each row's x and y terms are one contiguous slice of the row-major
+    flattened considered cells, summed by one ``np.add.reduce`` along the
+    last axis, which gives the bits of a per-scan sum. ``reduceat``,
+    ``where=`` or zero padding would change the summation order and the bits.
+    """
+    for polarity in polarities:
+        if polarity not in (ATTRACTIVE, REPULSIVE):
+            raise ValueError(f"unknown polarity: {polarity!r}")
+    effect_range = np.asarray(effect_ranges, dtype=float)
+    # np.minimum keeps a NaN effect_range, so it considers nothing, as r <= NaN does.
+    considered = (ranges >= range_min) & (ranges <= np.minimum(effect_range, range_max)[:, None])
+    rows, beams = np.nonzero(considered)
+    span = effect_range - range_min
+    wide = span > 0
+    # A considered r lies in [range_min, effect_range] and rounding is
+    # monotonic, so 0 <= effect_range - r <= span holds for the rounded
+    # values too: each weight is already in [0, 1], with no clip.
+    w = (effect_range[rows] - ranges[considered]) / np.where(wide, span, 1.0)[rows]
+    # A degenerate window weighs 1: every considered reading sits at range_min.
+    w = np.where(wide[rows], w, 1.0)
+    terms = w * np.stack((trig.cos[beams], trig.sin[beams]))
+    forces = []
+    start = 0
+    for end, polarity in zip(np.cumsum(np.count_nonzero(considered, axis=1)).tolist(), polarities):
+        if end == start:
+            forces.append(ZERO_VECTOR)
+            continue
+        fx, fy = np.add.reduce(terms[:, start:end], axis=1).tolist()
+        start = end
+        forces.append(Vector2(-fx, -fy) if polarity == REPULSIVE else Vector2(fx, fy))
+    return forces
 
 
 def vector_to_drive(force: Vector2, limits: DriveLimits) -> DriveCommand:

@@ -2,8 +2,9 @@
 
 A pattern is ticked once per control period with the freshest scan and the
 votes drained from its mailbox. Movement patterns return a drive command
-every tick; voting patterns return only the opinions to publish, which the
-simulator wraps as vote envelopes. Combined behaviors (see combined.py)
+every tick, or a field request that the simulator resolves on the scan;
+voting patterns return only the opinions to publish, which the simulator
+wraps as vote envelopes. Combined behaviors (see combined.py)
 sequence their parts inside one tick themselves.
 """
 
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..bus import Envelope
-from ..core import DriveCommand, ScanSnapshot
+from ..core import DriveCommand, FieldRequest, ScanSnapshot
 
 # Vote envelopes drained from the robot's mailbox this tick, in publish order.
 Inbox = Sequence[Envelope]
@@ -21,7 +22,7 @@ Inbox = Sequence[Envelope]
 
 @dataclass
 class TickResult:
-    command: DriveCommand | None = None
+    command: DriveCommand | FieldRequest | None = None
     messages: list[int] = field(default_factory=list)
 
 

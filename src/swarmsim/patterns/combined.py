@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..core import STOP, DriveCommand, ScanSnapshot
+from ..core import STOP, DriveCommand, FieldRequest
 from .base import Pattern, TickResult
-from .movement import DispersionConfig, dispersion_step
+from .movement import DispersionConfig, dispersion_field
 from .voting import VotingPattern, VotingState
 
 DISCUSS_ONLY = "discuss_only"
@@ -39,8 +39,8 @@ class DiscussedDispersionState:
 
 
 def discussed_dispersion_step(
-    state: DiscussedDispersionState, scan: ScanSnapshot, now: float
-) -> DriveCommand:
+    state: DiscussedDispersionState, now: float
+) -> DriveCommand | FieldRequest:
     """One control period at time now: hold position while discussing, then
     disperse at the distance mapped from the current opinion."""
     if state.phase == DISCUSS_ONLY and now >= state.decision_duration:
@@ -50,7 +50,7 @@ def discussed_dispersion_step(
     target = state.mapping[state.voting.own_opinion]
     if state.dispersion.dispersion_range != target:
         state.dispersion = replace(state.dispersion, dispersion_range=target)
-    return dispersion_step(scan, state.dispersion)
+    return dispersion_field(state.dispersion)
 
 
 class DiscussedDispersionPattern(Pattern):
@@ -66,4 +66,4 @@ class DiscussedDispersionPattern(Pattern):
         # Voting first so a window closing this tick retargets the range
         # before the movement command is computed.
         vote_result = self._voting.tick(scan, now, dt, inbox)
-        return TickResult(discussed_dispersion_step(self.state, scan, now), vote_result.messages)
+        return TickResult(discussed_dispersion_step(self.state, now), vote_result.messages)

@@ -1,8 +1,12 @@
 """Movement primitives: attraction, dispersion, drive, random walk, flocking.
 
 Each primitive is a pure step function over a scan (plus explicit state and
-RNG where needed). MovementPattern adapts the stateless ones to the
-scheduler; RandomWalkPattern also carries the walk state and its RNG.
+RNG where needed). Attraction and dispersion are field requests
+(``attraction_field``, ``dispersion_field``), which the simulator resolves
+for every robot of a tick in one pass; ``attraction_step`` and
+``dispersion_step`` resolve them on one scan. MovementPattern adapts the
+stateless ones to the scheduler; RandomWalkPattern also carries the walk
+state and its RNG.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from ..core import (
     REPULSIVE,
     DriveCommand,
     DriveLimits,
+    FieldRequest,
     ScanSnapshot,
     nearest_obstacle,
-    potential_field,
-    vector_to_drive,
+    potential_field,  # noqa: F401  (hooked by the benchmark's tracer)
     wrap_angle,
 )
 from .base import Pattern, TickResult
@@ -37,13 +41,17 @@ class AttractionConfig:
             raise ValueError("attraction_range must be positive")
 
 
-def attraction_step(scan: ScanSnapshot, cfg: AttractionConfig) -> DriveCommand:
+def attraction_field(cfg: AttractionConfig) -> FieldRequest:
     """Steer toward whatever is visible within the attraction range.
 
     An empty field yields a zero command: the robot waits until something
     enters range.
     """
-    return vector_to_drive(potential_field(scan, cfg.attraction_range, ATTRACTIVE), cfg.limits)
+    return FieldRequest(cfg.attraction_range, ATTRACTIVE, cfg.limits)
+
+
+def attraction_step(scan: ScanSnapshot, cfg: AttractionConfig) -> DriveCommand:
+    return attraction_field(cfg).command(scan)
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,16 @@ class DispersionConfig:
             raise ValueError("dispersion_range must be positive")
 
 
-def dispersion_step(scan: ScanSnapshot, cfg: DispersionConfig) -> DriveCommand:
+def dispersion_field(cfg: DispersionConfig) -> FieldRequest:
     """Steer away from everything within the dispersion range.
 
     Local equilibrium (nothing in range) yields a zero command.
     """
-    return vector_to_drive(potential_field(scan, cfg.dispersion_range, REPULSIVE), cfg.limits)
+    return FieldRequest(cfg.dispersion_range, REPULSIVE, cfg.limits)
+
+
+def dispersion_step(scan: ScanSnapshot, cfg: DispersionConfig) -> DriveCommand:
+    return dispersion_field(cfg).command(scan)
 
 
 @dataclass(frozen=True)
@@ -207,9 +219,10 @@ def flocking_step(scan: ScanSnapshot, cfg: FlockingConfig) -> DriveCommand:
 
 class MovementPattern(Pattern):
     """Scheduler adapter for a stateless movement primitive: every tick maps
-    the scan to one drive command, e.g. ``partial(attraction_step, cfg=cfg)``."""
+    the scan to one drive command or field request, e.g.
+    ``partial(flocking_step, cfg=cfg)``."""
 
-    def __init__(self, command: Callable[[ScanSnapshot], DriveCommand]):
+    def __init__(self, command: Callable[[ScanSnapshot], DriveCommand | FieldRequest]):
         self.command = command
 
     def tick(self, scan, now, dt, inbox) -> TickResult:

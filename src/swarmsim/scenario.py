@@ -35,8 +35,8 @@ from .patterns.movement import (
     MovementPattern,
     RandomWalkConfig,
     RandomWalkPattern,
-    attraction_step,
-    dispersion_step,
+    attraction_field,
+    dispersion_field,
     drive_step,
     flocking_step,
 )
@@ -357,10 +357,9 @@ _VOTING_PARAMS = {
     "discussed_dispersion": {"window_length", "decision_duration", "mapping"},
 }
 
-_SCAN_STEPS = {
-    "attraction": (AttractionConfig, attraction_step),
-    "dispersion": (DispersionConfig, dispersion_step),
-    "flocking": (FlockingConfig, flocking_step),
+_FIELDS = {
+    "attraction": (AttractionConfig, attraction_field),
+    "dispersion": (DispersionConfig, dispersion_field),
 }
 
 
@@ -368,9 +367,12 @@ def _build_behavior(config: ScenarioConfig, robot: int) -> Pattern:
     limits = config.spec.limits()
     kind = config.pattern
     p = config.pattern_params
-    if kind in _SCAN_STEPS:
-        config_class, step = _SCAN_STEPS[kind]
-        return MovementPattern(partial(step, cfg=config_class(**p, limits=limits)))
+    if kind == "flocking":
+        return MovementPattern(partial(flocking_step, cfg=FlockingConfig(**p, limits=limits)))
+    if kind in _FIELDS:
+        config_class, field_request = _FIELDS[kind]
+        request = field_request(config_class(**p, limits=limits))
+        return MovementPattern(lambda scan: request)
     if kind == "drive":
         command = drive_step(DriveConfig(**p, limits=limits))
         return MovementPattern(lambda scan: command)

@@ -3,29 +3,41 @@
 World model: a walled rectangle (plus optional interior wall segments) and
 circular robot bodies moving under unicycle kinematics. Robot i is index i
 everywhere: its pose, radius, node, vote sender and trace rows. Each robot
-carries a planar range sensor simulated by exact ray casting. One tick
-raycasts every robot's scan in one pass, then runs robot by robot in index
-order: tick the behavior on its scan and the votes heard since its last
-tick, publish its votes, run the protection arbiter on the same scan, move
-it with the arbitrated command and record its trace row. A robot hears a
-vote in the tick it is sent if it comes after the sender in index order,
-and in the next tick otherwise (the sender included). Robot-wall contact
-truncates motion at the contact point; robot-robot overlap is not
-prevented, only recorded downstream as a collision.
+carries a planar range sensor simulated by exact ray casting. A tick has
+four phases:
+
+1. Sense: every robot's scan in one raycast pass, as one (R, B) block.
+2. Behave, in index order: tick each behavior on its scan and the votes
+   heard since its last tick, and publish its votes. A field behavior
+   returns a field request in place of a command.
+3. Decide, as one array job: the protection check (a masked min over the
+   block) and every potential field of the tick, requested or avoidance.
+4. Move, in index order: arbitrate, move with wall contact; then append
+   the tick's trace rows, one column at a time.
+
+Deciding for every robot before any moves changes no input: scans are taken
+before any robot moves, fields read no votes, and votes are published in
+the same order. A robot hears a vote in the tick it is sent if it comes
+after the sender in index order, and in the next tick otherwise (the sender
+included). Robot-wall contact truncates motion at the contact point;
+robot-robot overlap is not prevented, only recorded downstream as a
+collision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bus import Envelope, MessageBus, VOTE_TOPIC
-from .core import DriveCommand, Pose2D, ScanSnapshot, segment_distances
+from .core import DriveCommand, FieldRequest, Pose2D, ScanSnapshot, Segments, beam_trig
+from .core import nearest_distances, potential_fields, segment_distances, vector_to_drive
 from .patterns.base import Pattern
 from .platforms import PlatformSpec
-from .protection import ProtectionState, arbitrate, note_command, triggered
+from .protection import ProtectionState, arbitrate, avoidance_field, note_command, triggered
 from .trace import TraceRecorder
 
 # Turn rates below this integrate as straight-line motion.
@@ -114,16 +126,19 @@ def raycast(
 
 @dataclass
 class WorldState:
-    """Walls plus robot i as a disc of radius radii[i] at poses[i]."""
+    """Walls plus robot i as a disc of radius radii[i] at poses[i]. Walls
+    never move, so their segment terms are taken once, in segments."""
 
     walls: np.ndarray
     poses: list[Pose2D]
     radii: np.ndarray
     dt: float = 0.1
     tick: int = 0
+    segments: Segments = field(init=False, repr=False)
 
     def __post_init__(self):
         self.walls = np.asarray(self.walls, dtype=float).reshape(-1, 4)
+        self.segments = Segments(self.walls)
         self.radii = np.asarray(self.radii, dtype=float)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
@@ -150,7 +165,7 @@ def wall_distances(world: WorldState) -> np.ndarray:
     """(R, S) distance from every robot's centre to every wall segment."""
     x = np.array([p.x for p in world.poses])
     y = np.array([p.y for p in world.poses])
-    return segment_distances(x[:, None], y[:, None], world.walls)
+    return world.segments.distances(x[:, None], y[:, None])
 
 
 _NO_WALLS = np.empty((0, 4))
@@ -174,9 +189,16 @@ def walls_in_reach(
     return walls[dist <= reach]
 
 
+class Sweep(NamedTuple):
+    """One tick's scans: the (R, B) ranges block, and row i as robot i's scan."""
+
+    ranges: np.ndarray
+    scans: list[ScanSnapshot]
+
+
 def raycast_scan(
     world: WorldState, spec: PlatformSpec, wall_dist: np.ndarray | None = None
-) -> list[ScanSnapshot]:
+) -> Sweep:
     """Simulated sweeps for every robot, in index order: walls plus the other
     robot bodies, as one array pass.
 
@@ -192,7 +214,7 @@ def raycast_scan(
     B = spec.beam_count
     R = len(world.poses)
     if R == 0:
-        return []
+        return Sweep(np.empty((0, B)), [])
     poses = np.array([(p.x, p.y, p.theta) for p in world.poses])
     radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
@@ -261,7 +283,7 @@ def raycast_scan(
         np.minimum.at(best.ravel(), i[pair] * B + beam, t)
 
     ranges = np.where(best > spec.range_max, np.inf, best)
-    return [
+    scans = [
         ScanSnapshot(
             ranges=row,
             angle_min=0.0,
@@ -271,6 +293,7 @@ def raycast_scan(
         )
         for row in ranges
     ]
+    return Sweep(ranges, scans)
 
 
 def wall_clearance(x: float, y: float, walls: np.ndarray) -> float:
@@ -313,6 +336,42 @@ def resolve_wall_contact(
     return integrate_pose(pose, cmd, lo * dt)
 
 
+def field_pass(
+    ranges: np.ndarray,
+    spec: PlatformSpec,
+    commands: list,
+    protections: list[ProtectionState],
+) -> tuple[list[DriveCommand | None], list[DriveCommand | None]]:
+    """The decide phase of a tick, for every robot at once.
+
+    ranges is the tick's (R, B) block, commands[i] what robot i's behavior
+    returned (a command, a field request or None) and protections[i] its
+    protection state. Returns each robot's behavior command, with a field
+    request resolved on its scan, and its avoidance command, None where the
+    protection check did not fire: the bits of the per-scan layers.
+    """
+    nearest = nearest_distances(ranges, spec.range_min, spec.range_max).tolist()
+    avoid = [i for i, (p, d) in enumerate(zip(protections, nearest)) if triggered(p, d)]
+    fields = [i for i, cmd in enumerate(commands) if isinstance(cmd, FieldRequest)]
+    requests = [commands[i] for i in fields] + [avoidance_field(protections[i]) for i in avoid]
+    commands = list(commands)
+    avoidance = [None] * len(commands)
+    if not requests:
+        return commands, avoidance
+    B = spec.beam_count
+    forces = potential_fields(
+        ranges[fields + avoid],
+        spec.range_min,
+        spec.range_max,
+        beam_trig(0.0, math.tau / B, B),
+        [q.effect_range for q in requests],
+        [q.polarity for q in requests],
+    )
+    for k, (i, q, force) in enumerate(zip(fields + avoid, requests, forces)):
+        (commands if k < len(fields) else avoidance)[i] = vector_to_drive(force, q.limits)
+    return commands, avoidance
+
+
 @dataclass
 class RobotNode:
     """One robot's behavior and protection layer."""
@@ -337,47 +396,57 @@ class Simulation:
         self.columns = TraceRecorder()
 
     def step(self) -> None:
-        world = self.world
+        world, nodes = self.world, self.nodes
         now = world.clock
         dt = world.dt
         tick = world.tick + 1
-        clock = tick * dt
+        R = len(nodes)
 
-        # Scans and wall distances are taken before any robot moves. Robot i
-        # moves only in its own cycle, so row i still holds its start pose.
+        # 1. Sense. Scans and wall distances are taken before any robot moves.
         wall_dist = wall_distances(world)
-        scans = raycast_scan(world, self.spec, wall_dist)
-        nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
-        for i, (node, mailbox, scan, dist, radius) in enumerate(
-            zip(self.nodes, self.bus.mailboxes, scans, wall_dist, world.radii.tolist())
-        ):
+        sweep = raycast_scan(world, self.spec, wall_dist)
+
+        # 2. Behave, in index order: the bus sees the votes in that order.
+        outputs = []
+        for i, (node, mailbox, scan) in enumerate(zip(nodes, self.bus.mailboxes, sweep.scans)):
             result = node.behavior.tick(scan, now, dt, mailbox.drain())
             for opinion in result.messages:
                 self.bus.publish(Envelope(VOTE_TOPIC, opinion, i, now))
-            pattern_cmd = result.command
-            if pattern_cmd is not None:
-                note_command(node.protection, pattern_cmd, now)
-            suppressed = triggered(node.protection, scan)
-            actuator = arbitrate(node.protection, scan, now, suppressed)
+            outputs.append(result.command)
 
+        # 3. Decide: every protection check and potential field in one pass.
+        protections = [node.protection for node in nodes]
+        commands, avoidance = field_pass(sweep.ranges, self.spec, outputs, protections)
+
+        # 4. Move. Robot i moves only in its own turn, so row i of wall_dist
+        # still holds its start pose.
+        nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
+        poses, actuators = world.poses, []
+        for i, (state, cmd, avoid, dist, radius) in enumerate(
+            zip(protections, commands, avoidance, wall_dist, world.radii.tolist())
+        ):
+            if cmd is not None:
+                note_command(state, cmd, now)
+            actuator = arbitrate(state, now, avoid)
             near = walls_in_reach(world.walls, dist, nearest[i], abs(actuator.linear) * dt, radius)
-            pose = world.poses[i] = resolve_wall_contact(world.poses[i], actuator, dt, radius, near)
+            poses[i] = resolve_wall_contact(poses[i], actuator, dt, radius, near)
+            actuators.append(actuator)
 
-            opinion = node.behavior.opinion
-            self.columns.record(
-                tick=tick,
-                robot=i,
-                clock=clock,
-                x=pose.x,
-                y=pose.y,
-                theta=pose.theta,
-                pattern_linear=math.nan if pattern_cmd is None else pattern_cmd.linear,
-                pattern_angular=math.nan if pattern_cmd is None else pattern_cmd.angular,
-                cmd_linear=actuator.linear,
-                cmd_angular=actuator.angular,
-                suppressed=1 if suppressed else 0,
-                opinion=math.nan if opinion is None else float(opinion),
-            )
+        opinions = [node.behavior.opinion for node in nodes]
+        self.columns.extend(
+            tick=[tick] * R,
+            robot=range(R),
+            clock=[tick * dt] * R,
+            x=[pose.x for pose in poses],
+            y=[pose.y for pose in poses],
+            theta=[pose.theta for pose in poses],
+            pattern_linear=[math.nan if cmd is None else cmd.linear for cmd in commands],
+            pattern_angular=[math.nan if cmd is None else cmd.angular for cmd in commands],
+            cmd_linear=[cmd.linear for cmd in actuators],
+            cmd_angular=[cmd.angular for cmd in actuators],
+            suppressed=[0 if avoid is None else 1 for avoid in avoidance],
+            opinion=[math.nan if op is None else float(op) for op in opinions],
+        )
         world.tick = tick
 
     def run(self, ticks: int) -> None:

@@ -89,15 +89,16 @@ class Trace:
 
 
 class TraceRecorder:
-    """Trace columns built row by row: one list attribute per schema column."""
+    """Trace columns built tick by tick: one list attribute per schema column."""
 
     def __init__(self):
         for name in COLUMN_NAMES:
             setattr(self, name, [])
 
-    def record(self, **row) -> None:
+    def extend(self, **rows) -> None:
+        """Append rows given as one equal-length sequence per column."""
         for name in COLUMN_NAMES:
-            getattr(self, name).append(row[name])
+            getattr(self, name).extend(rows[name])
 
 
 def trace_from_columns(meta: dict, columns) -> Trace:

@@ -3,8 +3,9 @@
 These deliberately avoid the closed-form solutions used by the simulator:
 pose integration is checked against a classical RK4 integrator run at a
 fine substep, and ray casting against a brute-force marching sampler.
-``potential_field_reference`` is the exception: it is the plain form of
-``potential_field``, kept to check the fast one bit for bit.
+``potential_field_reference`` and ``segment_distances_reference`` are the
+exceptions: they are the plain forms of ``potential_field`` and
+``segment_distances``, kept to check the fast ones bit for bit.
 """
 
 from __future__ import annotations
@@ -62,6 +63,17 @@ def potential_field_reference(scan, effect_range, polarity):
     if polarity == REPULSIVE:
         return Vector2(-fx, -fy)
     return Vector2(fx, fy)
+
+
+def segment_distances_reference(px, py, walls):
+    """segment_distances with every wall term taken per call and np.clip."""
+    ax, ay = walls[:, 0], walls[:, 1]
+    ex, ey = walls[:, 2] - ax, walls[:, 3] - ay
+    L2 = ex * ex + ey * ey
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = ((px - ax) * ex + (py - ay) * ey) / L2
+    s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
+    return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
 
 
 def marching_raycast(origin, heading, beam_count, walls, circles, step=1e-3, cap=12.0):

@@ -31,6 +31,7 @@ from swarmsim.core import Pose2D
 from swarmsim.bus import Envelope, VOTE_TOPIC
 from swarmsim.patterns import VotingState, close_window
 from swarmsim.protection import avoidance_command, note_command
+from swarmsim.sim import field_pass
 from oracles import marching_raycast, random_scene, rk4_pose
 
 
@@ -153,6 +154,7 @@ def test_criterion_4_suppression_soundness():
     spec = PLATFORMS["turtlebot3_waffle_pi"]
     rng = np.random.default_rng(42)
     threat_checked = clear_checked = 0
+    scans, states, cmds = [], [], []
     for _ in range(10_000):
         kinds = rng.uniform(size=spec.beam_count)
         ranges = np.where(
@@ -160,11 +162,15 @@ def test_criterion_4_suppression_soundness():
             np.inf,
             np.where(kinds < 0.65, rng.uniform(0.0, 0.119), rng.uniform(0.125, 3.4)),
         )
-        scan = scan_from_array(ranges)
-        cmd = DriveCommand(float(rng.uniform(0, 0.26)), float(rng.uniform(-1.82, 1.82)))
-        state = ProtectionState(threshold=0.5, limits=spec.limits())
-        note_command(state, cmd, 3.0)
-        out = arbitrate(state, scan, 3.0)
+        scans.append(scan_from_array(ranges))
+        cmds.append(DriveCommand(float(rng.uniform(0, 0.26)), float(rng.uniform(-1.82, 1.82))))
+        states.append(ProtectionState(threshold=0.5, limits=spec.limits()))
+        note_command(states[-1], cmds[-1], 3.0)
+    # Every scan goes through one decision pass, as one simulator tick's would.
+    block = np.array([scan.ranges for scan in scans])
+    _, avoidance = field_pass(block, spec, [None] * len(scans), states)
+    for scan, state, cmd, avoid in zip(scans, states, cmds, avoidance):
+        out = arbitrate(state, 3.0, avoid)
         nearest = nearest_obstacle(scan)
         if nearest is not None and nearest[0] < 0.5:
             assert out == avoidance_command(state, scan)

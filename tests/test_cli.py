@@ -99,3 +99,26 @@ def test_metrics_recomputes_from_trace_alone(tmp_path, capsys):
 def test_missing_subcommand_exits_with_usage():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_run_on_unknown_platform_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: bad\nplatform: nope\narena: {width: 6.0, height: 6.0}\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nope" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_of_a_truncated_trace_prints_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "experiment1-waffle", "--seed", "1", "--duration", "0.5", "--out", str(out)])
+    trace_path = out / "trace.csv"
+    lines = trace_path.read_text().splitlines()
+    lines[-1] = ",".join(lines[-1].split(",")[:3])
+    trace_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["replay", str(trace_path), "--out", str(tmp_path / "replay")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {trace_path}, line {len(lines)}: 3 fields, expected 12\n"

@@ -15,7 +15,7 @@ from swarmsim.patterns import (
     DispersionConfig,
     VotingState,
     discussed_dispersion_step,
-    dispersion_step,
+    dispersion_field,
 )
 
 from conftest import make_scan, scans
@@ -44,37 +44,32 @@ def test_mapping_must_be_nonempty():
 
 @given(scans())
 def test_discussion_phase_is_standstill_for_any_scan(scan):
-    state = combined_state()
-    cmd = discussed_dispersion_step(state, scan, 5.0)
-    assert cmd == STOP
-    assert state.phase == DISCUSS_ONLY
+    pattern = DiscussedDispersionPattern(combined_state())
+    assert pattern.tick(scan, 5.0, 0.1, []).command == STOP
+    assert pattern.state.phase == DISCUSS_ONLY
 
 
 def test_phase_transition_at_decision_duration():
     state = combined_state()
-    discussed_dispersion_step(state, make_scan(), 19.9)
+    discussed_dispersion_step(state, 19.9)
     assert state.phase == DISCUSS_ONLY
-    discussed_dispersion_step(state, make_scan(), 20.0)
+    discussed_dispersion_step(state, 20.0)
     assert state.phase == DISPERSE_AND_DISCUSS
 
 
 def test_phase_two_runs_dispersion_at_mapped_range():
     state = combined_state(own=1)
-    scan = make_scan({0: 0.8})
-    cmd = discussed_dispersion_step(state, scan, 25.0)
+    cmd = discussed_dispersion_step(state, 25.0)
     assert state.phase == DISPERSE_AND_DISCUSS
-    assert cmd == dispersion_step(scan, DispersionConfig(1.0, LIMITS))
-    assert cmd != STOP
+    assert cmd == dispersion_field(DispersionConfig(1.0, LIMITS))
 
 
 def test_opinion_change_retargets_range_same_tick():
     state = combined_state(own=1)
     state.voting.own_opinion = 2
-    scan = make_scan({0: 1.2})
-    cmd = discussed_dispersion_step(state, scan, 25.0)
+    cmd = discussed_dispersion_step(state, 25.0)
     assert state.dispersion.dispersion_range == MAPPING[2]
-    # 1.2 m is outside f(1)=1.0 but inside f(2)=1.4, so the command is live
-    assert cmd != STOP
+    assert cmd == dispersion_field(DispersionConfig(MAPPING[2], LIMITS))
 
 
 def test_pattern_votes_then_moves_in_one_tick():
@@ -89,4 +84,4 @@ def test_pattern_votes_then_moves_in_one_tick():
     result = pattern.tick(make_scan({0: 1.2}), now + 1.0, 0.1, inbox)
     assert pattern.opinion == 2
     assert pattern.state.dispersion.dispersion_range == MAPPING[2]
-    assert result.command != STOP
+    assert result.command == dispersion_field(DispersionConfig(MAPPING[2], LIMITS))

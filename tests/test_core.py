@@ -16,16 +16,18 @@ from swarmsim.core import (
     DriveLimits,
     Pose2D,
     ScanSnapshot,
+    Segments,
     Vector2,
     beam_trig,
     nearest_obstacle,
     potential_field,
+    segment_distances,
     vector_to_drive,
     wrap_angle,
 )
 
 from conftest import make_scan, scan_from_array, scans
-from oracles import potential_field_reference
+from oracles import potential_field_reference, segment_distances_reference
 
 
 def field_oracle(scan: ScanSnapshot, effect_range: float, polarity: str) -> Vector2:
@@ -260,6 +262,36 @@ def test_beam_trig_indexes_to_the_bits_of_the_bearings(beams):
             assert np.array_equal(trig.sin[mask].view(np.int64), sin.view(np.int64))
             wrapped = np.arctan2(np.sin(theta), np.cos(theta))[mask]
             assert np.array_equal(trig.wrapped[mask].view(np.int64), wrapped.view(np.int64))
+
+
+# -- segment distances --------------------------------------------------------
+
+
+@pytest.mark.parametrize("degenerate", [False, True])
+def test_segment_distances_match_reference_bit_for_bit(degenerate):
+    """Terms taken once per wall set give the bits of the per-call form, for
+    scalar points, the step's (R, 1) column and the metrics' (T, R, 1) block,
+    with points on the walls, at their ends and on their lines."""
+    rng = np.random.default_rng(int(degenerate))
+    for _ in range(40):
+        walls = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 7)), 4))
+        walls[rng.random(len(walls)) < 0.3, 0] = 0.0
+        if degenerate:
+            walls[0, 2:] = walls[0, :2]  # a zero-length wall
+        ends = walls[rng.integers(len(walls), size=20)]
+        f = rng.choice([0.0, 1.0, -0.5, 1.5, rng.uniform()], 20)
+        on_lines = ends[:, :2] + f[:, None] * (ends[:, 2:] - ends[:, :2])
+        px = np.concatenate([rng.uniform(-4.0, 4.0, 20), on_lines[:, 0]])
+        py = np.concatenate([rng.uniform(-4.0, 4.0, 20), on_lines[:, 1]])
+        segments = Segments(walls)
+        assert segments.degenerate == degenerate
+        for x, y in ((px[:, None], py[:, None]), (px.reshape(4, 10, 1), py.reshape(4, 10, 1))):
+            want = segment_distances_reference(x, y, walls).view(np.int64)
+            assert np.array_equal(segments.distances(x, y).view(np.int64), want)
+            assert np.array_equal(segment_distances(x, y, walls).view(np.int64), want)
+        for x, y in zip(px[:5].tolist(), py[:5].tolist()):
+            want = segment_distances_reference(x, y, walls).view(np.int64)
+            assert np.array_equal(segments.distances(x, y).view(np.int64), want)
 
 
 # -- vector_to_drive ----------------------------------------------------------

@@ -162,7 +162,7 @@ def test_scan_lone_robot_in_large_arena_sees_nothing():
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE)[0]
+    scan = raycast_scan(world, WAFFLE).scans[0]
     assert scan.ranges.shape == (360,)
     assert np.all(np.isinf(scan.ranges))
     assert not scan.valid_mask().any()
@@ -174,7 +174,7 @@ def test_scan_other_robot_body_blocks_beam():
         poses=[Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.0, 0.0)],
         radii=[0.15, 0.1],
     )
-    scan = raycast_scan(world, WAFFLE)[0]
+    scan = raycast_scan(world, WAFFLE).scans[0]
     assert scan.ranges[0] == pytest.approx(0.9, abs=1e-12)
     assert scan.valid_mask()[0]
 
@@ -185,7 +185,7 @@ def test_scan_hit_beyond_max_encodes_as_inf():
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE)[0]
+    scan = raycast_scan(world, WAFFLE).scans[0]
     assert np.isinf(scan.ranges[0])
     assert not scan.valid_mask()[0]
 
@@ -241,10 +241,11 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
         range_max = float(rng.choice([1.0, 2.5, 3.5]))
         spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
         world = _crowded_world(rng, range_max)
-        scans = raycast_scan(world, spec)
-        assert len(scans) == len(world.poses)
-        for scan, expected in zip(scans, _reference_scans(world, spec)):
+        sweep = raycast_scan(world, spec)
+        assert len(sweep.scans) == len(sweep.ranges) == len(world.poses)
+        for row, scan, expected in zip(sweep.ranges, sweep.scans, _reference_scans(world, spec)):
             assert np.array_equal(scan.ranges.view(np.int64), expected.view(np.int64))
+            assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
 def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
@@ -253,7 +254,7 @@ def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE)[0]
+    scan = raycast_scan(world, WAFFLE).scans[0]
     assert scan.ranges[0] == pytest.approx(0.05, abs=1e-12)
     assert not scan.valid_mask()[0]
 

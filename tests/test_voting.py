@@ -255,3 +255,18 @@ def test_pattern_routes_messages_to_windows_by_stamp():
     pattern.tick(None, 0.9, 0.1, inbox)
     # the stamp-1.0 message must not have influenced window zero
     assert [m.payload for m in pattern.state.buffer] == [2]
+
+
+def test_pattern_rejects_a_vote_from_a_closed_window():
+    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    pattern.tick(None, 2.5, 0.1, [])
+    with pytest.raises(ValueError, match=r"stamp 0.5 outside window \[2.0, 3.0\)"):
+        pattern.tick(None, 2.6, 0.1, [vote(1, 1, 0.5)])
+
+
+def test_pattern_rejects_a_late_vote_after_closing_a_window_in_the_same_tick():
+    # The stamp-1.0 vote closes window zero, so the bounds move to [1.0, 2.0)
+    # before the stamp-0.5 vote is checked.
+    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    with pytest.raises(ValueError, match=r"stamp 0.5 outside window \[1.0, 2.0\)"):
+        pattern.tick(None, 0.9, 0.1, [vote(1, 1, 1.0), vote(2, 1, 0.5)])
