@@ -2,10 +2,11 @@
 """How the cost of one robot-tick grows with swarm size.
 
 Runs attraction on a square grid of robots 1.3 m apart in a 40 m arena, for
-R = 9, 25, 49, 100 and 196, and records the best of three timings of
-Simulation.step in µs per robot-tick. Each measurement runs in its own
-process with one checkout's src/ on the path, and the checkouts take turns
-at every R, so a drift in host speed falls on all of them alike.
+R = 9, 25, 49, 100 and 196. A measurement is the best of three timings of
+Simulation.step in µs per robot-tick, in its own process with one
+checkout's src/ on the path. In each of ROUNDS rounds the checkouts take
+turns at every R, in an order that flips each round, so a drift in host
+speed falls on all of them alike; each R gets the median and quartiles.
 
     python3 scripts/scaling_sweep.py --tree parent=../parent --tree change=. \\
         --out BENCH_scaling.json
@@ -20,6 +21,7 @@ import json
 import math
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
@@ -31,6 +33,7 @@ SPACING = 1.3
 ARENA = 40.0
 TICKS = 20
 REPEATS = 3
+ROUNDS = 7
 
 
 def scenario(side: int) -> dict:
@@ -80,6 +83,11 @@ def run_tree(root: Path, side: int) -> float:
     return float(out.stdout.split()[-1])
 
 
+def quartiles(values: list[float]) -> dict[str, float]:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": round(q1, 1), "median": round(median, 1), "q3": round(q3, 1)}
+
+
 def commit(root: Path) -> str:
     """The checkout's HEAD, marked -dirty when it holds uncommitted changes."""
     out = subprocess.run(
@@ -105,16 +113,19 @@ def main() -> None:
     default = f"change={Path(__file__).resolve().parents[1]}"
     trees = dict(t.split("=", 1) for t in args.tree or [default])
     roots = {label: Path(d).resolve() for label, d in trees.items()}
-    results = {label: {} for label in roots}
-    for side in SIDES:
-        for label, root in roots.items():
-            us = run_tree(root, side)
-            results[label][str(side * side)] = round(us, 1)
-            print(f"R={side * side:4d} {label:>10s} {us:9.1f} us/robot-tick", flush=True)
+    samples = {label: {str(side * side): [] for side in SIDES} for label in roots}
+    for round_ in range(ROUNDS):
+        order = list(roots) if round_ % 2 == 0 else list(roots)[::-1]
+        for side in SIDES:
+            for label in order:
+                us = run_tree(roots[label], side)
+                samples[label][str(side * side)].append(us)
+                print(f"round {round_} R={side * side:4d} {label:>10s} {us:9.1f}", flush=True)
 
     doc = {
         "what": "Simulation.step time per robot-tick, attraction on a 1.3 m grid "
-        f"in a {ARENA:g} m arena, {TICKS} ticks, best of {REPEATS} runs",
+        f"in a {ARENA:g} m arena, {TICKS} ticks, best of {REPEATS} runs per process; "
+        f"median and quartiles over {ROUNDS} alternating rounds",
         "unit": "us",
         "env": {
             "python": platform.python_version(),
@@ -123,7 +134,10 @@ def main() -> None:
             "nproc": os.cpu_count(),
         },
         "trees": {
-            label: {"commit": commit(root), "us_per_robot_tick": results[label]}
+            label: {
+                "commit": commit(root),
+                "us_per_robot_tick": {r: quartiles(us) for r, us in samples[label].items()},
+            }
             for label, root in roots.items()
         },
     }

@@ -2,8 +2,8 @@
 
 Only the swarm-wide votes (topic VOTE_TOPIC) travel on it; sensor and
 command data pass between a robot's layers as direct calls. Publishing
-appends the envelope to every robot's mailbox, the sender's included, so a
-vote published during a tick is drainable before the next tick completes.
+appends the envelope to every mailbox but the sender's, so a vote published
+during a tick is drainable before the next tick completes.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class MessageBus:
         self._last_stamp: dict[int, float] = {}
 
     def publish(self, envelope: Envelope) -> int:
-        """Deliver to every mailbox; returns the fan-out count.
+        """Deliver to every mailbox but the sender's; returns how many.
 
         Envelope stamps must be nondecreasing per sender.
         """
@@ -53,6 +53,7 @@ class MessageBus:
                 f"sender {envelope.sender} published stamp {envelope.stamp} after {last}"
             )
         self._last_stamp[envelope.sender] = envelope.stamp
-        for box in self.mailboxes:
+        others = self.mailboxes[: envelope.sender] + self.mailboxes[envelope.sender + 1 :]
+        for box in others:
             box._queue.append(envelope)
-        return len(self.mailboxes)
+        return len(others)

@@ -10,6 +10,10 @@ trace header and verifies the two files are byte-identical; on a mismatch it
 prints where they first differ. metrics recomputes the report from a trace
 alone. A bad scenario, a bad trace or a file that cannot be read prints one
 ``error:`` line on stderr and exits with status 2.
+
+run and metrics print the same summary, read from the trace alone: the
+experiment's outcome for that seed. A batch of seeds is a shell loop over
+``run --seed``.
 """
 
 from __future__ import annotations
@@ -20,29 +24,43 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from .metrics import compute_metrics, write_metrics_json, write_series_csv
+from .metrics import compute_metrics, initial_spread, write_metrics_json, write_series_csv
 from .scenario import from_meta, load_scenario, run
 from .trace import COLUMN_NAMES, read_trace
 
 
-def _summary_lines(report) -> list[str]:
+def _summary_lines(trace, report) -> list[str]:
     lines = [f"ticks: {report.tick_count}", f"collisions: {report.collision_count}"]
     if report.tick_count:
-        lines.append(
-            f"final mean distance to centroid: {report.mean_distance_to_centroid[-1]:.4f}"
-        )
+        initial = initial_spread(trace)
+        final = report.mean_distance_to_centroid[-1]
+        ratio = f" (ratio {final / initial:.3f})" if initial else ""
+        lines.append(f"mean distance to centroid: {initial:.4f} -> {final:.4f}{ratio}")
         lines.append(f"final min pairwise distance: {report.min_pairwise_distance[-1]:.4f}")
+        lines.append(f"min clearance: {report.clearance.min():.4f}")
+    scenario = trace.meta["scenario"]
+    opinions = scenario["initial_opinions"]
+    if opinions is not None:
+        lines.append(f"initial opinions: {opinions}")
     if report.consensus_time is not None:
-        lines.append(f"consensus at t={report.consensus_time:.1f}s")
+        # every row of the consensus tick holds the agreed opinion
+        agreed = int(trace.opinion[trace.clock == report.consensus_time][0])
+        line = f"consensus at t={report.consensus_time:.1f}s on opinion {agreed}"
+        mapping = scenario["pattern_params"].get("mapping")
+        if mapping:
+            line += f", dispersion range {mapping[str(agreed)]} m"
+        lines.append(line)
+    elif opinions is not None:
+        lines.append("consensus: never")
     return lines
 
 
 def _cmd_run(args) -> int:
     config = load_scenario(args.scenario, seed=args.seed, duration=args.duration)
     out = Path(args.out) if args.out else Path("runs") / f"{config.name}-seed{config.seed}"
-    _, report = run(config, out_dir=out)
+    trace, report = run(config, out_dir=out)
     print(f"wrote {out / 'trace.csv'}")
-    for line in _summary_lines(report):
+    for line in _summary_lines(trace, report):
         print(line)
     return 0
 
@@ -95,7 +113,7 @@ def _cmd_metrics(args) -> int:
     write_metrics_json(report, out / "metrics.json")
     write_series_csv(report, out / "series.csv")
     print(f"wrote {out / 'metrics.json'} and {out / 'series.csv'}")
-    for line in _summary_lines(report):
+    for line in _summary_lines(trace, report):
         print(line)
     return 0
 

@@ -66,9 +66,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     clock = trace.clock[order].reshape(T, R)[:, 0]
     opinions = trace.opinion[order].reshape(T, R)
 
-    cx = xs.mean(axis=1, keepdims=True)
-    cy = ys.mean(axis=1, keepdims=True)
-    mean_dist = np.hypot(xs - cx, ys - cy).mean(axis=1)
+    mean_dist = _mean_distance_to_centroid(xs, ys)
 
     dxx = xs[:, :, None] - xs[:, None, :]
     dyy = ys[:, :, None] - ys[:, None, :]
@@ -125,6 +123,19 @@ def compute_metrics(trace: Trace) -> MetricsReport:
         opinion_windows=opinion_windows,
         consensus_time=consensus_time,
     )
+
+
+def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Mean distance of the points in each row (last axis) to their centroid."""
+    cx = xs.mean(axis=-1, keepdims=True)
+    cy = ys.mean(axis=-1, keepdims=True)
+    return np.hypot(xs - cx, ys - cy).mean(axis=-1)
+
+
+def initial_spread(trace: Trace) -> float:
+    """Mean distance to the centroid of the start poses the header records."""
+    xs, ys, _ = np.asarray(trace.meta["scenario"]["poses"], dtype=float).T
+    return float(_mean_distance_to_centroid(xs, ys))
 
 
 def _window_length(scenario: dict) -> float | None:

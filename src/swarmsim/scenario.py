@@ -208,6 +208,8 @@ def _resolve_opinions(
         choices = sorted(params["mapping"])
     else:
         choices = _whole_numbers("opinion_choices", params.pop("opinion_choices", [0, 1]))
+        if not choices:
+            raise ScenarioError("opinion_choices: needs at least one opinion")
     if raw == "random":
         return [int(choices[rng.integers(len(choices))]) for _ in range(count)]
     opinions = _whole_numbers("opinions", raw)
@@ -231,6 +233,14 @@ def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
         params["mapping"] = {
             _whole_number("mapping", k): _number(f"mapping[{k!r}]", v) for k, v in mapping.items()
         }
+    # NaN passes every range check the configs make (each comparison is
+    # False), so a non-finite number is rejected here, in any parameter.
+    for key, value in params.items():
+        items = value.values() if isinstance(value, dict) else value
+        if not isinstance(value, (dict, list, tuple)):
+            items = [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ScenarioError(f"{kind} parameter {key}: {value!r} holds a non-finite number")
     return params
 
 

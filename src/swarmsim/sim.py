@@ -18,10 +18,10 @@ four phases:
 Deciding for every robot before any moves changes no input: scans are taken
 before any robot moves, fields read no votes, and votes are published in
 the same order. A robot hears a vote in the tick it is sent if it comes
-after the sender in index order, and in the next tick otherwise (the sender
-included). Robot-wall contact truncates motion at the contact point;
-robot-robot overlap is not prevented, only recorded downstream as a
-collision.
+after the sender in index order, and in the next tick if it comes before;
+the sender never hears its own vote. Robot-wall contact truncates motion at
+the contact point; robot-robot overlap is not prevented, only recorded
+downstream as a collision.
 """
 
 from __future__ import annotations

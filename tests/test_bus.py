@@ -14,15 +14,16 @@ def env(payload, sender=0, stamp=0.0):
 def test_publish_without_subscribers_delivers_nowhere():
     bus = MessageBus(0)
     assert bus.publish(env("hello")) == 0
+    assert MessageBus(1).publish(env("hello", sender=0)) == 0
 
 
-def test_fan_out_includes_sender():
+def test_fan_out_skips_sender():
     bus = MessageBus(7)
     count = bus.publish(env("opinion", sender=3))
-    assert count == 7
-    for box in bus.mailboxes:
+    assert count == 6
+    for robot, box in enumerate(bus.mailboxes):
         payloads = [e.payload for e in box.drain()]
-        assert payloads == ["opinion"]
+        assert payloads == ([] if robot == 3 else ["opinion"])
 
 
 def test_fifo_per_sender():
@@ -35,9 +36,9 @@ def test_fifo_per_sender():
 
 
 def test_independent_copies_per_subscriber():
-    bus = MessageBus(2)
-    a, b = bus.mailboxes
-    bus.publish(env("m"))
+    bus = MessageBus(3)
+    a, b, _ = bus.mailboxes
+    bus.publish(env("m", sender=2))
     assert len(a.drain()) == 1
     assert len(b.drain()) == 1
     assert a.drain() == [] and b.drain() == []

@@ -1,8 +1,15 @@
 """Command line harness tests, run in-process through main()."""
 
+import json
+
 import pytest
 
 from swarmsim.cli import main
+from swarmsim.trace import read_trace
+
+
+def read_json(path):
+    return json.loads(path.read_text())
 
 
 def test_run_writes_artifacts(tmp_path, capsys):
@@ -122,3 +129,51 @@ def test_replay_of_a_truncated_trace_prints_one_error_line(tmp_path, capsys):
     assert main(["replay", str(trace_path), "--out", str(tmp_path / "replay")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {trace_path}, line {len(lines)}: 3 fields, expected 12\n"
+
+
+def _summary(text: str) -> list[str]:
+    return [line for line in text.splitlines() if not line.startswith("wrote ")]
+
+
+@pytest.mark.parametrize(
+    "scenario, duration",
+    [("experiment1-waffle", "3.0"), ("experiment2", "25")],
+)
+def test_metrics_prints_the_summary_run_printed(tmp_path, capsys, scenario, duration):
+    out = tmp_path / "out"
+    main(["run", scenario, "--seed", "0", "--duration", duration, "--out", str(out)])
+    ran = _summary(capsys.readouterr().out)
+    assert main(["metrics", str(out / "trace.csv"), "--out", str(tmp_path / "again")]) == 0
+    assert _summary(capsys.readouterr().out) == ran
+
+
+def test_run_prints_the_spread_from_start_to_end(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "experiment1-waffle", "--seed", "0", "--duration", "3.0", "--out", str(out)])
+    text = capsys.readouterr().out
+    report = read_json(out / "metrics.json")
+    final = report["final_mean_distance_to_centroid"]
+    # seven robots 1 m apart on a line: mean distance to centroid 12/7 m
+    initial = 12 / 7
+    assert (
+        f"mean distance to centroid: {initial:.4f} -> {final:.4f} (ratio {final / initial:.3f})"
+        in text
+    )
+    clearance = min(report["min_clearance_per_robot"])
+    assert f"min clearance: {clearance:.4f}" in text.splitlines()
+    assert "opinion" not in text
+
+
+def test_run_prints_the_agreed_opinion_and_its_range(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "experiment2", "--seed", "0", "--duration", "25", "--out", str(out)])
+    text = capsys.readouterr().out
+    trace = read_trace(out / "trace.csv")
+    header = trace.meta["scenario"]
+    assert f"initial opinions: {header['initial_opinions']}" in text.splitlines()
+    consensus = read_json(out / "metrics.json")["consensus_time"]
+    (agreed,) = set(trace.opinion[trace.clock == consensus].astype(int).tolist())
+    assert (
+        f"consensus at t={consensus:.1f}s on opinion {agreed}, "
+        f"dispersion range {header['pattern_params']['mapping'][str(agreed)]} m"
+    ) in text.splitlines()

@@ -227,6 +227,42 @@ def test_bad_pattern_params_fail_at_load(kind, params, message):
     assert message in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "kind, params, key",
+    [
+        ("drive", {"linear": math.nan}, "linear"),
+        ("flocking", {"linear": math.nan}, "linear"),
+        ("attraction", {"attraction_range": math.nan}, "attraction_range"),
+        ("discussed_dispersion", {"mapping": {0: math.nan, 1: 1.0}}, "mapping"),
+        (
+            "discussed_dispersion",
+            {"mapping": {0: 1.0}, "decision_duration": math.nan},
+            "decision_duration",
+        ),
+        ("dispersion", {"dispersion_range": math.inf}, "dispersion_range"),
+        ("random_walk", {"angular": math.nan}, "angular"),
+        ("random_walk", {"drive_duration": [1.0, math.inf]}, "drive_duration"),
+        ("majority", {"window_length": math.nan}, "window_length"),
+        ("voter", {"opinion_choices": []}, "opinion_choices"),
+    ],
+    ids=[
+        "nan-drive-speed",
+        "nan-flocking-speed",
+        "nan-attraction-range",
+        "nan-mapped-distance",
+        "nan-decision-duration",
+        "infinite-dispersion-range",
+        "nan-walk-turn-rate",
+        "infinite-walk-duration-bound",
+        "nan-window",
+        "empty-opinion-choices",
+    ],
+)
+def test_non_finite_or_empty_pattern_param_names_the_key(kind, params, key):
+    with pytest.raises(ScenarioError, match=re.escape(key)):
+        load_scenario(scenario_dict(pattern={"kind": kind, "params": params}))
+
+
 def test_flocking_half_widths_take_effect():
     half_widths = {"front_half_width": math.pi / 2, "back_half_width": 0.0}
     cfg = load_scenario(scenario_dict(pattern={"kind": "flocking", "params": half_widths}))

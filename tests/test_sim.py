@@ -562,12 +562,13 @@ def test_vote_delivery_order_across_robots():
     sim.run(3)
 
     # A vote (s, k) is sent by robot s in tick k. Robots after s hear it in
-    # tick k, robots before s and s itself in tick k + 1; each inbox is in
-    # publish order and every stamp is the sender's clock at sending.
+    # tick k, robots before s in tick k + 1, and s never hears it; each
+    # inbox is in publish order and every stamp is the sender's clock at
+    # sending.
     expected = {
-        0: [[], [(0, 0), (1, 0), (2, 0)], [(0, 1), (1, 1), (2, 1)]],
-        1: [[(0, 0)], [(1, 0), (2, 0), (0, 1)], [(1, 1), (2, 1), (0, 2)]],
-        2: [[(0, 0), (1, 0)], [(2, 0), (0, 1), (1, 1)], [(2, 1), (0, 2), (1, 2)]],
+        0: [[], [(1, 0), (2, 0)], [(1, 1), (2, 1)]],
+        1: [[(0, 0)], [(2, 0), (0, 1)], [(2, 1), (0, 2)]],
+        2: [[(0, 0), (1, 0)], [(0, 1), (1, 1)], [(0, 2), (1, 2)]],
     }
     for i, node in enumerate(nodes):
         heard = [[(env.sender, env.payload) for env in inbox] for inbox in node.behavior.inboxes]
