@@ -61,6 +61,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
         )
 
     order = np.lexsort((trace.robot, trace.tick))
+    _check_tick_grid(trace.tick[order].reshape(T, R), trace.robot[order].reshape(T, R))
     xs = trace.x[order].reshape(T, R)
     ys = trace.y[order].reshape(T, R)
     clock = trace.clock[order].reshape(T, R)[:, 0]
@@ -68,24 +69,18 @@ def compute_metrics(trace: Trace) -> MetricsReport:
 
     mean_dist = _mean_distance_to_centroid(xs, ys)
 
-    dxx = xs[:, :, None] - xs[:, None, :]
-    dyy = ys[:, :, None] - ys[:, None, :]
-    pair = np.hypot(dxx, dyy)
-    eye = np.eye(R, dtype=bool)
-    pair_masked = np.where(eye[None, :, :], np.inf, pair)
-    min_pairwise = pair_masked.min(axis=(1, 2)) if R > 1 else np.full(T, np.inf)
+    # One (T, R, R) array of center distances; a robot is not its own
+    # neighbour, so the diagonal is inf (all of it when R = 1).
+    pair = xs[:, :, None] - xs[:, None, :]
+    np.hypot(pair, ys[:, :, None] - ys[:, None, :], out=pair)
+    pair[:, np.arange(R), np.arange(R)] = np.inf
+    min_pairwise = pair.min(axis=(1, 2))
 
     wall_clear = segment_distances(xs[..., None], ys[..., None], walls).min(axis=2, initial=np.inf)
-    if R > 1:
-        surface = pair_masked - radii[None, None, :]
-        robot_clear = surface.min(axis=2)
-    else:
-        robot_clear = np.full((T, R), np.inf)
+    robot_clear = (pair - radii).min(axis=2)
     clearance = np.minimum(wall_clear, robot_clear)
 
-    sum_radii = radii[:, None] + radii[None, :]
-    overlaps = (pair < sum_radii[None, :, :]) & ~eye[None, :, :]
-    collision_count = int(overlaps.sum()) // 2
+    collision_count = int((pair < radii[:, None] + radii).sum()) // 2
 
     window_length = _window_length(scenario)
     has_opinions = not np.isnan(opinions).all()
@@ -123,6 +118,19 @@ def compute_metrics(trace: Trace) -> MetricsReport:
         opinion_windows=opinion_windows,
         consensus_time=consensus_time,
     )
+
+
+def _check_tick_grid(ticks: np.ndarray, robots: np.ndarray) -> None:
+    """Sorted (T, R) tick and robot cells must hold robots 0..R-1 once per tick."""
+    R = robots.shape[1]
+    bad = (robots != np.arange(R)) | (ticks != ticks[:, :1])
+    bad[1:, 0] |= ticks[1:, 0] <= ticks[:-1, 0]
+    if bad.any():
+        t, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(
+            f"trace rows do not form complete ticks: tick {ticks[t, i]}, robot {robots[t, i]}"
+            f" is out of place; each tick needs one row for each of robots 0..{R - 1}"
+        )
 
 
 def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

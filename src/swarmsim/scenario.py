@@ -110,15 +110,31 @@ _WALK_STREAM = 1
 _VOTER_STREAM = 2
 
 
-_ROBOT_KEYS = {"poses", "layout", "count", "spacing", "headings", "heading_jitter"}
+_TOP_KEYS = {
+    "name", "platform", "arena", "robots", "pattern",
+    "seed", "duration", "dt", "extra_walls", "staleness_limit",
+}
+_ARENA_KEYS = {"width", "height"}
+_PATTERN_KEYS = {"kind", "params"}
+_LAYOUT_KEYS = {"layout", "count", "spacing", "headings", "heading_jitter"}
+
+
+def _known_keys(where: str, mapping, known: set) -> dict:
+    """mapping itself, once every key in it is one of known."""
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where}: {mapping!r} is not a mapping")
+    unknown = mapping.keys() - known
+    if unknown:
+        raise ScenarioError(f"unknown {where} keys: {sorted(unknown, key=str)}")
+    return mapping
 
 
 def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
-    robots = raw.get("robots") or {}
-    unknown = set(robots) - _ROBOT_KEYS
-    if unknown:
-        raise ScenarioError(f"unknown robot keys: {sorted(unknown)}")
+    robots = _known_keys("robot", raw.get("robots") or {}, _LAYOUT_KEYS | {"poses"})
     if "poses" in robots:
+        layout = robots.keys() & _LAYOUT_KEYS
+        if layout:
+            raise ScenarioError(f"robots.poses: layout keys {sorted(layout)} given with the poses")
         poses = [Pose2D(*row) for row in _rows("robots.poses", robots["poses"], 3)]
         if not poses:
             raise ScenarioError("need at least one robot")
@@ -261,12 +277,13 @@ def load_scenario(
         raw = yaml.safe_load(text)
         if not isinstance(raw, dict):
             raise ScenarioError("scenario file must hold a mapping")
+    _known_keys("scenario", raw, _TOP_KEYS)
 
     platform = raw.get("platform")
     if platform not in PLATFORMS:
         raise UnknownPlatformError(f"unknown platform: {platform!r}")
 
-    pattern = raw.get("pattern") or {}
+    pattern = _known_keys("pattern", raw.get("pattern") or {}, _PATTERN_KEYS)
     kind = pattern.get("kind")
     if kind not in PATTERN_KINDS:
         raise ScenarioError(f"unknown pattern kind: {kind!r}")
@@ -280,7 +297,7 @@ def load_scenario(
         raise ScenarioError(f"duration: {use_duration!r} is not a finite number >= 0")
     rng = _rng(use_seed, _SCENARIO_STREAM)
 
-    arena = raw.get("arena") or {}
+    arena = _known_keys("arena", raw.get("arena") or {}, _ARENA_KEYS)
     config = ScenarioConfig(
         name=str(raw.get("name", "scenario")),
         platform=platform,

@@ -13,65 +13,32 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
 
 import numpy as np
 
 HEADER_PREFIX = "# swarmsim-trace v1 "
 
-
-@dataclass(frozen=True)
-class Column:
-    """One trace column: array dtype, text format, and text parser."""
-
-    name: str
-    dtype: type
-    format: Callable[[Any], str]
-    parse: Callable[[str], Any]
-
-
-def _fmt_int(value) -> str:
-    return str(int(value))
-
-
-def _fmt_float(value) -> str:
-    return repr(float(value))
-
-
-def _fmt_opinion(value) -> str:
-    return "" if math.isnan(value) else str(int(value))
-
-
-def _parse_opinion(text: str) -> float:
-    return math.nan if text == "" else float(text)
-
-
-def _int_column(name: str) -> Column:
-    return Column(name, int, _fmt_int, int)
-
-
-def _float_column(name: str) -> Column:
-    return Column(name, float, _fmt_float, float)
-
-
+# (name, dtype, % conversion). Each column is cast to its dtype and turned
+# into Python values, so "%r" is repr(float) and "%d" is str(int).
 SCHEMA = (
-    _int_column("tick"),
-    _int_column("robot"),
-    _float_column("clock"),
-    _float_column("x"),
-    _float_column("y"),
-    _float_column("theta"),
-    _float_column("pattern_linear"),
-    _float_column("pattern_angular"),
-    _float_column("cmd_linear"),
-    _float_column("cmd_angular"),
-    _int_column("suppressed"),
-    # empty for behaviors without an opinion
-    Column("opinion", float, _fmt_opinion, _parse_opinion),
+    ("tick", int, "%d"),
+    ("robot", int, "%d"),
+    ("clock", float, "%r"),
+    ("x", float, "%r"),
+    ("y", float, "%r"),
+    ("theta", float, "%r"),
+    ("pattern_linear", float, "%r"),
+    ("pattern_angular", float, "%r"),
+    ("cmd_linear", float, "%r"),
+    ("cmd_angular", float, "%r"),
+    ("suppressed", int, "%d"),
+    # NaN (written empty) for behaviors without an opinion, else an integer
+    ("opinion", float, "%s"),
 )
-COLUMN_NAMES = tuple(column.name for column in SCHEMA)
+COLUMN_NAMES = tuple(name for name, _, _ in SCHEMA)
+_ROW_FORMAT = ",".join(conversion for _, _, conversion in SCHEMA) + "\n"
+_OPINION = COLUMN_NAMES.index("opinion")
 
 
 class Trace:
@@ -105,26 +72,28 @@ def trace_from_columns(meta: dict, columns) -> Trace:
     """Trace from any object with one sequence attribute per column."""
     return Trace(
         meta,
-        **{c.name: np.asarray(getattr(columns, c.name), dtype=c.dtype) for c in SCHEMA},
+        **{name: np.asarray(getattr(columns, name), dtype=dtype) for name, dtype, _ in SCHEMA},
     )
 
 
 def write_trace(trace: Trace, path: str | Path) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    formats = [c.format for c in SCHEMA]
+    # tolist() gives Python scalars: "%r" of a numpy float prints np.float64(...)
+    columns = [np.asarray(getattr(trace, name), dtype=dtype).tolist() for name, dtype, _ in SCHEMA]
+    columns[_OPINION] = ["" if math.isnan(v) else int(v) for v in columns[_OPINION]]
     with path.open("w") as fh:
         fh.write(HEADER_PREFIX + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
         fh.write("\n" + ",".join(COLUMN_NAMES) + "\n")
-        for row in zip(*(getattr(trace, name) for name in COLUMN_NAMES)):
-            fh.write(",".join([fmt(value) for fmt, value in zip(formats, row)]) + "\n")
+        fh.writelines(_ROW_FORMAT % row for row in zip(*columns))
     return path
 
 
 def read_trace(path: str | Path) -> Trace:
     path = Path(path)
     width = len(SCHEMA)
-    raw: list[list[str]] = [[] for _ in SCHEMA]
+    columns = [[] for _ in SCHEMA]
+    parsers = [(column.append, dtype) for column, (_, dtype, _) in zip(columns, SCHEMA)]
     with path.open() as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(HEADER_PREFIX):
@@ -139,13 +108,15 @@ def read_trace(path: str | Path) -> Trace:
                 continue
             parts = line.split(",")
             if len(parts) != width:
-                raise ValueError(
-                    f"{path}, line {lineno}: {len(parts)} fields, expected {width}"
-                )
-            for cells, part in zip(raw, parts):
-                cells.append(part)
-    columns = {}
-    for column, cells in zip(SCHEMA, raw):
-        columns[column.name] = np.array([column.parse(v) for v in cells], dtype=column.dtype)
-        cells.clear()  # free each column's text once it is parsed
-    return Trace(meta, **columns)
+                raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, expected {width}")
+            parts[_OPINION] = parts[_OPINION] or "nan"
+            try:
+                for (append, parse), part in zip(parsers, parts):
+                    append(parse(part))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from None
+    arrays = {}
+    for (name, dtype, _), values in zip(SCHEMA, columns):
+        arrays[name] = np.array(values, dtype=dtype)
+        values.clear()  # free each column's Python values once it is an array
+    return Trace(meta, **arrays)

@@ -3,9 +3,11 @@
 These deliberately avoid the closed-form solutions used by the simulator:
 pose integration is checked against a classical RK4 integrator run at a
 fine substep, and ray casting against a brute-force marching sampler.
-``potential_field_reference`` and ``segment_distances_reference`` are the
-exceptions: they are the plain forms of ``potential_field`` and
-``segment_distances``, kept to check the fast ones bit for bit.
+``potential_field_reference``, ``segment_distances_reference``,
+``trace_rows_reference`` and ``pair_metrics_reference`` are the exceptions:
+they are the plain forms of ``potential_field``, ``segment_distances``, the
+trace writer's rows and the metrics' pairwise terms, kept to check the fast
+ones bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from swarmsim.core import REPULSIVE, ZERO_VECTOR, Vector2
 from swarmsim.sim import rect_walls, wall_clearance
+from swarmsim.trace import COLUMN_NAMES
 
 
 def rk4_pose(x, y, theta, v, w, dt, substeps: int = 1000):
@@ -74,6 +77,42 @@ def segment_distances_reference(px, py, walls):
         s = ((px - ax) * ex + (py - ay) * ey) / L2
     s = np.clip(np.where(L2 > 0, s, 0.0), 0.0, 1.0)
     return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
+
+
+def trace_rows_reference(trace) -> str:
+    """The data rows of a trace file, formatted one cell at a time:
+    repr(float(v)), str(int(v)), and "" or str(int(v)) for the opinion."""
+    int_columns = {"tick", "robot", "suppressed"}
+
+    def cell(name, value):
+        if name == "opinion":
+            return "" if math.isnan(value) else str(int(value))
+        return str(int(value)) if name in int_columns else repr(float(value))
+
+    columns = [getattr(trace, name) for name in COLUMN_NAMES]
+    return "".join(
+        ",".join(cell(name, value) for name, value in zip(COLUMN_NAMES, row)) + "\n"
+        for row in zip(*columns)
+    )
+
+
+def pair_metrics_reference(xs, ys, radii):
+    """Minimum pairwise distance per tick, the robot-surface clearance per
+    (tick, robot) and the collision count, from (T, R) positions, with the
+    self pairs masked by an identity matrix and R = 1 handled apart."""
+    T, R = xs.shape
+    pair = np.hypot(xs[:, :, None] - xs[:, None, :], ys[:, :, None] - ys[:, None, :])
+    eye = np.eye(R, dtype=bool)
+    pair_masked = np.where(eye[None, :, :], np.inf, pair)
+    if R > 1:
+        min_pairwise = pair_masked.min(axis=(1, 2))
+        robot_clear = (pair_masked - radii[None, None, :]).min(axis=2)
+    else:
+        min_pairwise = np.full(T, np.inf)
+        robot_clear = np.full((T, R), np.inf)
+    sum_radii = radii[:, None] + radii[None, :]
+    overlaps = (pair < sum_radii[None, :, :]) & ~eye[None, :, :]
+    return min_pairwise, robot_clear, int(overlaps.sum()) // 2
 
 
 def marching_raycast(origin, heading, beam_count, walls, circles, step=1e-3, cap=12.0):

@@ -5,10 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import pair_metrics_reference, trace_rows_reference
 from swarmsim import compute_metrics, load_scenario, read_trace, run, write_trace
 from swarmsim.metrics import write_metrics_json, write_series_csv
-from swarmsim.trace import COLUMN_NAMES, Trace
+from swarmsim.trace import COLUMN_NAMES, SCHEMA, Trace
 
 
 def meta_for(robot_count, dt=0.1, radius=0.15, walls=None, window_length=None):
@@ -111,6 +114,69 @@ def test_incomplete_tick_rows_rejected():
         compute_metrics(trace)
 
 
+def _robot_nine_in_seven(trace):
+    trace.robot[7 + 6] = 9
+
+
+def _robot_one_twice_at_tick_one(trace):
+    trace.robot[2] = 1
+
+
+def _tick_one_twice(trace):
+    trace.tick[7:14] = 1
+
+
+@pytest.mark.parametrize(
+    "damage, where",
+    [
+        (_robot_nine_in_seven, "tick 2, robot 9"),
+        (_robot_one_twice_at_tick_one, "tick 1, robot 1"),
+        (_tick_one_twice, "tick 1, robot 0"),
+    ],
+    ids=["unknown-robot", "duplicate-robot-row", "duplicate-tick"],
+)
+def test_malformed_tick_grid_rejected_naming_tick_and_robot(damage, where):
+    trace = make_trace([[[float(i), 0.0] for i in range(7)]] * 3)
+    damage(trace)
+    with pytest.raises(ValueError, match=where):
+        compute_metrics(trace)
+
+
+_GRID = st.integers(0, 4).map(lambda k: 0.1 * k)  # coincident and overlapping bodies
+
+
+@st.composite
+def _pair_scenes(draw):
+    robots = draw(st.integers(1, 5))
+    ticks = draw(st.integers(1, 3))
+    cells = st.one_of(_GRID, st.floats(-1.0, 1.0))
+    row = st.lists(st.tuples(cells, cells), min_size=robots, max_size=robots)
+    positions = draw(st.lists(row, min_size=ticks, max_size=ticks))
+    radius = st.sampled_from([0.05, 0.1, 0.15, 0.25])
+    radii = draw(st.lists(radius, min_size=robots, max_size=robots))
+    return positions, radii
+
+
+@given(_pair_scenes())
+def test_pair_terms_match_the_masked_reference(scene):
+    positions, radii = scene
+    trace = make_trace(positions)
+    trace.meta["scenario"]["radii"] = radii
+    report = compute_metrics(trace)
+    pos = np.asarray(positions, dtype=float)
+    min_pairwise, robot_clear, collisions = pair_metrics_reference(
+        pos[:, :, 0], pos[:, :, 1], np.asarray(radii)
+    )
+    assert list(map(float.hex, report.min_pairwise_distance.tolist())) == list(
+        map(float.hex, min_pairwise.tolist())
+    )
+    # no walls, so the clearance is the robot-surface term alone
+    assert list(map(float.hex, report.clearance.ravel().tolist())) == list(
+        map(float.hex, robot_clear.ravel().tolist())
+    )
+    assert report.collision_count == collisions
+
+
 # ------------------------------------------------------------------- opinions
 
 
@@ -188,6 +254,55 @@ def test_read_trace_rejects_rows_of_the_wrong_width(tmp_path, damage):
     path.write_text("".join(lines))
     with pytest.raises(ValueError, match=r"t\.csv, line 5: "):
         read_trace(path)
+
+
+def test_read_trace_names_the_line_of_a_bad_cell(tmp_path):
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2)
+    path = write_trace(trace, tmp_path / "t.csv")
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[4].split(",")
+    cells[COLUMN_NAMES.index("x")] = "one"
+    lines[4] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match=r"t\.csv, line 5: "):
+        read_trace(path)
+
+
+_INT64 = st.integers(-(2**63), 2**63 - 1)
+_EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300]
+_FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_OPINIONS = st.one_of(st.just(math.nan), st.integers(-(2**62), 2**62).map(float))
+
+
+@st.composite
+def _trace_columns(draw):
+    """Columns of n rows; a float column may come as an int array."""
+    n = draw(st.integers(0, 6))
+    columns = {}
+    for name, dtype, _ in SCHEMA:
+        if name == "opinion":
+            cells, as_dtype = _OPINIONS, float
+        elif dtype is int or draw(st.booleans()):
+            cells, as_dtype = _INT64, np.int64
+        else:
+            cells, as_dtype = _FLOATS, float
+        columns[name] = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=as_dtype)
+    return columns
+
+
+@given(_trace_columns())
+def test_write_trace_matches_per_cell_formatting_and_reads_back(tmp_path_factory, columns):
+    trace = Trace(meta_for(1), **columns)
+    path = write_trace(trace, tmp_path_factory.getbasetemp() / "cells.csv")
+    assert path.read_text().split("\n", 2)[2] == trace_rows_reference(trace)
+    back = read_trace(path)
+    for name, dtype, _ in SCHEMA:
+        read = getattr(back, name).tolist()
+        if dtype is int:
+            assert read == columns[name].tolist(), name
+        else:
+            wrote = columns[name].astype(float).tolist()
+            assert list(map(float.hex, read)) == list(map(float.hex, wrote)), name
 
 
 def test_trace_rejects_ragged_columns():

@@ -372,6 +372,11 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         ({"extra_walls": [[0, 1, 2, math.inf]]}, "extra_walls"),
         ({"robots": {"poses": [[0, 0]]}}, "robots.poses"),
         ({"robots": {"poses": [[0, 0, math.nan]]}}, "robots.poses: [0, 0, nan]"),
+        ({"duraton": 5}, "duraton"),
+        ({"arena": {"widht": 10}}, "widht"),
+        ({"arena": [10, 10]}, "arena"),
+        ({"pattern": {"kind": "drive", "parms": {"linear": 0.2}}}, "parms"),
+        ({"robots": {"poses": [[0, 0, 0], [1, 0, 0]], "count": 5}}, "count"),
     ],
     ids=[
         "fractional-seed",
@@ -389,6 +394,11 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         "infinite-wall-row",
         "short-pose-row",
         "nan-pose-row",
+        "misspelt-top-level-key",
+        "misspelt-arena-key",
+        "arena-not-a-mapping",
+        "misspelt-pattern-key",
+        "layout-key-beside-poses",
     ],
 )
 def test_bad_top_level_value_names_the_key(overrides, key):
