@@ -192,14 +192,16 @@ def write_series_csv(report: MetricsReport, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["clock", "mean_distance_to_centroid", "min_pairwise_distance"]
     header += [f"clearance_r{rid}" for rid in report.robot_ids]
-    lines = [",".join(header)]
-    for t in range(report.tick_count):
-        row = [
-            repr(float(report.clock[t])),
-            repr(float(report.mean_distance_to_centroid[t])),
-            repr(float(report.min_pairwise_distance[t])),
-        ]
-        row += [repr(float(v)) for v in report.clearance[t]]
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    stacked = np.column_stack((
+        report.clock,
+        report.mean_distance_to_centroid,
+        report.min_pairwise_distance,
+        report.clearance,
+    ))
+    # tolist() gives Python floats: "%r" of a numpy float prints np.float64(...)
+    rows = stacked.astype(float, copy=False).tolist()
+    row_format = ",".join(["%r"] * len(header)) + "\n"
+    with path.open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows)
     return path

@@ -1,67 +1,19 @@
 from .base import Inbox, Pattern, TickResult
-from .combined import (
-    DISCUSS_ONLY,
-    DISPERSE_AND_DISCUSS,
-    DiscussedDispersionPattern,
-    DiscussedDispersionState,
-    discussed_dispersion_step,
-)
-from .movement import (
-    AttractionConfig,
-    DispersionConfig,
-    DriveConfig,
-    FlockingConfig,
-    MovementPattern,
-    RandomWalkConfig,
-    RandomWalkPattern,
-    WalkState,
-    attraction_field,
-    attraction_step,
-    dispersion_field,
-    dispersion_step,
-    drive_step,
-    flocking_step,
-    init_walk_state,
-    random_walk_step,
-)
-from .voting import (
-    MAJORITY,
-    VOTER,
-    VotingPattern,
-    VotingState,
-    close_window,
-    ingest,
-)
+from .combined import DiscussedDispersion
+from .movement import Attraction, Dispersion, Drive, Flocking, RandomWalk
+from .voting import Majority, Voter, Voting
 
 __all__ = [
-    "AttractionConfig",
-    "DISCUSS_ONLY",
-    "DISPERSE_AND_DISCUSS",
-    "DiscussedDispersionPattern",
-    "DiscussedDispersionState",
-    "DispersionConfig",
-    "DriveConfig",
-    "FlockingConfig",
+    "Attraction",
+    "DiscussedDispersion",
+    "Dispersion",
+    "Drive",
+    "Flocking",
     "Inbox",
-    "MAJORITY",
-    "MovementPattern",
+    "Majority",
     "Pattern",
-    "RandomWalkConfig",
-    "RandomWalkPattern",
+    "RandomWalk",
     "TickResult",
-    "VOTER",
-    "VotingPattern",
-    "VotingState",
-    "WalkState",
-    "attraction_field",
-    "attraction_step",
-    "close_window",
-    "discussed_dispersion_step",
-    "dispersion_field",
-    "dispersion_step",
-    "drive_step",
-    "flocking_step",
-    "ingest",
-    "init_walk_state",
-    "random_walk_step",
+    "Voter",
+    "Voting",
 ]

@@ -1,11 +1,12 @@
 """Behavior protocol.
 
-A pattern is ticked once per control period with the freshest scan and the
-votes drained from its mailbox. Movement patterns return a drive command
-every tick, or a field request that the simulator resolves on the scan;
-voting patterns return only the opinions to publish, which the simulator
-wraps as vote envelopes. Combined behaviors (see combined.py)
-sequence their parts inside one tick themselves.
+A pattern is one object per robot, holding its parameters and its state,
+and its tick is called once per control period with the freshest scan and
+the votes drained from its mailbox. Movement patterns return a drive
+command every tick, or a field request that the simulator resolves on the
+scan; voting patterns return only the opinions to publish, which the
+simulator wraps as vote envelopes. The combined pattern (see combined.py)
+votes and then moves inside one tick.
 """
 
 from __future__ import annotations

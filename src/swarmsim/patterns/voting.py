@@ -1,9 +1,10 @@
 """Opinion dynamics over tumbling time windows.
 
-Every robot buffers the opinions heard during the current window. When the
-clock crosses the window boundary it applies its decision rule (majority or
-voter), adopts the result, publishes it, and starts the next window with an
-empty buffer. Window k covers [k*L, (k+1)*L).
+Every robot keeps the latest opinion heard from each sender during the
+current window. When the clock crosses the window boundary it applies its
+decision rule (Majority or Voter, the subclass), adopts the result,
+publishes it, and starts the next window with nothing heard. Window k
+covers [k*L, (k+1)*L).
 """
 
 from __future__ import annotations
@@ -13,30 +14,30 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..bus import Envelope
 from .base import Pattern, TickResult
-
-MAJORITY = "majority"
-VOTER = "voter"
 
 
 @dataclass
-class VotingState:
+class Voting(Pattern):
+    """Routes heard opinions into windows by stamp and closes windows as the
+    clock crosses their boundaries. Publishes the initial opinion on the
+    first tick so window zero sees every robot."""
+
     robot_id: int
     own_opinion: int
     window_length: float
-    rule: str = MAJORITY
-    window_index: int = 0
-    buffer: list[Envelope] = field(default_factory=list)
-    rng: np.random.Generator | None = None
+    window_index: int = field(default=0, init=False)
+    # sender -> latest opinion heard from it in the current window
+    heard: dict[int, int] = field(default_factory=dict, init=False)
+    announced: bool = field(default=False, init=False)
 
     def __post_init__(self):
         if self.window_length <= 0:
             raise ValueError("window_length must be positive")
-        if self.rule not in (MAJORITY, VOTER):
-            raise ValueError(f"unknown voting rule: {self.rule!r}")
-        if self.rule == VOTER and self.rng is None:
-            raise ValueError("voter rule needs an rng")
+
+    @property
+    def opinion(self) -> int | None:
+        return self.own_opinion
 
     @property
     def window_start(self) -> float:
@@ -46,91 +47,59 @@ class VotingState:
     def window_end(self) -> float:
         return (self.window_index + 1) * self.window_length
 
+    def decide(self) -> int:
+        """The opinion to adopt when the current window closes."""
+        raise NotImplementedError
 
-def ingest(state: VotingState, vote: Envelope) -> VotingState:
-    """Buffer one heard vote. Its stamp must fall in the current window."""
-    return _ingest(state, vote, state.window_start, state.window_end)
-
-
-def _ingest(state: VotingState, vote: Envelope, start: float, end: float) -> VotingState:
-    """ingest, given the current window's bounds."""
-    if not (start <= vote.stamp < end):
-        raise ValueError(f"stamp {vote.stamp} outside window [{start}, {end})")
-    state.buffer.append(vote)
-    return state
-
-
-def _majority_opinion(state: VotingState) -> int:
-    # Latest message per sender wins; the robot's own slot is always its
-    # current opinion, so the result is insensitive to hearing oneself.
-    votes: dict[int, int] = {}
-    for vote in state.buffer:
-        votes[vote.sender] = vote.payload
-    votes[state.robot_id] = state.own_opinion
-    counts = Counter(votes.values())
-    top = max(counts.values())
-    tied = sorted(op for op, n in counts.items() if n == top)
-    if state.own_opinion in tied:
-        return state.own_opinion
-    return tied[0]
-
-
-def _voter_opinion(state: VotingState) -> int:
-    last: dict[int, int] = {}
-    for vote in state.buffer:
-        if vote.sender != state.robot_id:
-            last[vote.sender] = vote.payload
-    if not last:
-        return state.own_opinion
-    senders = sorted(last)
-    pick = senders[int(state.rng.integers(len(senders)))]
-    return last[pick]
-
-
-def close_window(state: VotingState) -> tuple[VotingState, int]:
-    """Apply the rule, adopt the result, advance the window, clear the buffer.
-
-    Returns the state and the new opinion, to publish.
-    """
-    if state.rule == MAJORITY:
-        new_opinion = _majority_opinion(state)
-    else:
-        new_opinion = _voter_opinion(state)
-    state.own_opinion = new_opinion
-    state.window_index += 1
-    state.buffer.clear()
-    return state, new_opinion
-
-
-class VotingPattern(Pattern):
-    """Scheduler adapter: routes heard opinions into windows by stamp and
-    closes windows as the clock crosses their boundaries. Publishes the
-    initial opinion on the first tick so window zero sees every robot."""
-
-    def __init__(self, state: VotingState):
-        self.state = state
-        self._announced = False
-
-    @property
-    def opinion(self) -> int | None:
-        return self.state.own_opinion
+    def close_window(self) -> int:
+        """Apply the rule, adopt the result, advance the window, forget what
+        was heard. Returns the new opinion, to publish."""
+        self.own_opinion = self.decide()
+        self.window_index += 1
+        self.heard.clear()
+        return self.own_opinion
 
     def tick(self, scan, now, dt, inbox) -> TickResult:
-        state = self.state
         out: list[int] = []
-        if not self._announced:
-            out.append(state.own_opinion)
-            self._announced = True
+        if not self.announced:
+            out.append(self.own_opinion)
+            self.announced = True
         # The window's bounds change only when it closes.
-        start, end = state.window_start, state.window_end
+        start, end = self.window_start, self.window_end
         for vote in inbox:
             while vote.stamp >= end:
-                _, opinion = close_window(state)
-                out.append(opinion)
-                start, end = state.window_start, state.window_end
-            _ingest(state, vote, start, end)
+                out.append(self.close_window())
+                start, end = self.window_start, self.window_end
+            if not (start <= vote.stamp < end):
+                raise ValueError(f"stamp {vote.stamp} outside window [{start}, {end})")
+            self.heard[vote.sender] = vote.payload
         while now >= end:
-            _, opinion = close_window(state)
-            out.append(opinion)
-            end = state.window_end
+            out.append(self.close_window())
+            end = self.window_end
         return TickResult(None, out)
+
+
+@dataclass
+class Majority(Voting):
+    def decide(self) -> int:
+        # The robot's own slot is always its current opinion, so the result
+        # is insensitive to hearing oneself.
+        counts = Counter({**self.heard, self.robot_id: self.own_opinion}.values())
+        top = max(counts.values())
+        tied = sorted(op for op, n in counts.items() if n == top)
+        if self.own_opinion in tied:
+            return self.own_opinion
+        return tied[0]
+
+
+@dataclass
+class Voter(Voting):
+    """Adopt the opinion of one sender heard this window, drawn uniformly."""
+
+    rng: np.random.Generator
+
+    def decide(self) -> int:
+        senders = sorted(s for s in self.heard if s != self.robot_id)
+        if not senders:
+            return self.own_opinion
+        return self.heard[senders[int(self.rng.integers(len(senders)))]]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -21,36 +20,39 @@ import yaml
 
 from .core import Pose2D
 from .metrics import MetricsReport, compute_metrics, write_metrics_json, write_series_csv
-from .patterns.base import Pattern
-from .patterns.combined import (
-    DEFAULT_DECISION_DURATION,
-    DiscussedDispersionPattern,
-    DiscussedDispersionState,
+from .patterns import (
+    Attraction,
+    DiscussedDispersion,
+    Dispersion,
+    Drive,
+    Flocking,
+    Majority,
+    Pattern,
+    RandomWalk,
+    Voter,
 )
-from .patterns.movement import (
-    AttractionConfig,
-    DispersionConfig,
-    DriveConfig,
-    FlockingConfig,
-    MovementPattern,
-    RandomWalkConfig,
-    RandomWalkPattern,
-    attraction_field,
-    dispersion_field,
-    drive_step,
-    flocking_step,
-)
-from .patterns.voting import MAJORITY, VOTER, VotingPattern, VotingState
 from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
 from .protection import DEFAULT_STALENESS_LIMIT, ProtectionState
 from .sim import RobotNode, Simulation, WorldState, rect_walls, wall_clearance
 from .trace import Trace, trace_from_columns, write_trace
 
-MOVEMENT_KINDS = ("attraction", "dispersion", "drive", "random_walk", "flocking")
-VOTING_KINDS = (MAJORITY, VOTER)
-PATTERN_KINDS = MOVEMENT_KINDS + VOTING_KINDS + ("discussed_dispersion",)
+# kind -> the behavior class whose init fields, less the ones
+# _build_behavior sets, are that kind's scenario parameters.
+BEHAVIORS: dict[str, type[Pattern]] = {
+    "attraction": Attraction,
+    "dispersion": Dispersion,
+    "drive": Drive,
+    "random_walk": RandomWalk,
+    "flocking": Flocking,
+    "majority": Majority,
+    "voter": Voter,
+    "discussed_dispersion": DiscussedDispersion,
+}
+PATTERN_KINDS = tuple(BEHAVIORS)
+VOTING_KINDS = ("majority", "voter", "discussed_dispersion")
 
 DEFAULT_WINDOW_LENGTH = 1.0
+DEFAULT_DECISION_DURATION = 20.0
 
 
 class ScenarioError(ValueError):
@@ -174,6 +176,9 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
 
 
 def _number(key: str, value) -> float:
+    # YAML reads true/yes/on as a bool, which float() would take for 1.0.
+    if isinstance(value, bool):
+        raise ScenarioError(f"{key}: {value!r} is not a number")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -181,7 +186,7 @@ def _number(key: str, value) -> float:
 
 
 def _whole_number(key: str, value) -> int:
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)  # exact: a float round trip rounds integers above 2**53
     number = _number(key, value)
     if not number.is_integer():
@@ -217,7 +222,7 @@ def _whole_numbers(key: str, values) -> list[int]:
 def _resolve_opinions(
     kind: str, params: dict, count: int, rng: np.random.Generator
 ) -> list[int] | None:
-    if kind not in VOTING_KINDS and kind != "discussed_dispersion":
+    if kind not in VOTING_KINDS:
         return None
     raw = params.pop("opinions", "random")
     if kind == "discussed_dispersion":
@@ -237,7 +242,7 @@ def _resolve_opinions(
 def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
     params = dict(PATTERN_DEFAULTS.get(platform, {}).get(kind, {}))
     params.update(overrides or {})
-    if kind in VOTING_KINDS or kind == "discussed_dispersion":
+    if kind in VOTING_KINDS:
         params.setdefault("window_length", DEFAULT_WINDOW_LENGTH)
     if kind == "discussed_dispersion":
         params.setdefault("decision_duration", DEFAULT_DECISION_DURATION)
@@ -358,12 +363,8 @@ def validate_scenario(config: ScenarioConfig) -> None:
             )
         if any(dist <= spec.range_min for dist in mapping.values()):
             raise ScenarioError("mapped distances must exceed the sensor floor")
-    # A movement kind's config dataclass is its parameter list, so building
-    # one behavior rejects unknown keys and out-of-range values; the voting
-    # kinds list their keys in _VOTING_PARAMS.
-    unknown = params.keys() - _VOTING_PARAMS.get(kind, params.keys())
-    if unknown:
-        raise ScenarioError(f"unknown {kind} parameters: {sorted(unknown)}")
+    # Building one behavior rejects unknown keys, builder and run-time
+    # fields among the parameters, and out-of-range values.
     try:
         _build_behavior(config, 0)
     except (TypeError, ValueError) as exc:
@@ -376,53 +377,18 @@ def validate_scenario(config: ScenarioConfig) -> None:
             raise ScenarioError("flocking bands must fit inside the sensor window")
 
 
-# The voting states also hold run-time fields (window index, buffer,
-# phase), so the scenario parameters of the voting kinds are listed here.
-_VOTING_PARAMS = {
-    MAJORITY: {"window_length"},
-    VOTER: {"window_length"},
-    "discussed_dispersion": {"window_length", "decision_duration", "mapping"},
-}
-
-_FIELDS = {
-    "attraction": (AttractionConfig, attraction_field),
-    "dispersion": (DispersionConfig, dispersion_field),
-}
-
-
 def _build_behavior(config: ScenarioConfig, robot: int) -> Pattern:
-    limits = config.spec.limits()
     kind = config.pattern
-    p = config.pattern_params
-    if kind == "flocking":
-        return MovementPattern(partial(flocking_step, cfg=FlockingConfig(**p, limits=limits)))
-    if kind in _FIELDS:
-        config_class, field_request = _FIELDS[kind]
-        request = field_request(config_class(**p, limits=limits))
-        return MovementPattern(lambda scan: request)
-    if kind == "drive":
-        command = drive_step(DriveConfig(**p, limits=limits))
-        return MovementPattern(lambda scan: command)
+    builder = {}
+    if kind not in ("majority", "voter"):
+        builder["limits"] = config.spec.limits()
     if kind == "random_walk":
-        cfg = RandomWalkConfig(**p, limits=limits)
-        return RandomWalkPattern(cfg, _rng(config.seed, _WALK_STREAM, robot))
-    opinion = config.initial_opinions[robot]
-    voting = VotingState(
-        robot,
-        opinion,
-        p["window_length"],
-        rule=MAJORITY if kind == "discussed_dispersion" else kind,
-        rng=_rng(config.seed, _VOTER_STREAM, robot) if kind == VOTER else None,
-    )
+        builder["rng"] = _rng(config.seed, _WALK_STREAM, robot)
+    if kind == "voter":
+        builder["rng"] = _rng(config.seed, _VOTER_STREAM, robot)
     if kind in VOTING_KINDS:
-        return VotingPattern(voting)
-    state = DiscussedDispersionState(
-        voting=voting,
-        dispersion=DispersionConfig(p["mapping"][opinion], limits),
-        mapping=dict(p["mapping"]),
-        decision_duration=p["decision_duration"],
-    )
-    return DiscussedDispersionPattern(state)
+        builder.update(robot_id=robot, own_opinion=config.initial_opinions[robot])
+    return BEHAVIORS[kind](**config.pattern_params, **builder)
 
 
 def build_simulation(config: ScenarioConfig) -> Simulation:

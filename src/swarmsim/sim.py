@@ -7,9 +7,10 @@ carries a planar range sensor simulated by exact ray casting. A tick has
 four phases:
 
 1. Sense: every robot's scan in one raycast pass, as one (R, B) block.
-2. Behave, in index order: tick each behavior on its scan and the votes
-   heard since its last tick, and publish its votes. A field behavior
-   returns a field request in place of a command.
+2. Behave, in index order: tick each robot's behavior, one object holding
+   its pattern's parameters and state (see patterns), on its scan and the
+   votes heard since its last tick, and publish its votes. A field
+   behavior returns a field request in place of a command.
 3. Decide, as one array job: the protection check (a masked min over the
    block) and every potential field of the tick, requested or avoidance.
 4. Move, in index order: arbitrate, move with wall contact; then append

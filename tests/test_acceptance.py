@@ -29,7 +29,7 @@ from swarmsim import (
 )
 from swarmsim.core import Pose2D
 from swarmsim.bus import Envelope, VOTE_TOPIC
-from swarmsim.patterns import VotingState, close_window
+from swarmsim.patterns import Majority
 from swarmsim.protection import avoidance_command, note_command
 from swarmsim.sim import field_pass
 from oracles import marching_raycast, random_scene, rk4_pose
@@ -228,19 +228,21 @@ def test_criterion_5_oracle_equivalence():
     for _ in range(1000):
         self_id = int(rng.integers(0, 8))
         own = int(rng.integers(0, 5))
-        state = VotingState(robot_id=self_id, own_opinion=own, window_length=1.0)
+        state = Majority(robot_id=self_id, own_opinion=own, window_length=1.0)
         last: dict[int, int] = {}
+        inbox = []
         for _ in range(int(rng.integers(0, 12))):
             sender = int(rng.integers(0, 8))
             opinion = int(rng.integers(0, 5))
-            state.buffer.append(Envelope(VOTE_TOPIC, opinion, sender, 0.0))
+            inbox.append(Envelope(VOTE_TOPIC, opinion, sender, 0.0))
             last[sender] = opinion
+        state.tick(None, 0.0, 0.1, inbox)
         last[self_id] = own
         counts = Counter(last.values())
         top = max(counts.values())
         tied = sorted(op for op, c in counts.items() if c == top)
         expected = own if own in tied else tied[0]
-        _, result = close_window(state)
+        result = state.close_window()
         majority_exact += result == expected
     majority_ok = majority_exact == 1000
 
@@ -290,7 +292,8 @@ def test_criterion_7a_windows_partition_time(stamp, length):
     base = int(stamp // length)
     hits = []
     for k in range(max(0, base - 2), base + 3):
-        state = VotingState(robot_id=0, own_opinion=0, window_length=length, window_index=k)
+        state = Majority(robot_id=0, own_opinion=0, window_length=length)
+        state.window_index = k
         if state.window_start <= stamp < state.window_end:
             hits.append(k)
     assert len(hits) == 1, f"stamp {stamp} lies in windows {hits} for length {length}"

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from swarmsim import compute_metrics, from_meta, read_trace, run, write_trace
+from swarmsim import build_simulation, compute_metrics, from_meta, read_trace, run, write_trace
 from swarmsim.metrics import write_metrics_json, write_series_csv
 from swarmsim.scenario import PATTERN_KINDS
+from swarmsim.trace import trace_from_columns
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = sorted(GOLDEN_DIR.glob("*/trace.csv"))
@@ -32,6 +33,29 @@ def test_golden_trace_reads_back_to_the_committed_files(path, tmp_path):
     write_series_csv(report, tmp_path / "series.csv")
     for name in ("trace.csv", "metrics.json", "series.csv"):
         assert (tmp_path / name).read_bytes() == (path.parent / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
+def test_golden_run_with_instance_wrapped_ticks_is_byte_identical(path, tmp_path):
+    """A profiler may replace behavior.tick on each built behavior with a
+    pass-through, as the benchmark's tracer does; that changes no byte."""
+    config = from_meta(read_trace(path).meta)
+    sim = build_simulation(config)
+    calls = []
+
+    def passthrough(tick):
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            return tick(*args, **kwargs)
+
+        return wrapped
+
+    for node in sim.nodes:
+        node.behavior.tick = passthrough(node.behavior.tick)
+    sim.run(config.tick_count())
+    write_trace(trace_from_columns(sim.meta, sim.columns), tmp_path / "trace.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == path.read_bytes()
+    assert len(calls) == config.tick_count() * len(sim.nodes)
 
 
 def test_every_pattern_kind_has_a_golden():

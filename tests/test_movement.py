@@ -9,21 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from swarmsim.core import DriveCommand, DriveLimits
-from swarmsim.patterns import (
-    AttractionConfig,
-    DispersionConfig,
-    DriveConfig,
-    FlockingConfig,
-    RandomWalkConfig,
-    WalkState,
-    attraction_step,
-    dispersion_step,
-    drive_step,
-    flocking_step,
-    init_walk_state,
-    random_walk_step,
-)
+from swarmsim.core import DriveCommand, DriveLimits, FieldRequest
+from swarmsim.patterns import Attraction, Dispersion, Drive, Flocking, RandomWalk
 from swarmsim.patterns.movement import DRIVE_MODE, TURN_MODE
 
 from conftest import make_scan, scans
@@ -31,37 +18,43 @@ from conftest import make_scan, scans
 LIMITS = DriveLimits(max_linear=0.26, max_angular=1.82)
 
 
+def command(pattern, scan=None) -> DriveCommand:
+    """What one tick of pattern drives on scan, a field request resolved on it."""
+    out = pattern.tick(scan, 0.0, 0.1, []).command
+    return out.command(scan) if isinstance(out, FieldRequest) else out
+
+
 # -- attraction / dispersion ---------------------------------------------------
 
 
 def test_attraction_empty_scan_waits():
-    cfg = AttractionConfig(attraction_range=2.0, limits=LIMITS)
-    assert attraction_step(make_scan(), cfg) == DriveCommand(0.0, 0.0)
+    pattern = Attraction(attraction_range=2.0, limits=LIMITS)
+    assert command(pattern, make_scan()) == DriveCommand(0.0, 0.0)
 
 
 def test_attraction_drives_at_obstacle_ahead():
-    cfg = AttractionConfig(attraction_range=2.0, limits=LIMITS)
-    cmd = attraction_step(make_scan({0: 1.0}), cfg)
+    pattern = Attraction(attraction_range=2.0, limits=LIMITS)
+    cmd = command(pattern, make_scan({0: 1.0}))
     assert cmd.linear > 0
     assert cmd.angular == pytest.approx(0.0, abs=1e-12)
 
 
 def test_dispersion_obstacle_ahead_turns_away_saturated():
-    cfg = DispersionConfig(dispersion_range=1.0, limits=LIMITS)
-    cmd = dispersion_step(make_scan({0: 0.5}), cfg)
+    pattern = Dispersion(dispersion_range=1.0, limits=LIMITS)
+    cmd = command(pattern, make_scan({0: 0.5}))
     assert cmd.linear == 0.0
     assert abs(cmd.angular) == pytest.approx(LIMITS.max_angular)
 
 
 def test_dispersion_symmetric_sides_cancel():
-    cfg = DispersionConfig(dispersion_range=2.0, limits=LIMITS)
-    cmd = dispersion_step(make_scan({90: 1.0, 270: 1.0}), cfg)
+    pattern = Dispersion(dispersion_range=2.0, limits=LIMITS)
+    cmd = command(pattern, make_scan({90: 1.0, 270: 1.0}))
     assert cmd.angular == pytest.approx(0.0, abs=1e-9)
 
 
 def test_dispersion_equilibrium_is_rest():
-    cfg = DispersionConfig(dispersion_range=1.0, limits=LIMITS)
-    assert dispersion_step(make_scan({0: 1.5}), cfg) == DriveCommand(0.0, 0.0)
+    pattern = Dispersion(dispersion_range=1.0, limits=LIMITS)
+    assert command(pattern, make_scan({0: 1.5})) == DriveCommand(0.0, 0.0)
 
 
 @given(scans())
@@ -71,8 +64,8 @@ def test_attraction_dispersion_steer_in_opposite_directions(scan):
     The magnitudes differ in general (the heading error shifts by pi, it
     does not flip sign), so only the rotation direction is antisymmetric.
     """
-    att = attraction_step(scan, AttractionConfig(2.0, LIMITS))
-    dis = dispersion_step(scan, DispersionConfig(2.0, LIMITS))
+    att = command(Attraction(2.0, LIMITS), scan)
+    dis = command(Dispersion(2.0, LIMITS), scan)
     if att.angular != 0.0 and dis.angular != 0.0:
         assert (att.angular > 0) == (dis.angular < 0)
 
@@ -81,24 +74,24 @@ def test_attraction_dispersion_steer_in_opposite_directions(scan):
 
 
 def test_drive_constant_command():
-    cfg = DriveConfig(linear=0.15, limits=LIMITS)
-    assert drive_step(cfg) == DriveCommand(0.15, 0.0)
+    pattern = Drive(linear=0.15, limits=LIMITS)
+    assert command(pattern) == DriveCommand(0.15, 0.0)
 
 
 def test_drive_rejects_nonpositive_speed():
     with pytest.raises(ValueError):
-        DriveConfig(linear=0.0, limits=LIMITS)
+        Drive(linear=0.0, limits=LIMITS)
 
 
 def test_drive_clamped_by_limits():
-    cfg = DriveConfig(linear=5.0, limits=LIMITS)
-    assert drive_step(cfg) == DriveCommand(0.26, 0.0)
+    pattern = Drive(linear=5.0, limits=LIMITS)
+    assert command(pattern) == DriveCommand(0.26, 0.0)
 
 
 # -- random walk -----------------------------------------------------------------
 
 
-WALK_CFG = RandomWalkConfig(
+WALK_PARAMS = dict(
     linear=0.2,
     angular=1.0,
     drive_duration=(0.5, 2.0),
@@ -107,45 +100,52 @@ WALK_CFG = RandomWalkConfig(
 )
 
 
+def walk(mode: str, remaining: float, seed: int, turn_left: bool = True, **params) -> RandomWalk:
+    """A walk in the given mode with remaining seconds left, drawing from
+    default_rng(seed) from here on."""
+    pattern = RandomWalk(**(WALK_PARAMS | params), rng=np.random.default_rng(seed))
+    pattern.rng = np.random.default_rng(seed)
+    pattern.mode, pattern.remaining, pattern.turn_left = mode, remaining, turn_left
+    return pattern
+
+
 def test_walk_countdown_keeps_driving():
-    state = WalkState(DRIVE_MODE, 1.0)
-    new, cmd = random_walk_step(state, 0.1, np.random.default_rng(0), WALK_CFG)
-    assert new.mode == DRIVE_MODE
-    assert new.remaining == pytest.approx(0.9)
+    pattern = walk(DRIVE_MODE, 1.0, seed=0)
+    cmd = command(pattern)
+    assert pattern.mode == DRIVE_MODE
+    assert pattern.remaining == pytest.approx(0.9)
     assert cmd == DriveCommand(0.2, 0.0)
 
 
 def test_walk_expiry_enters_turn_with_sampled_fields():
-    state = WalkState(DRIVE_MODE, 0.05)
-    new, cmd = random_walk_step(state, 0.1, np.random.default_rng(0), WALK_CFG)
-    assert new.mode == TURN_MODE
-    assert 0.5 / 1.0 <= new.remaining <= math.pi / 1.0
+    pattern = walk(DRIVE_MODE, 0.05, seed=0)
+    cmd = command(pattern)
+    assert pattern.mode == TURN_MODE
+    assert 0.5 / 1.0 <= pattern.remaining <= math.pi / 1.0
     assert cmd.linear == 0.0
     assert abs(cmd.angular) == pytest.approx(1.0)
 
 
 def test_walk_turn_expiry_samples_drive_duration():
-    state = WalkState(TURN_MODE, 0.0, turn_left=False)
-    new, cmd = random_walk_step(state, 0.1, np.random.default_rng(1), WALK_CFG)
-    assert new.mode == DRIVE_MODE
-    assert 0.5 <= new.remaining <= 2.0
+    pattern = walk(TURN_MODE, 0.0, seed=1, turn_left=False)
+    cmd = command(pattern)
+    assert pattern.mode == DRIVE_MODE
+    assert 0.5 <= pattern.remaining <= 2.0
     assert cmd == DriveCommand(0.2, 0.0)
 
 
 def test_walk_command_matches_post_toggle_mode():
-    state = WalkState(DRIVE_MODE, 0.01)
-    _, cmd = random_walk_step(state, 0.1, np.random.default_rng(2), WALK_CFG)
+    cmd = command(walk(DRIVE_MODE, 0.01, seed=2))
     assert cmd.linear == 0.0 and cmd.angular != 0.0
 
 
 def test_walk_deterministic_under_fixed_seed():
     def trajectory(seed):
-        rng = np.random.default_rng(seed)
-        state = init_walk_state(rng, WALK_CFG)
+        pattern = RandomWalk(**WALK_PARAMS, rng=np.random.default_rng(seed))
         out = []
         for _ in range(200):
-            state, cmd = random_walk_step(state, 0.1, rng, WALK_CFG)
-            out.append((state.mode, round(state.remaining, 12), cmd.linear, cmd.angular))
+            cmd = command(pattern)
+            out.append((pattern.mode, round(pattern.remaining, 12), cmd.linear, cmd.angular))
         return out
 
     assert trajectory(7) == trajectory(7)
@@ -153,23 +153,21 @@ def test_walk_deterministic_under_fixed_seed():
 
 
 def test_walk_curved_turns_keep_linear():
-    cfg = RandomWalkConfig(
-        linear=0.2,
-        angular=1.0,
+    pattern = walk(
+        TURN_MODE,
+        0.5,
+        seed=0,
         drive_duration=(1.0, 1.0),
         turn_angle=(1.0, 1.0),
-        limits=LIMITS,
         curved_turns=True,
     )
-    state = WalkState(TURN_MODE, 0.5, turn_left=True)
-    _, cmd = random_walk_step(state, 0.1, np.random.default_rng(0), cfg)
-    assert cmd == DriveCommand(0.2, 1.0)
+    assert command(pattern) == DriveCommand(0.2, 1.0)
 
 
 # -- flocking --------------------------------------------------------------------
 
 
-FLOCK_CFG = FlockingConfig(
+FLOCK = Flocking(
     r_near=0.5,
     r_far=1.2,
     linear=0.2,
@@ -180,38 +178,38 @@ FLOCK_CFG = FlockingConfig(
 
 
 def test_flocking_isolated_flies_straight():
-    assert flocking_step(make_scan(), FLOCK_CFG) == DriveCommand(0.2, 0.0)
+    assert command(FLOCK, make_scan()) == DriveCommand(0.2, 0.0)
 
 
 def test_flocking_near_neighbor_left_turns_right():
-    cmd = flocking_step(make_scan({90: 0.3}), FLOCK_CFG)
+    cmd = command(FLOCK, make_scan({90: 0.3}))
     assert cmd == DriveCommand(0.1, -1.0)
 
 
 def test_flocking_near_neighbor_right_turns_left():
-    cmd = flocking_step(make_scan({270: 0.3}), FLOCK_CFG)
+    cmd = command(FLOCK, make_scan({270: 0.3}))
     assert cmd == DriveCommand(0.1, 1.0)
 
 
 def test_flocking_cohesion_zone_left_turns_left():
-    cmd = flocking_step(make_scan({90: 0.9}), FLOCK_CFG)
+    cmd = command(FLOCK, make_scan({90: 0.9}))
     assert cmd == DriveCommand(0.1, 1.0)
 
 
 def test_flocking_cohesion_both_sides_goes_straight():
-    cmd = flocking_step(make_scan({90: 0.9, 270: 0.8}), FLOCK_CFG)
+    cmd = command(FLOCK, make_scan({90: 0.9, 270: 0.8}))
     assert cmd == DriveCommand(0.2, 0.0)
 
 
 def test_flocking_front_sector_not_cohesive():
     # reading dead ahead is in the front sector, not left/right
-    cmd = flocking_step(make_scan({0: 0.9}), FLOCK_CFG)
+    cmd = command(FLOCK, make_scan({0: 0.9}))
     assert cmd == DriveCommand(0.2, 0.0)
 
 
 def test_flocking_sector_partition_enforced():
     with pytest.raises(ValueError):
-        FlockingConfig(
+        Flocking(
             r_near=0.5,
             r_far=1.2,
             linear=0.2,
@@ -224,20 +222,19 @@ def test_flocking_sector_partition_enforced():
 
 @given(scans())
 def test_flocking_exactly_one_rule_fires(scan):
-    cfg = FLOCK_CFG
-    cmd = flocking_step(scan, cfg)
-    turning = (cfg.limits.clamp(cfg.linear_turning, cfg.angular),
-               cfg.limits.clamp(cfg.linear_turning, -cfg.angular))
-    straight = cfg.limits.clamp(cfg.linear, 0.0)
+    cmd = command(FLOCK, scan)
+    turning = (LIMITS.clamp(FLOCK.linear_turning, FLOCK.angular),
+               LIMITS.clamp(FLOCK.linear_turning, -FLOCK.angular))
+    straight = LIMITS.clamp(FLOCK.linear, 0.0)
     assert cmd in turning or cmd == straight
 
 
 @given(scans())
 def test_movement_commands_always_within_limits(scan):
     for cmd in (
-        attraction_step(scan, AttractionConfig(2.0, LIMITS)),
-        dispersion_step(scan, DispersionConfig(1.0, LIMITS)),
-        flocking_step(scan, FLOCK_CFG),
+        command(Attraction(2.0, LIMITS), scan),
+        command(Dispersion(1.0, LIMITS), scan),
+        command(FLOCK, scan),
     ):
         assert 0.0 <= cmd.linear <= LIMITS.max_linear + 1e-12
         assert abs(cmd.angular) <= LIMITS.max_angular + 1e-12

@@ -1,5 +1,6 @@
 """Scenario loading, validation, and round-trip tests."""
 
+import dataclasses
 import math
 import re
 
@@ -206,6 +207,7 @@ def test_opinion_outside_mapping_domain():
         ("flocking", {"front_half_width": 1.0}, "partition the full circle"),
         ("attraction", {"attraction_rnge": 2.0}, "attraction_rnge"),
         ("majority", {"window_lenght": 1.0}, "window_lenght"),
+        ("majority", {"rule": "voter"}, "'rule'"),
         ("discussed_dispersion", {"mapping": {0: 1.0}, "opinion_choices": [0]}, "opinion_choices"),
     ],
     ids=[
@@ -218,6 +220,7 @@ def test_opinion_outside_mapping_domain():
         "flocking-half-widths",
         "misspelt-movement-key",
         "misspelt-voting-key",
+        "voting-rule-as-parameter",
         "choices-for-mapped-opinions",
     ],
 )
@@ -266,9 +269,52 @@ def test_non_finite_or_empty_pattern_param_names_the_key(kind, params, key):
 def test_flocking_half_widths_take_effect():
     half_widths = {"front_half_width": math.pi / 2, "back_half_width": 0.0}
     cfg = load_scenario(scenario_dict(pattern={"kind": "flocking", "params": half_widths}))
-    flocking = build_simulation(cfg).nodes[0].behavior.command.keywords["cfg"]
+    flocking = build_simulation(cfg).nodes[0].behavior
     assert (flocking.front_half_width, flocking.back_half_width) == (math.pi / 2, 0.0)
     assert flocking.left_half_width == flocking.right_half_width == math.pi / 4
+
+
+# The keys each kind accepts; opinions and opinion_choices are resolved
+# before the behavior is built.
+KIND_KEYS = {
+    "attraction": {"attraction_range"},
+    "dispersion": {"dispersion_range"},
+    "drive": {"linear"},
+    "random_walk": {"linear", "angular", "drive_duration", "turn_angle", "curved_turns"},
+    "flocking": {
+        "r_near",
+        "r_far",
+        "linear",
+        "linear_turning",
+        "angular",
+        "front_half_width",
+        "left_half_width",
+        "back_half_width",
+        "right_half_width",
+    },
+    "majority": {"window_length"},
+    "voter": {"window_length"},
+    "discussed_dispersion": {"window_length", "decision_duration", "mapping"},
+}
+BUILDER_FIELDS = ("limits", "rng", "robot_id", "own_opinion")
+RUN_TIME_FIELDS = ("window_index", "heard", "announced", "mode", "remaining", "turn_left")
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_pattern_parameters_are_the_behavior_fields_less_the_builder_fields(kind):
+    cfg = load_scenario(kind_scenario(kind))
+    behavior = type(build_simulation(cfg).nodes[0].behavior)
+    init_fields = {f.name for f in dataclasses.fields(behavior) if f.init}
+    assert init_fields - set(BUILDER_FIELDS) == KIND_KEYS[kind]
+
+
+@pytest.mark.parametrize("key", BUILDER_FIELDS + RUN_TIME_FIELDS)
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_builder_or_run_time_field_as_parameter_fails_at_load(kind, key):
+    params = {**KIND_PARAMS.get(kind, {}), key: 1.0}
+    with pytest.raises(ScenarioError, match=kind) as info:
+        load_scenario(scenario_dict(pattern={"kind": kind, "params": params}))
+    assert repr(key) in str(info.value)
 
 
 def test_opinion_count_mismatch():
@@ -377,6 +423,19 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         ({"arena": [10, 10]}, "arena"),
         ({"pattern": {"kind": "drive", "parms": {"linear": 0.2}}}, "parms"),
         ({"robots": {"poses": [[0, 0, 0], [1, 0, 0]], "count": 5}}, "count"),
+        ({"robots": {"layout": "line", "count": True}}, "robots.count: True"),
+        ({"seed": True}, "seed: True"),
+        ({"dt": True}, "dt: True"),
+        ({"robots": {"poses": [[0, 0, True]]}}, "robots.poses"),
+        (
+            {"pattern": {"kind": "majority", "params": {"opinions": [True, False]}}},
+            "opinions: True",
+        ),
+        (
+            {"pattern": {"kind": "discussed_dispersion", "params": {"mapping": {True: 1.0}}}},
+            "mapping: True",
+        ),
+        ({"arena": {"width": True, "height": 10.0}}, "arena.width: True"),
     ],
     ids=[
         "fractional-seed",
@@ -399,11 +458,30 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         "arena-not-a-mapping",
         "misspelt-pattern-key",
         "layout-key-beside-poses",
+        "boolean-count",
+        "boolean-seed",
+        "boolean-dt",
+        "boolean-in-pose-row",
+        "boolean-opinions",
+        "boolean-mapped-opinion",
+        "boolean-width",
     ],
 )
 def test_bad_top_level_value_names_the_key(overrides, key):
     with pytest.raises(ScenarioError, match=re.escape(key)):
         load_scenario(scenario_dict(**overrides))
+
+
+@pytest.mark.parametrize("text", ["count: true", "count: yes", "count: on"])
+def test_yaml_boolean_count_fails_at_load(tmp_path, text):
+    path = tmp_path / "bool.yaml"
+    path.write_text(
+        "platform: turtlebot3_waffle_pi\n"
+        "pattern: {kind: attraction}\n"
+        f"robots: {{layout: line, {text}}}\n"
+    )
+    with pytest.raises(ScenarioError, match="robots.count: True is not a number"):
+        load_scenario(path)
 
 
 def test_large_int_seed_stays_exact():

@@ -10,14 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from swarmsim.bus import Envelope, VOTE_TOPIC
-from swarmsim.patterns import (
-    MAJORITY,
-    VOTER,
-    VotingPattern,
-    VotingState,
-    close_window,
-    ingest,
-)
+from swarmsim.patterns import Majority, Voter
 
 
 def vote(sender: int, opinion: int, stamp: float) -> Envelope:
@@ -25,17 +18,17 @@ def vote(sender: int, opinion: int, stamp: float) -> Envelope:
 
 
 def majority_state(own=0, robot_id=0, window=1.0):
-    return VotingState(robot_id=robot_id, own_opinion=own, window_length=window)
+    return Majority(robot_id=robot_id, own_opinion=own, window_length=window)
 
 
 def voter_state(own=0, robot_id=0, seed=0):
-    return VotingState(
-        robot_id=robot_id,
-        own_opinion=own,
-        window_length=1.0,
-        rule=VOTER,
-        rng=np.random.default_rng(seed),
-    )
+    rng = np.random.default_rng(seed)
+    return Voter(robot_id=robot_id, own_opinion=own, window_length=1.0, rng=rng)
+
+
+def ingest(state, *votes):
+    """Deliver votes in one tick at the start of the current window."""
+    state.tick(None, state.window_start, 0.1, list(votes))
 
 
 def brute_force_majority(own: int, votes: dict[int, int], self_id: int) -> int:
@@ -56,26 +49,30 @@ def brute_force_majority(own: int, votes: dict[int, int], self_id: int) -> int:
 def test_ingest_appends():
     state = majority_state()
     ingest(state, vote(1, 2, 0.5))
-    assert len(state.buffer) == 1
+    assert state.heard == {1: 2}
 
 
-def test_ingest_duplicate_sender_keeps_both():
+def test_ingest_duplicate_sender_keeps_the_latest():
     state = majority_state()
     ingest(state, vote(1, 2, 0.1))
     ingest(state, vote(1, 3, 0.2))
-    assert [m.payload for m in state.buffer] == [2, 3]
+    assert state.heard == {1: 3}
 
 
 def test_ingest_own_message_accepted():
     state = majority_state(robot_id=0)
     ingest(state, vote(0, 0, 0.0))
-    assert len(state.buffer) == 1
+    assert state.heard == {0: 0}
 
 
 def test_ingest_stamp_at_window_end_rejected():
-    state = majority_state(window=1.0)
-    with pytest.raises(ValueError):
-        ingest(state, vote(1, 2, 1.0))
+    # A stamp at the window's end is never heard in that window: the window
+    # closes first, with nothing heard, and the vote lands in the next one.
+    state = majority_state(own=0, window=1.0)
+    result = state.tick(None, 0.5, 0.1, [vote(1, 2, 1.0), vote(2, 2, 1.0)])
+    assert result.messages == [0, 0]
+    assert state.window_index == 1
+    assert state.heard == {1: 2, 2: 2}
 
 
 def test_ingest_stamp_before_window_rejected():
@@ -94,14 +91,14 @@ def test_majority_worked_example():
     for sender, op in [(1, 1), (2, 1), (3, 2), (4, 1), (5, 0), (6, 1)]:
         ingest(state, vote(sender, op, 0.1))
     ingest(state, vote(0, 0, 0.1))
-    state, opinion = close_window(state)
+    opinion = state.close_window()
     assert state.own_opinion == 1
     assert opinion == 1
 
 
 def test_majority_empty_buffer_keeps_own():
     state = majority_state(own=5)
-    state, opinion = close_window(state)
+    opinion = state.close_window()
     assert state.own_opinion == 5
     assert opinion == 5
 
@@ -109,7 +106,7 @@ def test_majority_empty_buffer_keeps_own():
 def test_majority_tie_keeps_own_when_among_maxima():
     state = majority_state(own=2, robot_id=0)
     ingest(state, vote(1, 1, 0.0))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 2
 
 
@@ -117,7 +114,7 @@ def test_majority_tie_without_own_picks_smallest():
     state = majority_state(own=9, robot_id=0)
     for sender, op in [(1, 3), (2, 3), (3, 1), (4, 1)]:
         ingest(state, vote(sender, op, 0.0))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 1
 
 
@@ -128,7 +125,7 @@ def test_majority_latest_message_per_sender_wins():
     ingest(state, vote(1, 2, 0.5))
     ingest(state, vote(2, 2, 0.5))
     ingest(state, vote(3, 2, 0.5))
-    state, _ = close_window(state)
+    state.close_window()
     # sender 1 counts once, with its latest opinion 2
     assert state.own_opinion == 2
 
@@ -136,16 +133,16 @@ def test_majority_latest_message_per_sender_wins():
 def test_majority_own_slot_overrides_stale_self_message():
     state = majority_state(own=4, robot_id=0)
     ingest(state, vote(0, 1, 0.0))  # stale echo of an old self opinion
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 4
 
 
 def test_close_window_advances_and_clears():
     state = majority_state()
     ingest(state, vote(1, 1, 0.3))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.window_index == 1
-    assert state.buffer == []
+    assert state.heard == {}
     assert state.window_start == pytest.approx(1.0)
     assert state.window_end == pytest.approx(2.0)
 
@@ -162,7 +159,7 @@ def test_majority_matches_counting_oracle(own, messages):
     for sender, op in messages:
         ingest(state, vote(sender, op, 0.0))
         last[sender] = op
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == brute_force_majority(own, last, 0)
 
 
@@ -171,7 +168,7 @@ def test_close_window_result_came_from_buffer_or_own(own, messages):
     state = majority_state(own=own, robot_id=0)
     for sender, op in messages:
         ingest(state, vote(sender, op, 0.0))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion in {op for _, op in messages} | {own}
 
 
@@ -181,7 +178,7 @@ def test_close_window_result_came_from_buffer_or_own(own, messages):
 def test_voter_single_sender_is_only_choice():
     state = voter_state(own=0)
     ingest(state, vote(1, 2, 0.0))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 2
 
 
@@ -189,13 +186,13 @@ def test_voter_excludes_self():
     state = voter_state(own=0, robot_id=0)
     ingest(state, vote(0, 7, 0.0))
     ingest(state, vote(1, 3, 0.0))
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 3
 
 
 def test_voter_empty_buffer_keeps_own():
     state = voter_state(own=4)
-    state, _ = close_window(state)
+    state.close_window()
     assert state.own_opinion == 4
 
 
@@ -205,7 +202,7 @@ def test_voter_uniform_over_distinct_senders():
         state = voter_state(own=0, seed=seed)
         ingest(state, vote(1, 1, 0.0))
         ingest(state, vote(2, 2, 0.0))
-        state, _ = close_window(state)
+        state.close_window()
         picks[state.own_opinion] += 1
     assert picks[1] + picks[2] == 400
     assert 120 <= picks[1] <= 280
@@ -232,7 +229,7 @@ def test_every_stamp_lands_in_exactly_one_window(stamps):
 
 
 def test_pattern_announces_initial_opinion_once():
-    pattern = VotingPattern(majority_state(own=3, robot_id=0))
+    pattern = majority_state(own=3, robot_id=0)
     first = pattern.tick(None, 0.0, 0.1, [])
     assert first.command is None
     assert first.messages == [3]
@@ -241,24 +238,24 @@ def test_pattern_announces_initial_opinion_once():
 
 
 def test_pattern_closes_window_on_clock_crossing():
-    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    pattern = majority_state(own=0, robot_id=0)
     pattern.tick(None, 0.0, 0.1, [vote(1, 1, 0.0), vote(2, 1, 0.0)])
     result = pattern.tick(None, 1.0, 0.1, [])
-    assert pattern.state.own_opinion == 1
+    assert pattern.own_opinion == 1
     assert 1 in result.messages
 
 
 def test_pattern_routes_messages_to_windows_by_stamp():
-    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    pattern = majority_state(own=0, robot_id=0)
     # both messages arrive in one tick but belong to different windows
     inbox = [vote(1, 1, 0.9), vote(2, 2, 1.0)]
     pattern.tick(None, 0.9, 0.1, inbox)
     # the stamp-1.0 message must not have influenced window zero
-    assert [m.payload for m in pattern.state.buffer] == [2]
+    assert pattern.heard == {2: 2}
 
 
 def test_pattern_rejects_a_vote_from_a_closed_window():
-    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    pattern = majority_state(own=0, robot_id=0)
     pattern.tick(None, 2.5, 0.1, [])
     with pytest.raises(ValueError, match=r"stamp 0.5 outside window \[2.0, 3.0\)"):
         pattern.tick(None, 2.6, 0.1, [vote(1, 1, 0.5)])
@@ -267,6 +264,6 @@ def test_pattern_rejects_a_vote_from_a_closed_window():
 def test_pattern_rejects_a_late_vote_after_closing_a_window_in_the_same_tick():
     # The stamp-1.0 vote closes window zero, so the bounds move to [1.0, 2.0)
     # before the stamp-0.5 vote is checked.
-    pattern = VotingPattern(majority_state(own=0, robot_id=0))
+    pattern = majority_state(own=0, robot_id=0)
     with pytest.raises(ValueError, match=r"stamp 0.5 outside window \[1.0, 2.0\)"):
         pattern.tick(None, 0.9, 0.1, [vote(1, 1, 1.0), vote(2, 1, 0.5)])
