@@ -3,6 +3,10 @@
 Series are aligned with recorded ticks (one entry per tick). Clearance uses
 the same convention as the range sensor: distance from a robot's center to
 the nearest obstacle surface (wall segment, or another body's circle).
+
+Memory stays O(rows) plus one block: the pairwise and wall terms are
+computed over blocks of ticks holding at most BLOCK_CELLS (tick, robot,
+robot or wall) cells, and the series file is written in blocks of rows.
 """
 
 from __future__ import annotations
@@ -16,7 +20,11 @@ from pathlib import Path
 import numpy as np
 
 from .core import segment_distances
-from .trace import Trace
+from .trace import Trace, block_rows
+
+# Pair and wall distance cells held at a time: a block of b ticks holds the
+# (b, R, R) robot distances and the (b, R, S) wall distances.
+BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -69,18 +77,26 @@ def compute_metrics(trace: Trace) -> MetricsReport:
 
     mean_dist = _mean_distance_to_centroid(xs, ys)
 
-    # One (T, R, R) array of center distances; a robot is not its own
-    # neighbour, so the diagonal is inf (all of it when R = 1).
-    pair = xs[:, :, None] - xs[:, None, :]
-    np.hypot(pair, ys[:, :, None] - ys[:, None, :], out=pair)
-    pair[:, np.arange(R), np.arange(R)] = np.inf
-    min_pairwise = pair.min(axis=(1, 2))
-
-    wall_clear = segment_distances(xs[..., None], ys[..., None], walls).min(axis=2, initial=np.inf)
-    robot_clear = (pair - radii).min(axis=2)
-    clearance = np.minimum(wall_clear, robot_clear)
-
-    collision_count = int((pair < radii[:, None] + radii).sum()) // 2
+    min_pairwise = np.empty(T)
+    clearance = np.empty((T, R))
+    collisions = 0
+    diagonal = np.arange(R)
+    contact = radii[:, None] + radii
+    step = max(1, BLOCK_CELLS // (R * (R + len(walls))))
+    for start in range(0, T, step):
+        ticks = slice(start, start + step)
+        bx, by = xs[ticks], ys[ticks]
+        # (b, R, R) center distances; a robot is not its own neighbour, so
+        # the diagonal is inf (all of it when R = 1).
+        pair = bx[:, :, None] - bx[:, None, :]
+        np.hypot(pair, by[:, :, None] - by[:, None, :], out=pair)
+        pair[:, diagonal, diagonal] = np.inf
+        min_pairwise[ticks] = pair.min(axis=(1, 2))
+        collisions += int(np.count_nonzero(pair < contact))
+        pair -= radii  # now the distance to each neighbour's surface
+        wall_clear = segment_distances(bx[..., None], by[..., None], walls)
+        np.minimum(wall_clear.min(axis=2, initial=np.inf), pair.min(axis=2), out=clearance[ticks])
+    collision_count = collisions // 2
 
     window_length = _window_length(scenario)
     has_opinions = not np.isnan(opinions).all()
@@ -192,16 +208,19 @@ def write_series_csv(report: MetricsReport, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["clock", "mean_distance_to_centroid", "min_pairwise_distance"]
     header += [f"clearance_r{rid}" for rid in report.robot_ids]
-    stacked = np.column_stack((
-        report.clock,
-        report.mean_distance_to_centroid,
-        report.min_pairwise_distance,
-        report.clearance,
-    ))
-    # tolist() gives Python floats: "%r" of a numpy float prints np.float64(...)
-    rows = stacked.astype(float, copy=False).tolist()
     row_format = ",".join(["%r"] * len(header)) + "\n"
+    step = block_rows(len(header))
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % tuple(row) for row in rows)
+        for start in range(0, report.tick_count, step):
+            ticks = slice(start, start + step)
+            stacked = np.column_stack((
+                report.clock[ticks],
+                report.mean_distance_to_centroid[ticks],
+                report.min_pairwise_distance[ticks],
+                report.clearance[ticks],
+            ))
+            # tolist() gives Python floats: "%r" of a numpy float prints np.float64(...)
+            rows = stacked.astype(float, copy=False).tolist()
+            fh.writelines(row_format % tuple(row) for row in rows)
     return path

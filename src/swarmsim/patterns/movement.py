@@ -111,6 +111,9 @@ class RandomWalk(Pattern):
         lo, hi = self.turn_angle
         if not (0 < lo <= hi):
             raise ValueError("bad turn_angle bounds")
+        # YAML reads "false" (quoted) as a string, which a truth test takes for True.
+        if not isinstance(self.curved_turns, bool):
+            raise ValueError(f"curved_turns: {self.curved_turns!r} is not a boolean")
         self.remaining = float(self.rng.uniform(*self.drive_duration))
 
     def tick(self, scan, now, dt, inbox) -> TickResult:

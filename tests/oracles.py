@@ -96,10 +96,12 @@ def trace_rows_reference(trace) -> str:
     )
 
 
-def pair_metrics_reference(xs, ys, radii):
-    """Minimum pairwise distance per tick, the robot-surface clearance per
-    (tick, robot) and the collision count, from (T, R) positions, with the
-    self pairs masked by an identity matrix and R = 1 handled apart."""
+def pair_metrics_reference(xs, ys, radii, walls=np.empty((0, 4))):
+    """Minimum pairwise distance per tick, the clearance per (tick, robot)
+    and the collision count, from (T, R) positions, as one (T, R, R) array
+    with the self pairs masked by an identity matrix and R = 1 handled
+    apart; the clearance is the nearer of the robot-surface term and the
+    (T, R, S) wall term."""
     T, R = xs.shape
     pair = np.hypot(xs[:, :, None] - xs[:, None, :], ys[:, :, None] - ys[:, None, :])
     eye = np.eye(R, dtype=bool)
@@ -110,9 +112,12 @@ def pair_metrics_reference(xs, ys, radii):
     else:
         min_pairwise = np.full(T, np.inf)
         robot_clear = np.full((T, R), np.inf)
+    wall_clear = np.full((T, R), np.inf)
+    if len(walls):
+        wall_clear = segment_distances_reference(xs[..., None], ys[..., None], walls).min(axis=2)
     sum_radii = radii[:, None] + radii[None, :]
     overlaps = (pair < sum_radii[None, :, :]) & ~eye[None, :, :]
-    return min_pairwise, robot_clear, int(overlaps.sum()) // 2
+    return min_pairwise, np.minimum(wall_clear, robot_clear), int(overlaps.sum()) // 2
 
 
 def marching_raycast(origin, heading, beam_count, walls, circles, step=1e-3, cap=12.0):

@@ -9,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import pair_metrics_reference, trace_rows_reference
+import swarmsim.metrics as metrics_module
+import swarmsim.trace as trace_module
 from swarmsim import compute_metrics, load_scenario, read_trace, run, write_trace
-from swarmsim.metrics import write_metrics_json, write_series_csv
+from swarmsim.metrics import MetricsReport, write_metrics_json, write_series_csv
 from swarmsim.trace import COLUMN_NAMES, SCHEMA, Trace
 
 
@@ -147,33 +149,46 @@ _GRID = st.integers(0, 4).map(lambda k: 0.1 * k)  # coincident and overlapping b
 
 @st.composite
 def _pair_scenes(draw):
-    robots = draw(st.integers(1, 5))
-    ticks = draw(st.integers(1, 3))
+    robots = draw(st.integers(1, 6))
+    ticks = draw(st.integers(1, 7))
     cells = st.one_of(_GRID, st.floats(-1.0, 1.0))
     row = st.lists(st.tuples(cells, cells), min_size=robots, max_size=robots)
     positions = draw(st.lists(row, min_size=ticks, max_size=ticks))
     radius = st.sampled_from([0.05, 0.1, 0.15, 0.25])
     radii = draw(st.lists(radius, min_size=robots, max_size=robots))
-    return positions, radii
+    # interior walls, a zero-length one among them when both ends coincide
+    wall = st.tuples(cells, cells, cells, cells)
+    walls = draw(st.lists(wall, max_size=2))
+    # 0 gives one tick per block; above ticks, the whole trace is one block
+    ticks_per_block = draw(st.integers(0, ticks + 1))
+    return positions, radii, walls, ticks_per_block
 
 
 @given(_pair_scenes())
 def test_pair_terms_match_the_masked_reference(scene):
-    positions, radii = scene
-    trace = make_trace(positions)
-    trace.meta["scenario"]["radii"] = radii
-    report = compute_metrics(trace)
+    """Blocks of one tick, several ticks with or without a remainder, or the
+    whole trace give the bits of the one-array reference."""
+    positions, radii, walls, ticks_per_block = scene
     pos = np.asarray(positions, dtype=float)
-    min_pairwise, robot_clear, collisions = pair_metrics_reference(
-        pos[:, :, 0], pos[:, :, 1], np.asarray(radii)
+    _, robots, _ = pos.shape
+    trace = make_trace(positions, walls=walls)
+    trace.meta["scenario"]["radii"] = radii
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics_module, "BLOCK_CELLS", ticks_per_block * robots * (robots + len(walls)))
+        report = compute_metrics(trace)
+    xs, ys = pos[:, :, 0], pos[:, :, 1]
+    min_pairwise, clearance, collisions = pair_metrics_reference(
+        xs, ys, np.asarray(radii), np.asarray(walls, dtype=float).reshape(-1, 4)
     )
-    assert list(map(float.hex, report.min_pairwise_distance.tolist())) == list(
-        map(float.hex, min_pairwise.tolist())
-    )
-    # no walls, so the clearance is the robot-surface term alone
-    assert list(map(float.hex, report.clearance.ravel().tolist())) == list(
-        map(float.hex, robot_clear.ravel().tolist())
-    )
+    centroid = np.hypot(xs - xs.mean(axis=1, keepdims=True), ys - ys.mean(axis=1, keepdims=True))
+    for got, want in [
+        (report.min_pairwise_distance, min_pairwise),
+        (report.clearance, clearance),
+        (report.mean_distance_to_centroid, centroid.mean(axis=1)),
+    ]:
+        assert list(map(float.hex, got.ravel().tolist())) == list(
+            map(float.hex, want.ravel().tolist())
+        )
     assert report.collision_count == collisions
 
 
@@ -303,6 +318,114 @@ def test_write_trace_matches_per_cell_formatting_and_reads_back(tmp_path_factory
         else:
             wrote = columns[name].astype(float).tolist()
             assert list(map(float.hex, read)) == list(map(float.hex, wrote)), name
+
+
+# Row counts around the block size b: rows = multiple * b + offset.
+_BOUNDARY_ROWS = pytest.mark.parametrize(
+    "multiple, offset",
+    [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, 1)],
+    ids=["empty", "one-row", "block-1", "block", "block+1", "two-blocks+1"],
+)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """Files written and read in blocks of 4 trace rows."""
+    monkeypatch.setattr(trace_module, "BLOCK_CELLS", 4 * len(SCHEMA))
+
+
+def _random_trace(rows):
+    rng = np.random.default_rng(rows)
+    columns = {
+        name: rng.integers(-5, 5, rows) if dtype is int else rng.normal(size=rows)
+        for name, dtype, _ in SCHEMA
+    }
+    columns["opinion"] = np.where(rng.random(rows) < 0.5, np.nan, rng.integers(0, 3, rows))
+    return Trace(meta_for(1), **columns)
+
+
+def _assert_same_columns(back, trace):
+    for name, dtype, _ in SCHEMA:
+        read, wrote = getattr(back, name), getattr(trace, name)
+        assert read.dtype == np.dtype(dtype), name
+        if dtype is int:
+            assert read.tolist() == wrote.tolist(), name
+        else:
+            assert list(map(float.hex, read.tolist())) == list(map(float.hex, wrote.tolist())), name
+
+
+@_BOUNDARY_ROWS
+@pytest.mark.filterwarnings("error")
+def test_trace_at_block_boundaries_matches_per_cell_formatting(
+    small_blocks, tmp_path, multiple, offset
+):
+    rows = multiple * trace_module.block_rows(len(SCHEMA)) + offset
+    trace = _random_trace(rows)
+    path = write_trace(trace, tmp_path / "t.csv")
+    assert path.read_text().split("\n", 2)[2] == trace_rows_reference(trace)
+    back = read_trace(path)
+    assert len(back.tick) == rows
+    _assert_same_columns(back, trace)
+
+
+@_BOUNDARY_ROWS
+def test_series_at_block_boundaries_matches_per_row_repr(small_blocks, tmp_path, multiple, offset):
+    robots = 2
+    rows = multiple * trace_module.block_rows(3 + robots) + offset
+    rng = np.random.default_rng(rows)
+    clearance = rng.normal(size=(rows, robots))
+    clearance[::3, 1] = np.inf
+    report = MetricsReport(
+        robot_ids=list(range(robots)),
+        clock=np.arange(rows) * 0.1,
+        mean_distance_to_centroid=rng.normal(size=rows),
+        min_pairwise_distance=rng.normal(size=rows),
+        clearance=clearance,
+        collision_count=0,
+        opinion_windows=None,
+        consensus_time=None,
+    )
+    path = write_series_csv(report, tmp_path / "series.csv")
+    cells = np.column_stack((
+        report.clock, report.mean_distance_to_centroid, report.min_pairwise_distance, clearance
+    ))
+    want = "".join(",".join(map(repr, row)) + "\n" for row in cells.tolist())
+    assert path.read_text().split("\n", 1)[1] == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_blank_lines_only_read_as_an_empty_trace(small_blocks, tmp_path):
+    path = write_trace(_random_trace(0), tmp_path / "t.csv")
+    path.write_text(path.read_text() + "\n" * 9)
+    _assert_same_columns(read_trace(path), _random_trace(0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_blank_lines_are_skipped_and_counted_across_blocks(small_blocks, tmp_path):
+    trace = _random_trace(9)
+    path = write_trace(trace, tmp_path / "t.csv")
+    header, names, *rows = path.read_text().splitlines(keepends=True)
+    # a block of blank lines alone, then blank lines inside and across blocks
+    blank = ["\n"]
+    lines = [header, names, *blank * 4, *rows[:3], *blank, *rows[3:6], *blank * 2, *rows[6:]]
+    lines += blank
+    path.write_text("".join(lines))
+    _assert_same_columns(read_trace(path), trace)
+
+    lineno = len(lines) - 1  # the last row, after every blank line
+    cells = lines[lineno - 1].split(",")
+    cells[COLUMN_NAMES.index("x")] = "one"
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == f"{path}, line {lineno}: could not convert string to float: 'one'"
+
+    lines[lineno - 1] = ",".join(cells[1:])
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == f"{path}, line {lineno}: 11 fields, expected 12"
 
 
 def test_trace_rejects_ragged_columns():

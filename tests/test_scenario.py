@@ -484,6 +484,25 @@ def test_yaml_boolean_count_fails_at_load(tmp_path, text):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("text", ['"false"', "0", "1", "null", "[true]"])
+def test_non_boolean_curved_turns_fails_at_load(tmp_path, text):
+    path = tmp_path / "walk.yaml"
+    path.write_text(
+        "platform: turtlebot3_waffle_pi\n"
+        f"pattern: {{kind: random_walk, params: {{curved_turns: {text}}}}}\n"
+        "robots: {layout: line, count: 2}\n"
+    )
+    with pytest.raises(ScenarioError, match="curved_turns: .* is not a boolean"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_boolean_curved_turns_loads(value):
+    pattern = {"kind": "random_walk", "params": {"curved_turns": value}}
+    cfg = load_scenario(scenario_dict(pattern=pattern))
+    assert build_simulation(cfg).nodes[0].behavior.curved_turns is value
+
+
 def test_large_int_seed_stays_exact():
     seed = 2**64 + 1
     assert load_scenario(scenario_dict(seed=seed)).seed == seed
