@@ -241,7 +241,7 @@ def _resolve_opinions(
 
 def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
     params = dict(PATTERN_DEFAULTS.get(platform, {}).get(kind, {}))
-    params.update(overrides or {})
+    params.update(overrides)
     if kind in VOTING_KINDS:
         params.setdefault("window_length", DEFAULT_WINDOW_LENGTH)
     if kind == "discussed_dispersion":
@@ -284,15 +284,23 @@ def load_scenario(
             raise ScenarioError("scenario file must hold a mapping")
     _known_keys("scenario", raw, _TOP_KEYS)
 
+    name = raw.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name: {name!r} is not a string")
     platform = raw.get("platform")
-    if platform not in PLATFORMS:
+    if not isinstance(platform, str) or platform not in PLATFORMS:
         raise UnknownPlatformError(f"unknown platform: {platform!r}")
 
     pattern = _known_keys("pattern", raw.get("pattern") or {}, _PATTERN_KEYS)
     kind = pattern.get("kind")
     if kind not in PATTERN_KINDS:
         raise ScenarioError(f"unknown pattern kind: {kind!r}")
-    params = _merged_params(platform, kind, pattern.get("params") or {})
+    overrides = pattern.get("params")
+    if overrides is None:
+        overrides = {}
+    if not isinstance(overrides, dict):
+        raise ScenarioError(f"pattern.params: {overrides!r} is not a mapping")
+    params = _merged_params(platform, kind, overrides)
 
     use_seed = _whole_number("seed", raw.get("seed", 0) if seed is None else seed)
     if use_seed < 0:
@@ -304,7 +312,7 @@ def load_scenario(
 
     arena = _known_keys("arena", raw.get("arena") or {}, _ARENA_KEYS)
     config = ScenarioConfig(
-        name=str(raw.get("name", "scenario")),
+        name=name,
         platform=platform,
         arena_width=_positive("arena.width", arena.get("width", 18.0)),
         arena_height=_positive("arena.height", arena.get("height", 18.0)),

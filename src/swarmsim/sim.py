@@ -6,7 +6,13 @@ everywhere: its pose, radius, node, vote sender and trace rows. Each robot
 carries a planar range sensor simulated by exact ray casting. A tick has
 four phases:
 
-1. Sense: every robot's scan in one raycast pass, as one (R, B) block.
+1. Sense: every robot's scan in one raycast pass, as one (R, B) block,
+   and every robot-to-wall distance. Both are pure functions of the
+   poses, radii, walls and spec, and only the poses change during a run,
+   so a tick whose (R, 3) pose array has the bytes of the last sensed one
+   reuses that sense; a swarm that stands still (a voting phase) senses
+   once. The ranges block and the radii are read-only, so an in-place
+   edit raises instead of going unsensed.
 2. Behave, in index order: tick each robot's behavior, one object holding
    its pattern's parameters and state (see patterns), on its scan and the
    votes heard since its last tick, and publish its votes. A field
@@ -140,7 +146,10 @@ class WorldState:
     def __post_init__(self):
         self.walls = np.asarray(self.walls, dtype=float).reshape(-1, 4)
         self.segments = Segments(self.walls)
-        self.radii = np.asarray(self.radii, dtype=float)
+        # A read-only copy: a tick's sense may be reused (Simulation.step),
+        # so an in-place edit raises instead of going unsensed.
+        self.radii = np.array(self.radii, dtype=float)
+        self.radii.flags.writeable = False
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.radii.shape != (len(self.poses),):
@@ -162,11 +171,17 @@ _INSIDE_MARGIN = 1e-6
 _REACH_EPS = 1e-3
 
 
-def wall_distances(world: WorldState) -> np.ndarray:
-    """(R, S) distance from every robot's centre to every wall segment."""
-    x = np.array([p.x for p in world.poses])
-    y = np.array([p.y for p in world.poses])
-    return world.segments.distances(x[:, None], y[:, None])
+def pose_array(world: WorldState) -> np.ndarray:
+    """(R, 3) array of every robot's (x, y, theta): all a sense reads of the poses."""
+    return np.array([(p.x, p.y, p.theta) for p in world.poses], dtype=float).reshape(-1, 3)
+
+
+def wall_distances(world: WorldState, poses: np.ndarray | None = None) -> np.ndarray:
+    """(R, S) distance from every robot's centre to every wall segment.
+    poses is ``pose_array(world)``, when the caller already has it."""
+    if poses is None:
+        poses = pose_array(world)
+    return world.segments.distances(poses[:, 0, None], poses[:, 1, None])
 
 
 _NO_WALLS = np.empty((0, 4))
@@ -191,14 +206,18 @@ def walls_in_reach(
 
 
 class Sweep(NamedTuple):
-    """One tick's scans: the (R, B) ranges block, and row i as robot i's scan."""
+    """One tick's scans: the (R, B) ranges block, read-only, and row i as
+    robot i's scan."""
 
     ranges: np.ndarray
     scans: list[ScanSnapshot]
 
 
 def raycast_scan(
-    world: WorldState, spec: PlatformSpec, wall_dist: np.ndarray | None = None
+    world: WorldState,
+    spec: PlatformSpec,
+    wall_dist: np.ndarray | None = None,
+    poses: np.ndarray | None = None,
 ) -> Sweep:
     """Simulated sweeps for every robot, in index order: walls plus the other
     robot bodies, as one array pass.
@@ -209,14 +228,16 @@ def raycast_scan(
     contract. A wall or body is tested only if it lies within range_max of
     the origin, and a body only on the beams that can reach it; every tested
     element uses raycast's own expressions, and min is exact, so the cuts
-    change no bit. wall_dist is ``wall_distances(world)``, when the caller
-    already has it.
+    change no bit. wall_dist is ``wall_distances(world)`` and poses
+    ``pose_array(world)``, when the caller already has them. The ranges
+    block is read-only, and so is each scan's row of it.
     """
     B = spec.beam_count
     R = len(world.poses)
     if R == 0:
         return Sweep(np.empty((0, B)), [])
-    poses = np.array([(p.x, p.y, p.theta) for p in world.poses])
+    if poses is None:
+        poses = pose_array(world)
     radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
     step = math.tau / B
@@ -230,7 +251,7 @@ def raycast_scan(
     # hit beyond range_max, which reads inf anyway.
     walls = world.walls
     if wall_dist is None:
-        wall_dist = wall_distances(world)
+        wall_dist = wall_distances(world, poses)
     k, s = np.nonzero(wall_dist <= spec.range_max + _CULL_EPS)
     if k.size:
         angles = heading[k, None] + offset  # full rows, only for kept pairs
@@ -284,6 +305,7 @@ def raycast_scan(
         np.minimum.at(best.ravel(), i[pair] * B + beam, t)
 
     ranges = np.where(best > spec.range_max, np.inf, best)
+    ranges.flags.writeable = False
     scans = [
         ScanSnapshot(
             ranges=row,
@@ -395,6 +417,10 @@ class Simulation:
         self.meta = meta
         self.bus = MessageBus(len(nodes))
         self.columns = TraceRecorder()
+        # The last sense, (wall distances, sweep, nearest wall per robot),
+        # and the bytes of the pose array it was taken at.
+        self._sense = None
+        self._sense_key = None
 
     def step(self) -> None:
         world, nodes = self.world, self.nodes
@@ -404,8 +430,18 @@ class Simulation:
         R = len(nodes)
 
         # 1. Sense. Scans and wall distances are taken before any robot moves.
-        wall_dist = wall_distances(world)
-        sweep = raycast_scan(world, self.spec, wall_dist)
+        # They are pure functions of the poses, radii, walls and spec, and
+        # only the poses change, so poses with the bytes of the last sensed
+        # ones reuse that sense.
+        pose_block = pose_array(world)
+        key = pose_block.tobytes()
+        if key != self._sense_key:
+            self._sense = self._sense_key = None  # one sweep alive at a time
+            wall_dist = wall_distances(world, pose_block)
+            sweep = raycast_scan(world, self.spec, wall_dist, pose_block)
+            nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
+            self._sense, self._sense_key = (wall_dist, sweep, nearest), key
+        wall_dist, sweep, nearest = self._sense
 
         # 2. Behave, in index order: the bus sees the votes in that order.
         outputs = []
@@ -421,7 +457,6 @@ class Simulation:
 
         # 4. Move. Robot i moves only in its own turn, so row i of wall_dist
         # still holds its start pose.
-        nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
         poses, actuators = world.poses, []
         for i, (state, cmd, avoid, dist, radius) in enumerate(
             zip(protections, commands, avoidance, wall_dist, world.radii.tolist())
@@ -453,3 +488,5 @@ class Simulation:
     def run(self, ticks: int) -> None:
         for _ in range(ticks):
             self.step()
+        # The post-processing that follows a run needs no sense.
+        self._sense = self._sense_key = None

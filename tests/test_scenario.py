@@ -472,6 +472,27 @@ def test_bad_top_level_value_names_the_key(overrides, key):
         load_scenario(scenario_dict(**overrides))
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("platform: [jackal]", "platform"),
+        ("platform: {name: jackal}", "platform"),
+        ("pattern: {kind: drive, params: [1]}", "pattern.params"),
+        ("pattern: {kind: drive, params: []}", "pattern.params"),
+        ("name: [n]", "name"),
+        ("name: 5", "name"),
+    ],
+    ids=["platform-list", "platform-mapping", "params-list", "params-empty-list", "name-list", "name-int"],
+)
+def test_wrongly_typed_name_platform_or_params_names_the_key(tmp_path, text, key):
+    lines = {"name": "name: t", "platform": "platform: jackal", "pattern": "pattern: {kind: drive}"}
+    lines[text.split(":")[0]] = text
+    path = tmp_path / "s.yaml"
+    path.write_text("\n".join(lines.values()) + "\nrobots: {poses: [[0, 0, 0]]}\n")
+    with pytest.raises(ScenarioError, match=re.escape(f"{key}: ")):
+        load_scenario(str(path))
+
+
 @pytest.mark.parametrize("text", ["count: true", "count: yes", "count: on"])
 def test_yaml_boolean_count_fails_at_load(tmp_path, text):
     path = tmp_path / "bool.yaml"

@@ -33,6 +33,7 @@ from swarmsim.sim import (
     wall_distances,
     walls_in_reach,
 )
+from swarmsim.trace import COLUMN_NAMES
 
 WAFFLE = PLATFORMS["turtlebot3_waffle_pi"]
 
@@ -576,3 +577,149 @@ def test_vote_delivery_order_across_robots():
         for inbox in node.behavior.inboxes:
             for env in inbox:
                 assert env.stamp == env.payload * world.dt
+
+
+# ------------------------------------------------------------- sense reuse
+
+_REUSE_KINDS = {
+    "majority": {},
+    "voter": {},
+    "discussed_dispersion": {"mapping": {0: 0.6, 1: 1.0}},
+    "dispersion": {},
+    "drive": {},
+}
+
+
+def _hex_columns(columns):
+    return {name: [float(v).hex() for v in getattr(columns, name)] for name in COLUMN_NAMES}
+
+
+@given(
+    kind=st.sampled_from(sorted(_REUSE_KINDS)),
+    cells=st.lists(st.integers(0, 24), min_size=1, max_size=6),
+    headings=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.pi]), min_size=6, max_size=6),
+    ticks=st.integers(1, 30),
+    decision=st.sampled_from([1.0, 2.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_reused_sense_matches_a_fresh_sense_every_tick(kind, cells, headings, ticks, decision, seed):
+    # Robots on a 5 x 5 grid of 0.9 m cells in a 5 m arena, some sharing a
+    # cell: standing voters, robots that protection pushes apart, and
+    # dispersers give static, partly static and moving ticks.
+    params = dict(_REUSE_KINDS[kind])
+    if kind == "discussed_dispersion":
+        params["decision_duration"] = decision
+    raw = {
+        "name": "reuse",
+        "platform": "turtlebot3_waffle_pi",
+        "arena": {"width": 5.0, "height": 5.0},
+        "robots": {
+            "poses": [
+                [0.9 * (c % 5) - 1.8 + 0.01 * n, 0.9 * (c // 5) - 1.8, headings[n]]
+                for n, c in enumerate(cells)
+            ]
+        },
+        "pattern": {"kind": kind, "params": params},
+        "seed": seed,
+        "duration": ticks * 0.1,
+    }
+    config = load_scenario(raw)
+    reused, fresh = build_simulation(config), build_simulation(config)
+    for _ in range(config.tick_count()):
+        reused.step()
+        fresh._sense_key = None
+        fresh.step()
+    assert _hex_columns(reused.columns) == _hex_columns(fresh.columns)
+
+
+class ScanKeeper(Pattern):
+    """Test behavior that stands still and keeps every scan it is handed."""
+
+    def __init__(self):
+        self.scans = []
+
+    def tick(self, scan, now, dt, inbox):
+        self.scans.append(scan)
+        return TickResult(command=DriveCommand(0.0, 0.0))
+
+
+def _standing_sim(poses):
+    spec = WAFFLE
+    world = WorldState(walls=rect_walls(4.0, 4.0), poses=poses, radii=[spec.body_radius] * len(poses))
+    nodes = [
+        RobotNode(
+            behavior=ScanKeeper(),
+            protection=ProtectionState(threshold=spec.protection_threshold, limits=spec.limits()),
+        )
+        for _ in poses
+    ]
+    return Simulation(world, nodes, spec, meta={})
+
+
+def _last_scans(sim):
+    return np.stack([node.behavior.scans[-1].ranges for node in sim.nodes])
+
+
+@pytest.fixture
+def raycast_calls(monkeypatch):
+    import swarmsim.sim
+
+    calls = []
+    original = swarmsim.sim.raycast_scan
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(swarmsim.sim, "raycast_scan", counted)
+    return calls
+
+
+def test_standing_swarm_senses_once(raycast_calls):
+    sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
+    expected = raycast_scan(sim.world, WAFFLE).ranges
+    sim.run(20)
+    assert len(raycast_calls) == 1
+    for node in sim.nodes:
+        assert len({id(scan) for scan in node.behavior.scans}) == 1
+    assert _last_scans(sim).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("component", ["x", "y", "theta"])
+def test_pose_edit_between_steps_is_sensed(component):
+    sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
+    sim.run(2)
+    pose = sim.world.poses[1]
+    sim.world.poses[1] = dataclasses.replace(pose, **{component: getattr(pose, component) + 0.05})
+    expected = raycast_scan(sim.world, WAFFLE).ranges
+    assert expected.tobytes() != _last_scans(sim).tobytes()
+    sim.step()
+    assert _last_scans(sim).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("component", ["x", "y", "theta"])
+def test_sign_of_zero_flip_is_sensed(raycast_calls, component):
+    sim = _standing_sim([Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.5, 2.0)])
+    sim.step()
+    sim.world.poses[0] = dataclasses.replace(sim.world.poses[0], **{component: -0.0})
+    assert math.copysign(1.0, getattr(sim.world.poses[0], component)) == -1.0
+    expected = raycast_scan(sim.world, WAFFLE).ranges
+    sim.step()
+    assert len(raycast_calls) == 2
+    assert _last_scans(sim).tobytes() == expected.tobytes()
+
+
+def test_sensed_blocks_and_radii_are_read_only():
+    radii = np.array([WAFFLE.body_radius] * 2)
+    sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
+    world = WorldState(walls=sim.world.walls, poses=sim.world.poses, radii=radii)
+    radii[0] = 1.0
+    assert world.radii[0] == WAFFLE.body_radius
+    sim.step()
+    sweep = raycast_scan(sim.world, WAFFLE)
+    for block in (sweep.ranges, sweep.scans[0].ranges, sim.nodes[0].behavior.scans[0].ranges):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 1.0
+    for radii in (world.radii, sim.world.radii):
+        with pytest.raises(ValueError, match="read-only"):
+            radii[0] = 1.0
