@@ -11,6 +11,7 @@ votes and then moves inside one tick.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -28,7 +29,15 @@ class TickResult:
 
 
 class Pattern:
-    """Base behavior. Subclasses implement tick()."""
+    """Base behavior. Subclasses implement tick().
+
+    read_range is the largest distance whose reading can change the tick or
+    its field request. The simulator senses only that far (see
+    ``Simulation.reach``), so a subclass that reads its scan declares it;
+    the default reads the full sensor range.
+    """
+
+    read_range = math.inf
 
     def tick(self, scan: ScanSnapshot, now: float, dt: float, inbox: Inbox) -> TickResult:
         raise NotImplementedError

@@ -32,6 +32,10 @@ class DiscussedDispersion(Majority):
         if any(v <= 0 for v in self.mapping.values()):
             raise ValueError("mapped distances must be positive")
 
+    @property
+    def read_range(self) -> float:
+        return max(self.mapping.values())
+
     def tick(self, scan, now, dt, inbox) -> TickResult:
         # Voting first so a window closing this tick retargets the range
         # before the movement command is computed.

@@ -42,6 +42,10 @@ class Attraction(Pattern):
         if self.attraction_range <= 0:
             raise ValueError("attraction_range must be positive")
 
+    @property
+    def read_range(self) -> float:
+        return self.attraction_range
+
     def tick(self, scan, now, dt, inbox) -> TickResult:
         return TickResult(FieldRequest(self.attraction_range, ATTRACTIVE, self.limits))
 
@@ -60,6 +64,10 @@ class Dispersion(Pattern):
         if self.dispersion_range <= 0:
             raise ValueError("dispersion_range must be positive")
 
+    @property
+    def read_range(self) -> float:
+        return self.dispersion_range
+
     def tick(self, scan, now, dt, inbox) -> TickResult:
         return TickResult(FieldRequest(self.dispersion_range, REPULSIVE, self.limits))
 
@@ -68,6 +76,7 @@ class Dispersion(Pattern):
 class Drive(Pattern):
     linear: float
     limits: DriveLimits
+    read_range = 0.0  # never reads its scan
 
     def __post_init__(self):
         if self.linear <= 0:
@@ -101,6 +110,7 @@ class RandomWalk(Pattern):
     mode: str = field(default=DRIVE_MODE, init=False)
     remaining: float = field(init=False)
     turn_left: bool = field(default=True, init=False)
+    read_range = 0.0  # never reads its scan
 
     def __post_init__(self):
         if self.linear <= 0 or self.angular <= 0:
@@ -168,6 +178,12 @@ class Flocking(Pattern):
         )
         if abs(total - math.pi) > 1e-9:
             raise ValueError("sector half-widths must partition the full circle")
+
+    @property
+    def read_range(self) -> float:
+        # A reading past r_far is neither nearer than r_near nor inside a
+        # sector's [r_near, r_far], so it changes no rule.
+        return self.r_far
 
     def _sector_minima(self, scan: ScanSnapshot) -> tuple[float, float]:
         """Nearest valid reading in the left and right sectors (inf when empty)."""

@@ -30,6 +30,7 @@ class Voting(Pattern):
     # sender -> latest opinion heard from it in the current window
     heard: dict[int, int] = field(default_factory=dict, init=False)
     announced: bool = field(default=False, init=False)
+    read_range = 0.0  # never reads its scan
 
     def __post_init__(self):
         if self.window_length <= 0:

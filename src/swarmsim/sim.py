@@ -7,12 +7,16 @@ carries a planar range sensor simulated by exact ray casting. A tick has
 four phases:
 
 1. Sense: every robot's scan in one raycast pass, as one (R, B) block,
-   and every robot-to-wall distance. Both are pure functions of the
-   poses, radii, walls and spec, and only the poses change during a run,
-   so a tick whose (R, 3) pose array has the bytes of the last sensed one
-   reuses that sense; a swarm that stands still (a voting phase) senses
-   once. The ranges block and the radii are read-only, so an in-place
-   edit raises instead of going unsensed.
+   its nearest valid reading per robot, and every robot-to-wall distance.
+   The sweep is cut at the simulation's reach, the farthest any behavior
+   (its read_range) or protection threshold of the run reads, where that
+   is short of range_max: a reading past it changes no tick, field or
+   protection check, so the cut changes no trace bit. All of it is a pure
+   function of the poses, radii, walls, spec and reach, and only the poses
+   change during a run, so a tick whose (R, 3) pose array has the bytes of
+   the last sensed one reuses that sense; a swarm that stands still (a
+   voting phase) senses once. The ranges block, the walls and the radii
+   are read-only, so an in-place edit raises instead of going unsensed.
 2. Behave, in index order: tick each robot's behavior, one object holding
    its pattern's parameters and state (see patterns), on its scan and the
    votes heard since its last tick, and publish its votes. A field
@@ -144,10 +148,12 @@ class WorldState:
     segments: Segments = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.walls = np.asarray(self.walls, dtype=float).reshape(-1, 4)
+        # Read-only copies: a tick's sense may be reused and is cut at the
+        # swarm's reach (Simulation.step), and the segment terms are taken
+        # here, so an in-place edit raises instead of going unsensed.
+        self.walls = np.array(self.walls, dtype=float).reshape(-1, 4)
+        self.walls.flags.writeable = False
         self.segments = Segments(self.walls)
-        # A read-only copy: a tick's sense may be reused (Simulation.step),
-        # so an in-place edit raises instead of going unsensed.
         self.radii = np.array(self.radii, dtype=float)
         self.radii.flags.writeable = False
         if self.dt <= 0:
@@ -218,17 +224,21 @@ def raycast_scan(
     spec: PlatformSpec,
     wall_dist: np.ndarray | None = None,
     poses: np.ndarray | None = None,
+    reach: float = math.inf,
 ) -> Sweep:
     """Simulated sweeps for every robot, in index order: walls plus the other
     robot bodies, as one array pass.
 
     Each scan holds the same bits as ``raycast`` over all walls and all
-    other bodies, with hits beyond range_max encoded as inf; hits below
-    range_min keep their raw distance. Both are invalid in-band per the scan
-    contract. A wall or body is tested only if it lies within range_max of
-    the origin, and a body only on the beams that can reach it; every tested
-    element uses raycast's own expressions, and min is exact, so the cuts
-    change no bit. wall_dist is ``wall_distances(world)`` and poses
+    other bodies, with hits beyond the cut encoded as inf; hits below
+    range_min keep their raw distance. The cut is range_max, or reach where
+    that is shorter; beyond range_max a hit is invalid in-band per the scan
+    contract, and beyond reach nothing the caller reads can see it, so the
+    sweep is the full one with every cell above reach set to inf. A wall or
+    body is tested only if it lies within the cut of the origin, and a body
+    only on the beams that can reach it; every tested element uses
+    raycast's own expressions, and min is exact, so the cuts change no
+    other bit. wall_dist is ``wall_distances(world)`` and poses
     ``pose_array(world)``, when the caller already has them. The ranges
     block is read-only, and so is each scan's row of it.
     """
@@ -238,23 +248,23 @@ def raycast_scan(
         return Sweep(np.empty((0, B)), [])
     if poses is None:
         poses = pose_array(world)
+    cut = min(reach, spec.range_max)
     radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
     step = math.tau / B
-    # Beam b of robot i points along heading[i] + offset[b]. Its cos and sin
+    # Beam b of robot i points along heading[i] + step * b. Its cos and sin
     # are taken only where a test reads them; each is elementwise in the
     # same angle, so it has the same bits as in raycast's full row.
-    offset = step * np.arange(B)
     best = np.full((R, B), np.inf)
 
-    # Wall cut: a segment farther than range_max from the origin can only be
-    # hit beyond range_max, which reads inf anyway.
+    # Wall cut: a segment farther than the cut from the origin can only be
+    # hit beyond it, which reads inf anyway.
     walls = world.walls
     if wall_dist is None:
         wall_dist = wall_distances(world, poses)
-    k, s = np.nonzero(wall_dist <= spec.range_max + _CULL_EPS)
+    k, s = np.nonzero(wall_dist <= cut + _CULL_EPS)
     if k.size:
-        angles = heading[k, None] + offset  # full rows, only for kept pairs
+        angles = heading[k, None] + step * np.arange(B)  # full rows, only for kept pairs
         dx, dy = np.cos(angles), np.sin(angles)
         # raycast's wall expressions, on (robot-wall pair, beam) arrays
         ax, ay = walls[s, 0], walls[s, 1]
@@ -265,7 +275,8 @@ def raycast_scan(
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (aox * ey - aoy * ex) / denom
             u = (aox * dy - aoy * dx) / denom
-        hit = (denom != 0) & np.isfinite(t) & (t >= 0) & (u >= 0) & (u <= 1)
+        # isfinite(t) also rejects raycast's denom == 0: t = x/0 is inf or nan.
+        hit = np.isfinite(t) & (t >= 0) & (u >= 0) & (u <= 1)
         np.minimum.at(best, k, np.where(hit, t, np.inf))
 
     # Neighbour cut, by the same argument: the nearest point of a body lies
@@ -273,7 +284,7 @@ def raycast_scan(
     mx = ox[None, :] - ox[:, None]  # (R, R): body j seen from robot i
     my = oy[None, :] - oy[:, None]
     d2 = mx * mx + my * my
-    keep = d2 <= (spec.range_max + radii[None, :] + _CULL_EPS) ** 2
+    keep = d2 <= (cut + radii[None, :] + _CULL_EPS) ** 2
     np.fill_diagonal(keep, False)
     i, j = np.nonzero(keep)
     if i.size:
@@ -290,21 +301,22 @@ def raycast_scan(
         hi = np.ceil(centre + half / step).astype(np.int64) + 1
         n = np.where(inside | (hi - lo + 1 >= B), B, hi - lo + 1)
         lo = np.where(n == B, 0, lo)
-        pair = np.repeat(np.arange(i.size), n)
-        start = np.cumsum(n) - n
-        beam = (lo[pair] + np.arange(pair.size) - start[pair]) % B
-        angles = heading[i[pair]] + offset[beam]
+        # Cell m of pair p is beam lo[p] + m, flat at end[p] - n[p] + m; each
+        # pair value is repeated over its n cells.
+        end = np.cumsum(n)
+        beam = (np.repeat(lo - (end - n), n) + np.arange(end[-1])) % B
+        angles = np.repeat(heading[i], n) + step * beam
         # raycast's circle expressions, on flat (pair, beam) arrays
-        b = np.cos(angles) * mx[pair] + np.sin(angles) * my[pair]
-        disc = b * b - c[pair]
+        b = np.cos(angles) * np.repeat(mx, n) + np.sin(angles) * np.repeat(my, n)
+        disc = b * b - np.repeat(c, n)
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
         t2 = b + sq
         t = np.where(t1 >= 0, t1, np.where(t2 >= 0, t2, np.inf))
         t = np.where(disc >= 0, t, np.inf)
-        np.minimum.at(best.ravel(), i[pair] * B + beam, t)
+        np.minimum.at(best.ravel(), np.repeat(i * B, n) + beam, t)
 
-    ranges = np.where(best > spec.range_max, np.inf, best)
+    ranges = np.where(best > cut, np.inf, best)
     ranges.flags.writeable = False
     scans = [
         ScanSnapshot(
@@ -361,19 +373,23 @@ def resolve_wall_contact(
 
 def field_pass(
     ranges: np.ndarray,
+    nearest: list[float],
     spec: PlatformSpec,
     commands: list,
     protections: list[ProtectionState],
+    reach: float = math.inf,
 ) -> tuple[list[DriveCommand | None], list[DriveCommand | None]]:
     """The decide phase of a tick, for every robot at once.
 
-    ranges is the tick's (R, B) block, commands[i] what robot i's behavior
-    returned (a command, a field request or None) and protections[i] its
-    protection state. Returns each robot's behavior command, with a field
-    request resolved on its scan, and its avoidance command, None where the
-    protection check did not fire: the bits of the per-scan layers.
+    ranges is the tick's (R, B) block and nearest its ``nearest_distances``
+    as a list; commands[i] is what robot i's behavior returned (a command,
+    a field request or None) and protections[i] its protection state. reach
+    is the distance the block was cut at (``raycast_scan``): a field that
+    would read past it raises. Returns each robot's behavior command, with a
+    field request resolved on its scan, and its avoidance command, None
+    where the protection check did not fire: the bits of the per-scan
+    layers.
     """
-    nearest = nearest_distances(ranges, spec.range_min, spec.range_max).tolist()
     avoid = [i for i, (p, d) in enumerate(zip(protections, nearest)) if triggered(p, d)]
     fields = [i for i, cmd in enumerate(commands) if isinstance(cmd, FieldRequest)]
     requests = [commands[i] for i in fields] + [avoidance_field(protections[i]) for i in avoid]
@@ -381,13 +397,23 @@ def field_pass(
     avoidance = [None] * len(commands)
     if not requests:
         return commands, avoidance
+    effect_ranges = [q.effect_range for q in requests]
+    # A field reads up to min(effect_range, range_max); the block holds that
+    # only up to reach.
+    if reach < spec.range_max:
+        beyond = [e for e in effect_ranges if e > reach]
+        if beyond:
+            raise ValueError(
+                f"a field request reads to {max(beyond)} m, past the sensed reach of "
+                f"{reach} m taken from the behaviors' read_range and protection thresholds"
+            )
     B = spec.beam_count
     forces = potential_fields(
         ranges[fields + avoid],
         spec.range_min,
         spec.range_max,
         beam_trig(0.0, math.tau / B, B),
-        [q.effect_range for q in requests],
+        effect_ranges,
         [q.polarity for q in requests],
     )
     for k, (i, q, force) in enumerate(zip(fields + avoid, requests, forces)):
@@ -417,8 +443,13 @@ class Simulation:
         self.meta = meta
         self.bus = MessageBus(len(nodes))
         self.columns = TraceRecorder()
-        # The last sense, (wall distances, sweep, nearest wall per robot),
-        # and the bytes of the pose array it was taken at.
+        # The farthest any behavior or protection check of the run reads.
+        # Each sweep is cut there; like the spec, it is fixed for the run.
+        reads = [d for node in nodes for d in (node.behavior.read_range, node.protection.threshold)]
+        self.reach = min(spec.range_max, max(reads, default=0.0))
+        # The last sense, (wall distances, sweep, nearest wall per robot,
+        # nearest valid reading per robot), and the bytes of the pose array
+        # it was taken at.
         self._sense = None
         self._sense_key = None
 
@@ -430,18 +461,20 @@ class Simulation:
         R = len(nodes)
 
         # 1. Sense. Scans and wall distances are taken before any robot moves.
-        # They are pure functions of the poses, radii, walls and spec, and
-        # only the poses change, so poses with the bytes of the last sensed
-        # ones reuse that sense.
+        # They are pure functions of the poses, radii, walls, spec and reach,
+        # and only the poses change, so poses with the bytes of the last
+        # sensed ones reuse that sense.
         pose_block = pose_array(world)
         key = pose_block.tobytes()
         if key != self._sense_key:
             self._sense = self._sense_key = None  # one sweep alive at a time
+            spec = self.spec
             wall_dist = wall_distances(world, pose_block)
-            sweep = raycast_scan(world, self.spec, wall_dist, pose_block)
+            sweep = raycast_scan(world, spec, wall_dist, pose_block, self.reach)
             nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
-            self._sense, self._sense_key = (wall_dist, sweep, nearest), key
-        wall_dist, sweep, nearest = self._sense
+            reading = nearest_distances(sweep.ranges, spec.range_min, spec.range_max).tolist()
+            self._sense, self._sense_key = (wall_dist, sweep, nearest, reading), key
+        wall_dist, sweep, nearest, reading = self._sense
 
         # 2. Behave, in index order: the bus sees the votes in that order.
         outputs = []
@@ -453,7 +486,9 @@ class Simulation:
 
         # 3. Decide: every protection check and potential field in one pass.
         protections = [node.protection for node in nodes]
-        commands, avoidance = field_pass(sweep.ranges, self.spec, outputs, protections)
+        commands, avoidance = field_pass(
+            sweep.ranges, reading, self.spec, outputs, protections, self.reach
+        )
 
         # 4. Move. Robot i moves only in its own turn, so row i of wall_dist
         # still holds its start pose.

@@ -27,7 +27,7 @@ from swarmsim import (
     run,
     wrap_angle,
 )
-from swarmsim.core import Pose2D
+from swarmsim.core import Pose2D, nearest_distances
 from swarmsim.bus import Envelope, VOTE_TOPIC
 from swarmsim.patterns import Majority
 from swarmsim.protection import avoidance_command, note_command
@@ -168,7 +168,8 @@ def test_criterion_4_suppression_soundness():
         note_command(states[-1], cmds[-1], 3.0)
     # Every scan goes through one decision pass, as one simulator tick's would.
     block = np.array([scan.ranges for scan in scans])
-    _, avoidance = field_pass(block, spec, [None] * len(scans), states)
+    nearest = nearest_distances(block, spec.range_min, spec.range_max).tolist()
+    _, avoidance = field_pass(block, nearest, spec, [None] * len(scans), states)
     for scan, state, cmd, avoid in zip(scans, states, cmds, avoidance):
         out = arbitrate(state, 3.0, avoid)
         nearest = nearest_obstacle(scan)

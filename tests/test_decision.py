@@ -132,7 +132,8 @@ def test_field_pass_matches_the_per_scan_arbiter_inputs(block, data):
     commands = data.draw(outputs(rows))
     thresholds = data.draw(st.lists(st.floats(0.05, 4.0), min_size=rows, max_size=rows))
     states = [ProtectionState(threshold=t, limits=LIMITS) for t in thresholds]
-    resolved, avoidance = field_pass(block, spec, commands, states)
+    nearest = nearest_distances(block, RANGE_MIN, RANGE_MAX).tolist()
+    resolved, avoidance = field_pass(block, nearest, spec, commands, states)
     for k, (cmd, state) in enumerate(zip(commands, states)):
         scan = row_scan(block, k)
         if isinstance(cmd, FieldRequest):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import marching_raycast, random_scene, rk4_pose
 from swarmsim import (
+    ATTRACTIVE,
     DriveCommand,
     PLATFORMS,
     Pose2D,
@@ -23,9 +24,12 @@ from swarmsim import (
     raycast,
     wrap_angle,
 )
+from swarmsim.core import FieldRequest
 from swarmsim.patterns.base import Pattern, TickResult
+from swarmsim.scenario import PATTERN_KINDS
 from swarmsim.sim import (
     _REACH_EPS,
+    field_pass,
     raycast_scan,
     rect_walls,
     resolve_wall_contact,
@@ -723,3 +727,148 @@ def test_sensed_blocks_and_radii_are_read_only():
     for radii in (world.radii, sim.world.radii):
         with pytest.raises(ValueError, match="read-only"):
             radii[0] = 1.0
+
+
+def test_walls_are_read_only_as_the_reach_assumes():
+    walls = rect_walls(4.0, 4.0)
+    world = WorldState(walls=walls, poses=[Pose2D(0.0, 0.0, 0.0)], radii=[0.15])
+    walls[0] = [-2.0, -2.0, 2.0, 0.0]
+    assert world.walls[0].tolist() == [-2.0, -2.0, 2.0, -2.0]
+    with pytest.raises(ValueError, match="read-only"):
+        world.walls[0] = [-2.0, -2.0, 2.0, 0.0]
+    assert wall_distances(world)[0].tolist() == [2.0, 2.0, 2.0, 2.0]
+
+
+# ------------------------------------------------- sense cut at the reach
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    beams=st.sampled_from([1, 3, 7, 90, 360, 361]),
+    range_max=st.sampled_from([1.0, 2.5, 3.5]),
+    reach=st.one_of(st.floats(0.12, 5.0), st.sampled_from(["cell", "range_max"])),
+)
+def test_scan_cut_at_reach_is_the_full_scan_cut_there(seed, beams, range_max, reach):
+    rng = np.random.default_rng(seed)
+    spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
+    # A drawn reach gets a body centre exactly reach + r away.
+    world = _crowded_world(rng, reach if isinstance(reach, float) else range_max)
+    full = raycast_scan(world, spec)
+    if reach == "range_max":
+        reach = range_max
+    elif reach == "cell":  # a cut exactly at a reading keeps it
+        finite = full.ranges[np.isfinite(full.ranges)]
+        reach = float(rng.choice(finite)) if finite.size else spec.range_min
+    cut = raycast_scan(world, spec, reach=reach)
+    assert cut.ranges.tobytes() == np.where(full.ranges > reach, np.inf, full.ranges).tobytes()
+    assert all(scan.range_max == spec.range_max for scan in cut.scans)
+
+
+def _reach_scenario(kind, seed):
+    """Eight robots at seeded spots of a 6 m arena, 0.45 m or more apart,
+    so that every sweep holds readings on both sides of the reach."""
+    rng = np.random.default_rng(seed)
+    spots = [(x, y) for x in np.arange(-2.4, 2.5, 0.6) for y in np.arange(-2.4, 2.5, 0.6)]
+    picks = rng.choice(len(spots), size=8, replace=False)
+    jitter = rng.uniform(-0.07, 0.07, (8, 2))
+    poses = [
+        [float(spots[p][0] + dx), float(spots[p][1] + dy), float(rng.uniform(-math.pi, math.pi))]
+        for p, (dx, dy) in zip(picks, jitter)
+    ]
+    params = dict(_REUSE_KINDS.get(kind, {}))
+    if kind == "discussed_dispersion":
+        params["decision_duration"] = 1.0
+    raw = {
+        "name": "reach",
+        "platform": "turtlebot3_waffle_pi",
+        "arena": {"width": 6.0, "height": 6.0},
+        "robots": {"poses": poses},
+        "pattern": {"kind": kind, "params": params},
+        "seed": seed,
+        "duration": 4.0,
+    }
+    return load_scenario(raw)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_every_kind_senses_to_its_reach_with_the_bits_of_a_full_sense(kind, seed):
+    config = _reach_scenario(kind, seed)
+    cut, full = build_simulation(config), build_simulation(config)
+    full.reach = WAFFLE.range_max
+    assert cut.reach < full.reach
+    for n in range(config.tick_count()):
+        cut.step()
+        full.step()
+        if n == 0:  # the cut drops readings that the full sense keeps
+            assert np.isinf(cut._sense[1].ranges).sum() > np.isinf(full._sense[1].ranges).sum()
+    assert _hex_columns(cut.columns) == _hex_columns(full.columns)
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_each_kind_declares_its_reach(kind):
+    config = _reach_scenario(kind, 0)
+    params = config.pattern_params
+    reads = {
+        "attraction": params.get("attraction_range"),
+        "dispersion": params.get("dispersion_range"),
+        "discussed_dispersion": max(params.get("mapping", {0: 0.0}).values()),
+        "flocking": params.get("r_far"),
+    }.get(kind, 0.0)
+    sim = build_simulation(config)
+    assert {node.behavior.read_range for node in sim.nodes} == {reads}
+    assert sim.reach == min(WAFFLE.range_max, max(reads, WAFFLE.protection_threshold))
+
+
+def test_undeclared_read_range_reaches_the_full_range():
+    world = WorldState(walls=rect_walls(4.0, 4.0), poses=[Pose2D(0.0, 0.0, 0.0)], radii=[0.15])
+    node = RobotNode(
+        behavior=ConstantDrive(DriveCommand(0.0, 0.0)),
+        protection=ProtectionState(threshold=WAFFLE.protection_threshold, limits=WAFFLE.limits()),
+    )
+    assert node.behavior.read_range == math.inf
+    assert Simulation(world, [node], WAFFLE, meta={}).reach == WAFFLE.range_max
+
+
+class Overreach(Pattern):
+    """Test behavior that declares a shorter read_range than its field reads."""
+
+    read_range = 1.0
+
+    def __init__(self, effect_range):
+        self.effect_range = effect_range
+
+    def tick(self, scan, now, dt, inbox):
+        return TickResult(FieldRequest(self.effect_range, ATTRACTIVE, WAFFLE.limits()))
+
+
+@pytest.mark.parametrize("effect_range", [1.0, 1.5])
+def test_field_request_past_the_reach_raises(effect_range):
+    world = WorldState(
+        walls=rect_walls(4.0, 4.0),
+        poses=[Pose2D(-0.6, 0.0, 0.0), Pose2D(0.6, 0.0, 0.0)],
+        radii=[0.15, 0.15],
+    )
+    nodes = [
+        RobotNode(
+            behavior=Overreach(effect_range),
+            protection=ProtectionState(threshold=0.5, limits=WAFFLE.limits()),
+        )
+        for _ in range(2)
+    ]
+    sim = Simulation(world, nodes, WAFFLE, meta={})
+    assert sim.reach == 1.0
+    if effect_range <= sim.reach:
+        sim.step()
+    else:
+        with pytest.raises(ValueError, match="past the sensed reach"):
+            sim.step()
+        sim.reach = WAFFLE.range_max  # a full sense holds what the field reads
+        sim.step()
+    ranges = np.full((1, WAFFLE.beam_count), np.inf)
+    state = ProtectionState(threshold=0.5, limits=WAFFLE.limits())
+    request = FieldRequest(effect_range, ATTRACTIVE, WAFFLE.limits())
+    if effect_range > 1.0:
+        with pytest.raises(ValueError, match="past the sensed reach"):
+            field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=1.0)
+    field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=WAFFLE.range_max)
