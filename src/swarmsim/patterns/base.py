@@ -34,12 +34,15 @@ class Pattern:
     read_range is the largest distance whose reading can change the tick or
     its field request. The simulator senses only that far (see
     ``Simulation.reach``), so a subclass that reads its scan declares it;
-    the default reads the full sensor range.
+    the default reads the full sensor range. reads_scan says whether tick
+    reads its scan: the simulator hands a behavior that declares it False
+    None in place of a scan. The default reads it.
     """
 
     read_range = math.inf
+    reads_scan = True
 
-    def tick(self, scan: ScanSnapshot, now: float, dt: float, inbox: Inbox) -> TickResult:
+    def tick(self, scan: ScanSnapshot | None, now: float, dt: float, inbox: Inbox) -> TickResult:
         raise NotImplementedError
 
     @property

@@ -22,6 +22,7 @@ from ..core import (
     ScanSnapshot,
     nearest_obstacle,
     potential_field,  # noqa: F401  (hooked by the benchmark's tracer)
+    set_once,
     wrap_angle,
 )
 from .base import Pattern, TickResult
@@ -37,6 +38,7 @@ class Attraction(Pattern):
 
     attraction_range: float
     limits: DriveLimits
+    reads_scan = False  # the simulator resolves its field request
 
     def __post_init__(self):
         if self.attraction_range <= 0:
@@ -59,6 +61,7 @@ class Dispersion(Pattern):
 
     dispersion_range: float
     limits: DriveLimits
+    reads_scan = False  # the simulator resolves its field request
 
     def __post_init__(self):
         if self.dispersion_range <= 0:
@@ -77,6 +80,7 @@ class Drive(Pattern):
     linear: float
     limits: DriveLimits
     read_range = 0.0  # never reads its scan
+    reads_scan = False
 
     def __post_init__(self):
         if self.linear <= 0:
@@ -111,6 +115,7 @@ class RandomWalk(Pattern):
     remaining: float = field(init=False)
     turn_left: bool = field(default=True, init=False)
     read_range = 0.0  # never reads its scan
+    reads_scan = False
 
     def __post_init__(self):
         if self.linear <= 0 or self.angular <= 0:
@@ -144,6 +149,7 @@ class RandomWalk(Pattern):
         return TickResult(self.limits.clamp(linear, angular))
 
 
+@set_once("r_near", "r_far")
 @dataclass
 class Flocking(Pattern):
     """Three-rule sector scheme.

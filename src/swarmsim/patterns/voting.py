@@ -31,6 +31,7 @@ class Voting(Pattern):
     heard: dict[int, int] = field(default_factory=dict, init=False)
     announced: bool = field(default=False, init=False)
     read_range = 0.0  # never reads its scan
+    reads_scan = False
 
     def __post_init__(self):
         if self.window_length <= 0:

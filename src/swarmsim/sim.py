@@ -6,21 +6,29 @@ everywhere: its pose, radius, node, vote sender and trace rows. Each robot
 carries a planar range sensor simulated by exact ray casting. A tick has
 four phases:
 
-1. Sense: every robot's scan in one raycast pass, as one (R, B) block,
-   its nearest valid reading per robot, and every robot-to-wall distance.
-   The sweep is cut at the simulation's reach, the farthest any behavior
-   (its read_range) or protection threshold of the run reads, where that
-   is short of range_max: a reading past it changes no tick, field or
-   protection check, so the cut changes no trace bit. All of it is a pure
-   function of the poses, radii, walls, spec and reach, and only the poses
-   change during a run, so a tick whose (R, 3) pose array has the bytes of
-   the last sensed one reuses that sense; a swarm that stands still (a
-   voting phase) senses once. The ranges block, the walls and the radii
-   are read-only, so an in-place edit raises instead of going unsensed.
+1. Sense: every robot's sweep in one raycast pass, as one (R, B) block,
+   and its nearest valid reading per robot. The sweep is cut at the
+   simulation's reach, the farthest any behavior (its read_range) or
+   protection threshold of the run reads, where that is short of
+   range_max: a reading past it changes no tick, field or protection
+   check, so the cut changes no trace bit. The reach is taken at build,
+   and the fields it is taken from cannot be set after it. Robot-to-wall
+   distances are taken only when a wall can be in reach: each robot's
+   nearest wall where they were last taken, less the distance it moved
+   since, bounds its distance now (walls never move), and while every
+   bound clears the cut the sweep sees no wall, and while it clears a
+   robot's step plus radius its wall contact sees none. All of it is a
+   pure function of the poses, radii, walls, spec and reach, and only the
+   poses change during a run, so a tick whose (R, 3) pose array has the
+   bytes of the last sensed one reuses that sense; a swarm that stands
+   still (a voting phase) senses once. The ranges block, the walls and the
+   radii are read-only, so an in-place edit raises instead of going
+   unsensed.
 2. Behave, in index order: tick each robot's behavior, one object holding
-   its pattern's parameters and state (see patterns), on its scan and the
-   votes heard since its last tick, and publish its votes. A field
-   behavior returns a field request in place of a command.
+   its pattern's parameters and state (see patterns), on the votes heard
+   since its last tick, and on its scan, a row of the block, if the
+   behavior reads one (reads_scan); publish its votes. A field behavior
+   returns a field request in place of a command.
 3. Decide, as one array job: the protection check (a masked min over the
    block) and every potential field of the tick, requested or avoidance.
 4. Move, in index order: arbitrate, move with wall contact; then append
@@ -39,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,6 +178,10 @@ _CULL_EPS = 1e-6
 # An origin this close to a body's surface (relative to its radius) is
 # treated as inside it, and every beam is tested against that body.
 _INSIDE_MARGIN = 1e-6
+# Slack on a wall-distance lower bound (Simulation.step): the rounding of
+# the wall distance and of the distance moved, under 1e-12 m for
+# coordinates under a kilometre, cannot take it above the true distance.
+_BOUND_EPS = 1e-6
 # Slack on the wall-contact reach cut. A computed waypoint strays from its
 # exact arc by rounding, most near the straight-line branch where v/w is
 # large: under 1e-6 m for |v| <= 2 m/s. A millimetre stays clear of that.
@@ -211,25 +222,18 @@ def walls_in_reach(
     return walls[dist <= reach]
 
 
-class Sweep(NamedTuple):
-    """One tick's scans: the (R, B) ranges block, read-only, and row i as
-    robot i's scan."""
-
-    ranges: np.ndarray
-    scans: list[ScanSnapshot]
-
-
 def raycast_scan(
     world: WorldState,
     spec: PlatformSpec,
     wall_dist: np.ndarray | None = None,
     poses: np.ndarray | None = None,
     reach: float = math.inf,
-) -> Sweep:
+) -> np.ndarray:
     """Simulated sweeps for every robot, in index order: walls plus the other
-    robot bodies, as one array pass.
+    robot bodies, as one array pass. Returns the read-only (R, B) ranges
+    block, row i being robot i's sweep, beam 0 along its heading.
 
-    Each scan holds the same bits as ``raycast`` over all walls and all
+    Each row holds the same bits as ``raycast`` over all walls and all
     other bodies, with hits beyond the cut encoded as inf; hits below
     range_min keep their raw distance. The cut is range_max, or reach where
     that is shorter; beyond range_max a hit is invalid in-band per the scan
@@ -237,15 +241,16 @@ def raycast_scan(
     sweep is the full one with every cell above reach set to inf. A wall or
     body is tested only if it lies within the cut of the origin, and a body
     only on the beams that can reach it; every tested element uses
-    raycast's own expressions, and min is exact, so the cuts change no
-    other bit. wall_dist is ``wall_distances(world)`` and poses
-    ``pose_array(world)``, when the caller already has them. The ranges
-    block is read-only, and so is each scan's row of it.
+    raycast's own expressions, a hit beyond the cut is dropped before the
+    min, and min is exact, so the cuts change no other bit. wall_dist is
+    ``wall_distances(world)``, or an (R, 0) block when the caller knows that
+    no wall lies within the cut, and poses ``pose_array(world)``, when the
+    caller already has them.
     """
     B = spec.beam_count
     R = len(world.poses)
     if R == 0:
-        return Sweep(np.empty((0, B)), [])
+        return np.empty((0, B))
     if poses is None:
         poses = pose_array(world)
     cut = min(reach, spec.range_max)
@@ -275,8 +280,9 @@ def raycast_scan(
         with np.errstate(divide="ignore", invalid="ignore"):
             t = (aox * ey - aoy * ex) / denom
             u = (aox * dy - aoy * dx) / denom
-        # isfinite(t) also rejects raycast's denom == 0: t = x/0 is inf or nan.
-        hit = np.isfinite(t) & (t >= 0) & (u >= 0) & (u <= 1)
+        # 0 <= t <= cut also rejects raycast's denom == 0: t = x/0 is nan or
+        # an inf that is either negative or the miss value anyway.
+        hit = (t >= 0) & (t <= cut) & (u >= 0) & (u <= 1)
         np.minimum.at(best, k, np.where(hit, t, np.inf))
 
     # Neighbour cut, by the same argument: the nearest point of a body lies
@@ -301,34 +307,26 @@ def raycast_scan(
         hi = np.ceil(centre + half / step).astype(np.int64) + 1
         n = np.where(inside | (hi - lo + 1 >= B), B, hi - lo + 1)
         lo = np.where(n == B, 0, lo)
-        # Cell m of pair p is beam lo[p] + m, flat at end[p] - n[p] + m; each
-        # pair value is repeated over its n cells.
+        # Cell m of pair p is beam lo[p] + m, flat at end[p] - n[p] + m;
+        # pair holds each cell's pair, the one index every pair value is
+        # gathered through.
         end = np.cumsum(n)
-        beam = (np.repeat(lo - (end - n), n) + np.arange(end[-1])) % B
-        angles = np.repeat(heading[i], n) + step * beam
-        # raycast's circle expressions, on flat (pair, beam) arrays
-        b = np.cos(angles) * np.repeat(mx, n) + np.sin(angles) * np.repeat(my, n)
-        disc = b * b - np.repeat(c, n)
+        pair = np.repeat(np.arange(i.size), n)
+        beam = ((lo - end + n)[pair] + np.arange(end[-1])) % B
+        row = i[pair]
+        angles = heading[row] + step * beam
+        # raycast's circle expressions, on flat (pair, beam) arrays: a hit is
+        # t1 where t1 >= 0, else t2 where t2 >= 0, on a discriminant >= 0.
+        b = np.cos(angles) * mx[pair] + np.sin(angles) * my[pair]
+        disc = b * b - c[pair]
         sq = np.sqrt(np.maximum(disc, 0.0))
         t1 = b - sq
-        t2 = b + sq
-        t = np.where(t1 >= 0, t1, np.where(t2 >= 0, t2, np.inf))
-        t = np.where(disc >= 0, t, np.inf)
-        np.minimum.at(best.ravel(), np.repeat(i * B, n) + beam, t)
+        t = np.where(t1 >= 0, t1, b + sq)
+        t = np.where((disc >= 0) & (t >= 0) & (t <= cut), t, np.inf)
+        np.minimum.at(best.ravel(), row * B + beam, t)
 
-    ranges = np.where(best > cut, np.inf, best)
-    ranges.flags.writeable = False
-    scans = [
-        ScanSnapshot(
-            ranges=row,
-            angle_min=0.0,
-            angle_increment=step,
-            range_min=spec.range_min,
-            range_max=spec.range_max,
-        )
-        for row in ranges
-    ]
-    return Sweep(ranges, scans)
+    best.flags.writeable = False
+    return best
 
 
 def wall_clearance(x: float, y: float, walls: np.ndarray) -> float:
@@ -444,14 +442,42 @@ class Simulation:
         self.bus = MessageBus(len(nodes))
         self.columns = TraceRecorder()
         # The farthest any behavior or protection check of the run reads.
-        # Each sweep is cut there; like the spec, it is fixed for the run.
+        # Each sweep is cut there; like the spec, it is fixed for the run, and
+        # so are the fields it is taken from (see core.set_once), or a field
+        # request past it raises in field_pass.
         reads = [d for node in nodes for d in (node.behavior.read_range, node.protection.threshold)]
         self.reach = min(spec.range_max, max(reads, default=0.0))
-        # The last sense, (wall distances, sweep, nearest wall per robot,
-        # nearest valid reading per robot), and the bytes of the pose array
-        # it was taken at.
+        # The last sense, [wall distances or None, ranges block, nearest wall
+        # per robot or a lower bound on it, nearest valid reading per robot],
+        # and the bytes of the pose array it was taken at.
         self._sense = None
         self._sense_key = None
+        # The pose array wall distances were last taken at, and each robot's
+        # nearest wall there.
+        self._walls_at = None
+
+    def scan(self, row: np.ndarray) -> ScanSnapshot:
+        """One robot's row of the ranges block as its scan."""
+        spec = self.spec
+        return ScanSnapshot(row, 0.0, math.tau / spec.beam_count, spec.range_min, spec.range_max)
+
+    def _take_walls(self, poses: np.ndarray) -> tuple[np.ndarray, list[float]]:
+        """Wall distances at poses, and each robot's nearest wall."""
+        wall_dist = wall_distances(self.world, poses)
+        nearest = wall_dist.min(axis=1, initial=math.inf)
+        self._walls_at = poses, nearest
+        return wall_dist, nearest.tolist()
+
+    def _wall_bounds(self, poses: np.ndarray) -> np.ndarray | None:
+        """A lower bound on each robot's distance to its nearest wall at
+        poses, None before any wall distance is taken. Walls never move and
+        distance to a fixed set is 1-Lipschitz, so the nearest wall where
+        distances were last taken, less the distance moved since, bounds it."""
+        if self._walls_at is None:
+            return None
+        at, nearest = self._walls_at
+        moved = np.hypot(poses[:, 0] - at[:, 0], poses[:, 1] - at[:, 1])
+        return nearest - moved - _BOUND_EPS
 
     def step(self) -> None:
         world, nodes = self.world, self.nodes
@@ -463,23 +489,38 @@ class Simulation:
         # 1. Sense. Scans and wall distances are taken before any robot moves.
         # They are pure functions of the poses, radii, walls, spec and reach,
         # and only the poses change, so poses with the bytes of the last
-        # sensed ones reuse that sense.
+        # sensed ones reuse that sense. Wall distances are taken only where a
+        # wall can lie within the cut; else the sweep sees no wall.
         pose_block = pose_array(world)
         key = pose_block.tobytes()
         if key != self._sense_key:
             self._sense = self._sense_key = None  # one sweep alive at a time
             spec = self.spec
-            wall_dist = wall_distances(world, pose_block)
-            sweep = raycast_scan(world, spec, wall_dist, pose_block, self.reach)
-            nearest = wall_dist.min(axis=1, initial=math.inf).tolist()
-            reading = nearest_distances(sweep.ranges, spec.range_min, spec.range_max).tolist()
-            self._sense, self._sense_key = (wall_dist, sweep, nearest, reading), key
-        wall_dist, sweep, nearest, reading = self._sense
+            cut = min(self.reach, spec.range_max)
+            wall_dist, bounds = None, self._wall_bounds(pose_block)
+            if bounds is None or bounds.min(initial=math.inf) <= cut + _CULL_EPS:
+                wall_dist, bounds = self._take_walls(pose_block)
+            else:
+                bounds = bounds.tolist()
+            ranges = raycast_scan(
+                world,
+                spec,
+                np.empty((R, 0)) if wall_dist is None else wall_dist,
+                pose_block,
+                self.reach,
+            )
+            reading = nearest_distances(ranges, spec.range_min, spec.range_max).tolist()
+            self._sense, self._sense_key = [wall_dist, ranges, bounds, reading], key
+        sense = self._sense
+        wall_dist, ranges, bounds, reading = sense
 
         # 2. Behave, in index order: the bus sees the votes in that order.
+        # Only a behavior that reads its scan gets one.
         outputs = []
-        for i, (node, mailbox, scan) in enumerate(zip(nodes, self.bus.mailboxes, sweep.scans)):
-            result = node.behavior.tick(scan, now, dt, mailbox.drain())
+        for i, (node, mailbox) in enumerate(zip(nodes, self.bus.mailboxes)):
+            behavior = node.behavior
+            scan = self.scan(ranges[i]) if behavior.reads_scan else None
+            result = behavior.tick(scan, now, dt, mailbox.drain())
             for opinion in result.messages:
                 self.bus.publish(Envelope(VOTE_TOPIC, opinion, i, now))
             outputs.append(result.command)
@@ -487,19 +528,25 @@ class Simulation:
         # 3. Decide: every protection check and potential field in one pass.
         protections = [node.protection for node in nodes]
         commands, avoidance = field_pass(
-            sweep.ranges, reading, self.spec, outputs, protections, self.reach
+            ranges, reading, self.spec, outputs, protections, self.reach
         )
 
-        # 4. Move. Robot i moves only in its own turn, so row i of wall_dist
-        # still holds its start pose.
+        # 4. Move. Robot i moves only in its own turn, so row i of pose_block
+        # still holds its start pose, and so does row i of wall_dist.
         poses, actuators = world.poses, []
-        for i, (state, cmd, avoid, dist, radius) in enumerate(
-            zip(protections, commands, avoidance, wall_dist, world.radii.tolist())
+        for i, (state, cmd, avoid, radius) in enumerate(
+            zip(protections, commands, avoidance, world.radii.tolist())
         ):
             if cmd is not None:
                 note_command(state, cmd, now)
             actuator = arbitrate(state, now, avoid)
-            near = walls_in_reach(world.walls, dist, nearest[i], abs(actuator.linear) * dt, radius)
+            travel = abs(actuator.linear) * dt
+            if wall_dist is None and bounds[i] <= travel + radius + _REACH_EPS:
+                # A wall can be in reach: take the distances at the start poses.
+                wall_dist, bounds = sense[0], sense[2] = self._take_walls(pose_block)
+            near = _NO_WALLS
+            if wall_dist is not None:
+                near = walls_in_reach(world.walls, wall_dist[i], bounds[i], travel, radius)
             poses[i] = resolve_wall_contact(poses[i], actuator, dt, radius, near)
             actuators.append(actuator)
 

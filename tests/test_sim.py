@@ -2,10 +2,11 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import marching_raycast, random_scene, rk4_pose
@@ -24,7 +25,8 @@ from swarmsim import (
     raycast,
     wrap_angle,
 )
-from swarmsim.core import FieldRequest
+import swarmsim.sim
+from swarmsim.core import FieldRequest, ScanSnapshot
 from swarmsim.patterns.base import Pattern, TickResult
 from swarmsim.scenario import PATTERN_KINDS
 from swarmsim.sim import (
@@ -161,13 +163,19 @@ def test_raycast_matches_marching_oracle_on_random_scenes():
 # ------------------------------------------------------------ scan simulation
 
 
+def _scan(world, spec, i=0):
+    """Robot i's row of raycast_scan as a checked scan."""
+    row = raycast_scan(world, spec)[i]
+    return ScanSnapshot(row, 0.0, math.tau / spec.beam_count, spec.range_min, spec.range_max)
+
+
 def test_scan_lone_robot_in_large_arena_sees_nothing():
     world = WorldState(
         walls=rect_walls(18.0, 18.0),
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE).scans[0]
+    scan = _scan(world, WAFFLE)
     assert scan.ranges.shape == (360,)
     assert np.all(np.isinf(scan.ranges))
     assert not scan.valid_mask().any()
@@ -179,7 +187,7 @@ def test_scan_other_robot_body_blocks_beam():
         poses=[Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.0, 0.0)],
         radii=[0.15, 0.1],
     )
-    scan = raycast_scan(world, WAFFLE).scans[0]
+    scan = _scan(world, WAFFLE)
     assert scan.ranges[0] == pytest.approx(0.9, abs=1e-12)
     assert scan.valid_mask()[0]
 
@@ -190,7 +198,7 @@ def test_scan_hit_beyond_max_encodes_as_inf():
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE).scans[0]
+    scan = _scan(world, WAFFLE)
     assert np.isinf(scan.ranges[0])
     assert not scan.valid_mask()[0]
 
@@ -247,9 +255,8 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
         spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
         world = _crowded_world(rng, range_max)
         sweep = raycast_scan(world, spec)
-        assert len(sweep.scans) == len(sweep.ranges) == len(world.poses)
-        for row, scan, expected in zip(sweep.ranges, sweep.scans, _reference_scans(world, spec)):
-            assert np.array_equal(scan.ranges.view(np.int64), expected.view(np.int64))
+        assert sweep.shape == (len(world.poses), beams)
+        for row, expected in zip(sweep, _reference_scans(world, spec)):
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
@@ -259,7 +266,7 @@ def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
         poses=[Pose2D(0.0, 0.0, 0.0)],
         radii=[0.15],
     )
-    scan = raycast_scan(world, WAFFLE).scans[0]
+    scan = _scan(world, WAFFLE)
     assert scan.ranges[0] == pytest.approx(0.05, abs=1e-12)
     assert not scan.valid_mask()[0]
 
@@ -681,11 +688,12 @@ def raycast_calls(monkeypatch):
 
 def test_standing_swarm_senses_once(raycast_calls):
     sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
-    expected = raycast_scan(sim.world, WAFFLE).ranges
+    expected = raycast_scan(sim.world, WAFFLE)
     sim.run(20)
     assert len(raycast_calls) == 1
     for node in sim.nodes:
-        assert len({id(scan) for scan in node.behavior.scans}) == 1
+        assert len(node.behavior.scans) == 20
+        assert len({scan.ranges.tobytes() for scan in node.behavior.scans}) == 1
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
@@ -695,7 +703,7 @@ def test_pose_edit_between_steps_is_sensed(component):
     sim.run(2)
     pose = sim.world.poses[1]
     sim.world.poses[1] = dataclasses.replace(pose, **{component: getattr(pose, component) + 0.05})
-    expected = raycast_scan(sim.world, WAFFLE).ranges
+    expected = raycast_scan(sim.world, WAFFLE)
     assert expected.tobytes() != _last_scans(sim).tobytes()
     sim.step()
     assert _last_scans(sim).tobytes() == expected.tobytes()
@@ -707,7 +715,7 @@ def test_sign_of_zero_flip_is_sensed(raycast_calls, component):
     sim.step()
     sim.world.poses[0] = dataclasses.replace(sim.world.poses[0], **{component: -0.0})
     assert math.copysign(1.0, getattr(sim.world.poses[0], component)) == -1.0
-    expected = raycast_scan(sim.world, WAFFLE).ranges
+    expected = raycast_scan(sim.world, WAFFLE)
     sim.step()
     assert len(raycast_calls) == 2
     assert _last_scans(sim).tobytes() == expected.tobytes()
@@ -721,7 +729,7 @@ def test_sensed_blocks_and_radii_are_read_only():
     assert world.radii[0] == WAFFLE.body_radius
     sim.step()
     sweep = raycast_scan(sim.world, WAFFLE)
-    for block in (sweep.ranges, sweep.scans[0].ranges, sim.nodes[0].behavior.scans[0].ranges):
+    for block in (sweep, sweep[0], sim.nodes[0].behavior.scans[0].ranges):
         with pytest.raises(ValueError, match="read-only"):
             block[0] = 1.0
     for radii in (world.radii, sim.world.radii):
@@ -757,11 +765,10 @@ def test_scan_cut_at_reach_is_the_full_scan_cut_there(seed, beams, range_max, re
     if reach == "range_max":
         reach = range_max
     elif reach == "cell":  # a cut exactly at a reading keeps it
-        finite = full.ranges[np.isfinite(full.ranges)]
+        finite = full[np.isfinite(full)]
         reach = float(rng.choice(finite)) if finite.size else spec.range_min
     cut = raycast_scan(world, spec, reach=reach)
-    assert cut.ranges.tobytes() == np.where(full.ranges > reach, np.inf, full.ranges).tobytes()
-    assert all(scan.range_max == spec.range_max for scan in cut.scans)
+    assert cut.tobytes() == np.where(full > reach, np.inf, full).tobytes()
 
 
 def _reach_scenario(kind, seed):
@@ -795,13 +802,20 @@ def _reach_scenario(kind, seed):
 def test_every_kind_senses_to_its_reach_with_the_bits_of_a_full_sense(kind, seed):
     config = _reach_scenario(kind, seed)
     cut, full = build_simulation(config), build_simulation(config)
+    # The full twin senses to range_max, takes wall distances on every tick
+    # and hands every behavior its scan.
     full.reach = WAFFLE.range_max
     assert cut.reach < full.reach
+    for node in full.nodes:
+        node.behavior.reads_scan = True
     for n in range(config.tick_count()):
         cut.step()
+        full._walls_at = None
         full.step()
         if n == 0:  # the cut drops readings that the full sense keeps
-            assert np.isinf(cut._sense[1].ranges).sum() > np.isinf(full._sense[1].ranges).sum()
+            assert np.isinf(cut._sense[1]).sum() > np.isinf(full._sense[1]).sum()
+            # A scan of a cut sweep keeps the sensor's window.
+            assert cut.scan(cut._sense[1][0]).range_max == WAFFLE.range_max
     assert _hex_columns(cut.columns) == _hex_columns(full.columns)
 
 
@@ -817,6 +831,8 @@ def test_each_kind_declares_its_reach(kind):
     }.get(kind, 0.0)
     sim = build_simulation(config)
     assert {node.behavior.read_range for node in sim.nodes} == {reads}
+    # Of the kinds, only flocking reads its scan in its tick.
+    assert {node.behavior.reads_scan for node in sim.nodes} == {kind == "flocking"}
     assert sim.reach == min(WAFFLE.range_max, max(reads, WAFFLE.protection_threshold))
 
 
@@ -828,6 +844,27 @@ def test_undeclared_read_range_reaches_the_full_range():
     )
     assert node.behavior.read_range == math.inf
     assert Simulation(world, [node], WAFFLE, meta={}).reach == WAFFLE.range_max
+
+
+@pytest.mark.parametrize(
+    "kind, owner, name",
+    [
+        ("flocking", "behavior", "r_far"),
+        ("flocking", "behavior", "r_near"),
+        ("flocking", "protection", "threshold"),
+        ("attraction", "protection", "threshold"),
+    ],
+)
+def test_fields_the_reach_is_taken_from_are_fixed_once_built(kind, owner, name):
+    # The reach is taken once, at build: raising one of these afterwards
+    # would let the sweep go short of what the behavior or protection reads.
+    sim = build_simulation(_reach_scenario(kind, 0))
+    target = getattr(sim.nodes[0], owner)
+    before = getattr(target, name)
+    with pytest.raises(AttributeError, match="fixed once built"):
+        setattr(target, name, 3.0)
+    assert getattr(target, name) == before
+    sim.step()
 
 
 class Overreach(Pattern):
@@ -872,3 +909,94 @@ def test_field_request_past_the_reach_raises(effect_range):
         with pytest.raises(ValueError, match="past the sensed reach"):
             field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=1.0)
     field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=WAFFLE.range_max)
+
+
+# ----------------------------------- wall distances only where a wall can reach
+
+
+class WallDriver(ConstantDrive):
+    """Test behavior that drives one arc every tick and reads to read_range."""
+
+    def __init__(self, cmd: DriveCommand, read_range: float):
+        super().__init__(cmd)
+        self.read_range = read_range
+
+
+def _wall_run(platform, seed, read_range, threshold):
+    """Robots of mixed radii in a walled arena with interior walls, each
+    starting clear of every wall but at most 0.6 m from one, driving arcs at
+    up to the platform's top speed: into the walls, along them and off them.
+    A reach shorter than a step plus a radius takes wall distances in the
+    move phase."""
+    spec = PLATFORMS[platform]
+    threshold = threshold or spec.protection_threshold
+    rng = np.random.default_rng(seed)
+    width = float(rng.uniform(2.5, 8.0))
+    walls = [rect_walls(width, width)]
+    for _ in range(rng.integers(0, 4)):
+        x0, y0 = rng.uniform(-0.4 * width, 0.4 * width, 2)
+        ang, length = rng.uniform(0.0, math.tau), rng.uniform(0.2, 3.0)
+        walls.append([[x0, y0, x0 + length * math.cos(ang), y0 + length * math.sin(ang)]])
+    walls = np.vstack(walls)
+    poses, radii, nodes = [], [], []
+    while len(poses) < rng.integers(1, 7):
+        radius = float(rng.choice([0.0625, 0.15, 0.3, 0.4]))
+        x, y = rng.uniform(-width / 2, width / 2, 2)
+        if not radius + 0.01 <= wall_clearance(x, y, walls) <= radius + 0.6:
+            continue
+        poses.append(Pose2D(float(x), float(y), float(rng.uniform(-math.pi, math.pi))))
+        radii.append(radius)
+        linear = spec.max_linear * float(rng.choice([1.0, rng.uniform(0.1, 1.0), -1.0]))
+        angular = spec.max_angular * float(rng.uniform(-0.3, 0.3))
+        nodes.append(
+            RobotNode(
+                behavior=WallDriver(DriveCommand(linear, angular), read_range),
+                protection=ProtectionState(threshold=threshold, limits=spec.limits()),
+            )
+        )
+    world = WorldState(walls=walls, poses=poses, radii=radii)
+    return Simulation(world, nodes, spec, meta={})
+
+
+@settings(max_examples=40)
+@given(
+    platform=st.sampled_from(sorted(PLATFORMS)),
+    seed=st.integers(0, 2**32 - 1),
+    read_range=st.sampled_from([0.0, 1.0, math.inf]),
+    threshold=st.sampled_from([None, 0.05]),
+)
+def test_wall_bound_keeps_the_bits_of_wall_distances_every_tick(
+    platform, seed, read_range, threshold
+):
+    ticks = 25
+    cut = _wall_run(platform, seed, read_range, threshold)
+    full = _wall_run(platform, seed, read_range, threshold)
+    calls = []
+    original = swarmsim.sim.wall_distances
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    with mock.patch.object(swarmsim.sim, "wall_distances", counted):
+        for _ in range(ticks):
+            cut.step()
+        taken = len(calls)
+        for _ in range(ticks):
+            full._walls_at = None  # the uncut form: wall distances on every tick
+            full.step()
+    assert taken <= len(calls) - taken
+    assert _hex_columns(cut.columns) == _hex_columns(full.columns)
+
+
+def test_wall_bound_takes_wall_distances_once_far_from_the_walls(monkeypatch):
+    # experiment1-waffle: no robot comes within 3 m of a wall, against a 2 m
+    # reach and a few centimetres of travel per tick.
+    calls = []
+    original = swarmsim.sim.wall_distances
+    monkeypatch.setattr(
+        swarmsim.sim, "wall_distances", lambda *args: calls.append(1) or original(*args)
+    )
+    config = load_scenario("experiment1-waffle", seed=0, duration=30.0)
+    build_simulation(config).run(config.tick_count())
+    assert len(calls) == 1
