@@ -15,12 +15,13 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .core import segment_distances
-from .trace import Trace, block_rows
+from .trace import Trace, block_rows, float_texts, text_cells, write_rows
 
 # Pair and wall distance cells held at a time: a block of b ticks holds the
 # (b, R, R) robot distances and the (b, R, S) wall distances.
@@ -208,19 +209,22 @@ def write_series_csv(report: MetricsReport, path: str | Path) -> Path:
     path.parent.mkdir(parents=True, exist_ok=True)
     header = ["clock", "mean_distance_to_centroid", "min_pairwise_distance"]
     header += [f"clearance_r{rid}" for rid in report.robot_ids]
-    row_format = ",".join(["%r"] * len(header)) + "\n"
     step = block_rows(len(header))
     with path.open("w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, report.tick_count, step):
             ticks = slice(start, start + step)
-            stacked = np.column_stack((
-                report.clock[ticks],
-                report.mean_distance_to_centroid[ticks],
-                report.min_pairwise_distance[ticks],
-                report.clearance[ticks],
-            ))
-            # tolist() gives Python floats: "%r" of a numpy float prints np.float64(...)
-            rows = stacked.astype(float, copy=False).tolist()
-            fh.writelines(row_format % tuple(row) for row in rows)
+            # one row per series column, as the bits of its floats
+            bits = np.vstack(
+                (
+                    report.clock[ticks],
+                    report.mean_distance_to_centroid[ticks],
+                    report.min_pairwise_distance[ticks],
+                    report.clearance[ticks].T,
+                ),
+                dtype=float,
+            ).view(np.int64)
+            cells = text_cells(bits[:-1], float_texts)
+            cells.append(text_cells(bits[-1], partial(float_texts, end="\n")))
+            write_rows(fh, cells)
     return path

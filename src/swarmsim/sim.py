@@ -419,9 +419,10 @@ def field_pass(
     return commands, avoidance
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class RobotNode:
-    """One robot's behavior and protection layer."""
+    """One robot's behavior and protection layer, fixed once built: the
+    simulation's reach is taken from them (see Simulation.reach)."""
 
     behavior: Pattern
     protection: ProtectionState
@@ -436,15 +437,15 @@ class Simulation:
         if len(nodes) != len(world.poses):
             raise ValueError(f"need one node per robot, got {len(nodes)} nodes")
         self.world = world
-        self.nodes = nodes
+        self.nodes = tuple(nodes)
         self.spec = spec
         self.meta = meta
         self.bus = MessageBus(len(nodes))
         self.columns = TraceRecorder()
         # The farthest any behavior or protection check of the run reads.
         # Each sweep is cut there; like the spec, it is fixed for the run, and
-        # so are the fields it is taken from (see core.set_once), or a field
-        # request past it raises in field_pass.
+        # so are the nodes and the fields it is taken from (see core.set_once),
+        # or a field request past it raises in field_pass.
         reads = [d for node in nodes for d in (node.behavior.read_range, node.protection.threshold)]
         self.reach = min(spec.range_max, max(reads, default=0.0))
         # The last sense, [wall distances or None, ranges block, nearest wall

@@ -10,7 +10,12 @@ simulator's recorder, the writer and the reader are all driven from it.
 
 Files are written and parsed in blocks of rows of at most BLOCK_CELLS
 cells, so besides the typed columns themselves (O(rows)) the writer and the
-reader hold one block of Python values or text lines at a time.
+reader hold one block of text at a time. The writer formats each distinct
+value of a block once: one table for all the float columns, keyed on each
+float's bits (so a cmd_* cell equal to its pattern_* cell reuses its text,
+while -0.0 and 0.0 stay apart), one for each int column and one for the
+opinion. Equal bits always print equal text, so the bytes are those of
+formatting every cell on its own.
 """
 
 from __future__ import annotations
@@ -25,30 +30,31 @@ import numpy as np
 
 HEADER_PREFIX = "# swarmsim-trace v1 "
 
-# (name, dtype, % conversion). Each column is cast to its dtype and turned
-# into Python values, so "%r" is repr(float) and "%d" is str(int).
+# (name, dtype). Float cells are written as repr(float), int cells as
+# str(int), and the opinion as str(int), or empty for NaN.
 SCHEMA = (
-    ("tick", int, "%d"),
-    ("robot", int, "%d"),
-    ("clock", float, "%r"),
-    ("x", float, "%r"),
-    ("y", float, "%r"),
-    ("theta", float, "%r"),
-    ("pattern_linear", float, "%r"),
-    ("pattern_angular", float, "%r"),
-    ("cmd_linear", float, "%r"),
-    ("cmd_angular", float, "%r"),
-    ("suppressed", int, "%d"),
+    ("tick", int),
+    ("robot", int),
+    ("clock", float),
+    ("x", float),
+    ("y", float),
+    ("theta", float),
+    ("pattern_linear", float),
+    ("pattern_angular", float),
+    ("cmd_linear", float),
+    ("cmd_angular", float),
+    ("suppressed", int),
     # NaN (written empty) for behaviors without an opinion, else an integer
-    ("opinion", float, "%s"),
+    ("opinion", float),
 )
-COLUMN_NAMES = tuple(name for name, _, _ in SCHEMA)
-_ROW_FORMAT = ",".join(conversion for _, _, conversion in SCHEMA) + "\n"
+COLUMN_NAMES = tuple(name for name, _ in SCHEMA)
 _OPINION = COLUMN_NAMES.index("opinion")
-_ROW_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in SCHEMA])
+_FLOATS = [i for i, (_, dtype) in enumerate(SCHEMA) if dtype is float and i != _OPINION]
+_INTS = [i for i, (_, dtype) in enumerate(SCHEMA) if dtype is int]
+_ROW_DTYPE = np.dtype(list(SCHEMA))
 
 # Cells a writer or the reader turns into Python values or lines at a time.
-BLOCK_CELLS = 1 << 16
+BLOCK_CELLS = 1 << 14
 
 
 def block_rows(width: int) -> int:
@@ -87,27 +93,97 @@ def trace_from_columns(meta: dict, columns) -> Trace:
     """Trace from any object with one sequence attribute per column."""
     return Trace(
         meta,
-        **{name: np.asarray(getattr(columns, name), dtype=dtype) for name, dtype, _ in SCHEMA},
+        **{name: np.asarray(getattr(columns, name), dtype=dtype) for name, dtype in SCHEMA},
     )
 
 
 def write_trace(trace: Trace, path: str | Path) -> Path:
+    """Write the header line, the column names and one row per trace row.
+
+    A cell of an int column that is not an int64 integer, or an opinion that
+    is neither NaN nor an integer, raises a ValueError naming its column and
+    row, and no file is left behind.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     columns = [getattr(trace, name) for name in COLUMN_NAMES]
     step = block_rows(len(SCHEMA))
-    with path.open("w") as fh:
-        fh.write(HEADER_PREFIX + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
-        fh.write("\n" + ",".join(COLUMN_NAMES) + "\n")
-        for start in range(0, len(trace.tick), step):
-            # tolist() gives Python scalars: "%r" of a numpy float prints np.float64(...)
-            block = [
-                np.asarray(column[start : start + step], dtype=dtype).tolist()
-                for column, (_, dtype, _) in zip(columns, SCHEMA)
-            ]
-            block[_OPINION] = ["" if math.isnan(v) else int(v) for v in block[_OPINION]]
-            fh.writelines(_ROW_FORMAT % row for row in zip(*block))
+    try:
+        with path.open("w") as fh:
+            fh.write(HEADER_PREFIX + json.dumps(trace.meta, sort_keys=True, separators=(",", ":")))
+            fh.write("\n" + ",".join(COLUMN_NAMES) + "\n")
+            for start in range(0, len(trace.tick), step):
+                block = [column[start : start + step] for column in columns]
+                cells = [None] * len(SCHEMA)
+                floats = np.array([block[i] for i in _FLOATS], dtype=float)
+                for i, texts in zip(_FLOATS, text_cells(floats.view(np.int64), float_texts)):
+                    cells[i] = texts
+                for i in _INTS:
+                    cells[i] = _integer_cells(i, np.asarray(block[i]), start, _int_text, "an int64")
+                opinions = np.asarray(block[_OPINION], dtype=float)
+                cells[_OPINION] = _integer_cells(
+                    _OPINION, opinions, start, _opinion_text, "NaN or an integer"
+                )
+                write_rows(fh, cells)
+    except ValueError:
+        path.unlink(missing_ok=True)
+        raise
     return path
+
+
+def text_cells(keys: np.ndarray, texts) -> list:
+    """The text of each cell of `keys`, as nested lists of its shape.
+
+    texts(distinct) gives the text of each of the sorted distinct keys, so
+    each distinct key is formatted once however often it repeats.
+    """
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    return np.array(texts(distinct), dtype=object)[inverse.reshape(keys.shape)].tolist()
+
+
+def float_texts(bits: np.ndarray, end: str = "") -> list[str]:
+    """repr of the floats whose int64 bit patterns are `bits`, each + end.
+
+    Keyed on bits, -0.0 and 0.0 (and NaN payloads) are distinct keys; equal
+    bits always print equal text.
+    """
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return [text + end for text in texts] if end else texts
+
+
+def write_rows(fh, cells: list[list[str]]) -> None:
+    """Write rows whose cells are given column by column; the last column's
+    texts end the row."""
+    fh.write("".join(map(",".join, zip(*cells))))
+
+
+def _int_text(value) -> str | None:
+    """str of an int64 integer, else None."""
+    if float(value).is_integer() and -(2**63) <= value < 2**63:
+        return str(int(value))
+    return None
+
+
+def _opinion_text(value: float) -> str | None:
+    """The opinion cell of a NaN or an integer, ending the row; else None."""
+    if math.isnan(value):
+        return "\n"
+    return str(int(value)) + "\n" if value.is_integer() else None
+
+
+def _integer_cells(column: int, values: np.ndarray, first_row: int, text, what: str) -> list[str]:
+    """text(v) of each cell of one column's block; a value without one (not
+    `what`) raises a ValueError naming the column and its first row."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = distinct.tolist()
+    table = [text(v) for v in distinct]
+    if None in table:
+        k = table.index(None)
+        row = first_row + int(np.argmax(inverse == k))
+        raise ValueError(
+            f"trace column {COLUMN_NAMES[column]!r}, row {row}: {distinct[k]!r} is not {what}"
+        )
+    return np.array(table, dtype=object)[inverse].tolist()
 
 
 def read_trace(path: str | Path) -> Trace:
@@ -118,7 +194,7 @@ def read_trace(path: str | Path) -> Trace:
     lines (skipped) count as lines.
     """
     path = Path(path)
-    pieces = [[np.empty(0, dtype)] for _, dtype, _ in SCHEMA]
+    pieces = [[np.empty(0, dtype)] for _, dtype in SCHEMA]
     with path.open() as fh:
         header = fh.readline().rstrip("\n")
         if not header.startswith(HEADER_PREFIX):
@@ -130,16 +206,19 @@ def read_trace(path: str | Path) -> Trace:
         lineno = 3
         step = block_rows(len(SCHEMA))
         while lines := list(islice(fh, step)):
-            rows = [line for line in lines if line != "\n"]
+            # An empty opinion cell ends its line in "," (or ",\n"): read it
+            # as "nan".
+            rows = [
+                line[:-1] + "nan\n" if line.endswith(",\n")
+                else line + "nan" if line.endswith(",")
+                else line
+                for line in lines
+                if line != "\n"
+            ]
             if rows:
                 try:
                     parsed = np.loadtxt(
-                        rows,
-                        dtype=_ROW_DTYPE,
-                        delimiter=",",
-                        comments=None,
-                        converters={_OPINION: _parse_opinion},
-                        ndmin=1,
+                        rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
                     )
                 except ValueError as exc:
                     _raise_for_first_bad_line(path, lines, lineno, exc)
@@ -152,10 +231,6 @@ def read_trace(path: str | Path) -> Trace:
         arrays[name] = np.concatenate(piece)
         piece.clear()  # free each column's blocks once it is one array
     return Trace(meta, **arrays)
-
-
-def _parse_opinion(cell: str) -> float:
-    return float(cell or "nan")
 
 
 def _raise_for_first_bad_line(
@@ -173,7 +248,7 @@ def _raise_for_first_bad_line(
             raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, expected {width}")
         parts[_OPINION] = parts[_OPINION] or "nan"
         try:
-            for (_, dtype, _), part in zip(SCHEMA, parts):
+            for (_, dtype), part in zip(SCHEMA, parts):
                 dtype(part)
         except ValueError as cell_exc:
             raise ValueError(f"{path}, line {lineno}: {cell_exc}") from None

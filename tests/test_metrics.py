@@ -250,6 +250,17 @@ def test_trace_round_trip_preserves_missing_opinions(tmp_path):
         assert np.array_equal(getattr(back, name), getattr(trace, name))
 
 
+@pytest.mark.parametrize("last_opinion", [math.nan, 2.0])
+def test_opinion_cells_read_back_on_a_last_line_without_newline(tmp_path, last_opinion):
+    opinions = [[math.nan, 1.0], [0.0, last_opinion]]
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2, opinions=opinions)
+    path = write_trace(trace, tmp_path / "t.csv")
+    path.write_text(path.read_text().rstrip("\n"))
+    back = read_trace(path)
+    read, wrote = back.opinion.tolist(), trace.opinion.tolist()
+    assert list(map(float.hex, read)) == list(map(float.hex, wrote))
+
+
 def test_read_trace_rejects_other_files(tmp_path):
     path = tmp_path / "not_a_trace.csv"
     path.write_text("x,y\n1,2\n")
@@ -284,23 +295,41 @@ def test_read_trace_names_the_line_of_a_bad_cell(tmp_path):
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
-_EDGE_FLOATS = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300]
+# NaN, -NaN and a NaN with another payload: distinct bits, all written "nan"
+_NANS = [math.nan, -math.nan, *np.array([0x7FF0_0000_0000_0001], dtype=np.int64).view(float)]
+_EDGE_FLOATS = [0.0, -0.0, *_NANS, math.inf, -math.inf, 5e-324, 1e-310, 1e300, -1e300]
 _FLOATS = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
 _OPINIONS = st.one_of(st.just(math.nan), st.integers(-(2**62), 2**62).map(float))
 
 
+def _pool(draw, cells, *always):
+    """A few cells, besides `always`, that every column of a kind draws from."""
+    return st.sampled_from([*always, *draw(st.lists(cells, min_size=1, max_size=4))])
+
+
 @st.composite
 def _trace_columns(draw):
-    """Columns of n rows; a float column may come as an int array."""
-    n = draw(st.integers(0, 6))
+    """Columns of n rows whose cells come from small pools shared by all the
+    columns of a kind, so that cells repeat within a column and across
+    columns: -0.0 beside 0.0, NaNs of other bits, and a cmd_* column may be
+    its pattern_* column. A float column may come as an int array."""
+    n = draw(st.integers(0, 8))
+    pools = {
+        float: _pool(draw, _FLOATS, 0.0, -0.0, *_NANS),
+        np.int64: _pool(draw, _INT64),
+        "opinion": _pool(draw, _OPINIONS, math.nan),
+    }
     columns = {}
-    for name, dtype, _ in SCHEMA:
+    for name, dtype in SCHEMA:
+        if name.startswith("cmd_") and draw(st.booleans()):
+            columns[name] = columns[name.replace("cmd_", "pattern_")].copy()
+            continue
         if name == "opinion":
-            cells, as_dtype = _OPINIONS, float
+            cells, as_dtype = pools["opinion"], float
         elif dtype is int or draw(st.booleans()):
-            cells, as_dtype = _INT64, np.int64
+            cells, as_dtype = pools[np.int64], np.int64
         else:
-            cells, as_dtype = _FLOATS, float
+            cells, as_dtype = pools[float], float
         columns[name] = np.array(draw(st.lists(cells, min_size=n, max_size=n)), dtype=as_dtype)
     return columns
 
@@ -311,13 +340,38 @@ def test_write_trace_matches_per_cell_formatting_and_reads_back(tmp_path_factory
     path = write_trace(trace, tmp_path_factory.getbasetemp() / "cells.csv")
     assert path.read_text().split("\n", 2)[2] == trace_rows_reference(trace)
     back = read_trace(path)
-    for name, dtype, _ in SCHEMA:
+    for name, dtype in SCHEMA:
         read = getattr(back, name).tolist()
         if dtype is int:
             assert read == columns[name].tolist(), name
         else:
             wrote = columns[name].astype(float).tolist()
             assert list(map(float.hex, read)) == list(map(float.hex, wrote)), name
+
+
+@pytest.mark.parametrize(
+    "name, cell, shown",
+    [
+        ("tick", 1.7, "1.7"),
+        ("suppressed", 2.5, "2.5"),
+        ("robot", math.nan, "nan"),
+        ("tick", 2.0**63, "9.223372036854776e+18"),
+        ("opinion", 1.5, "1.5"),
+        ("opinion", math.inf, "inf"),
+    ],
+)
+def test_write_trace_rejects_a_cell_that_is_not_an_integer(tmp_path, name, cell, shown):
+    # The cells used to be truncated: tick 1.7 was written as 1.
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 3)
+    values = getattr(trace, name).astype(float)
+    values[3:] = cell
+    setattr(trace, name, values)
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError) as info:
+        write_trace(trace, path)
+    what = "NaN or an integer" if name == "opinion" else "an int64"
+    assert str(info.value) == f"trace column {name!r}, row 3: {shown} is not {what}"
+    assert not path.exists()
 
 
 # Row counts around the block size b: rows = multiple * b + offset.
@@ -338,14 +392,14 @@ def _random_trace(rows):
     rng = np.random.default_rng(rows)
     columns = {
         name: rng.integers(-5, 5, rows) if dtype is int else rng.normal(size=rows)
-        for name, dtype, _ in SCHEMA
+        for name, dtype in SCHEMA
     }
     columns["opinion"] = np.where(rng.random(rows) < 0.5, np.nan, rng.integers(0, 3, rows))
     return Trace(meta_for(1), **columns)
 
 
 def _assert_same_columns(back, trace):
-    for name, dtype, _ in SCHEMA:
+    for name, dtype in SCHEMA:
         read, wrote = getattr(back, name), getattr(trace, name)
         assert read.dtype == np.dtype(dtype), name
         if dtype is int:

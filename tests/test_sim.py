@@ -867,6 +867,20 @@ def test_fields_the_reach_is_taken_from_are_fixed_once_built(kind, owner, name):
     sim.step()
 
 
+def test_nodes_the_reach_is_taken_from_are_fixed_once_built():
+    # A behavior with a farther r_far swapped in after build would read past
+    # the reach taken from the old one, and its sweeps would go short.
+    sim = build_simulation(_reach_scenario("flocking", 0))
+    node = sim.nodes[0]
+    farther = dataclasses.replace(node.behavior, r_far=3.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        node.behavior = farther
+    with pytest.raises(TypeError):
+        sim.nodes[0] = RobotNode(farther, node.protection)
+    assert sim.nodes[0].behavior is node.behavior
+    sim.step()
+
+
 class Overreach(Pattern):
     """Test behavior that declares a shorter read_range than its field reads."""
 
