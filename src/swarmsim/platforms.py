@@ -2,7 +2,8 @@
 
 Sensor windows and protection thresholds follow the real platforms; speed
 envelopes come from the manufacturer datasheets. Bodies are approximated as
-circles. Everything here can be overridden per scenario.
+circles. A scenario may override the pattern defaults, but no spec field:
+replay checks a trace's recorded spec against the preset.
 """
 
 from __future__ import annotations

@@ -5,15 +5,21 @@ parameters, a seed, and a duration. Scenarios load from YAML files, from
 packaged presets (by name), or from dicts; loading resolves every random
 choice (headings, opinions) so the resulting config is fully explicit and
 reproducible. The resolved form round-trips through the trace header, which
-is what makes replay and trace-only metrics possible.
+is what makes replay and trace-only metrics possible. One list of keys,
+_KEYS, drives the key check, typed loading and that round trip.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+import numbers
+import typing
+from contextlib import suppress
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
+from types import UnionType
+from typing import Annotated, Literal, Union
 
 import numpy as np
 import yaml
@@ -50,9 +56,15 @@ BEHAVIORS: dict[str, type[Pattern]] = {
 }
 PATTERN_KINDS = tuple(BEHAVIORS)
 VOTING_KINDS = ("majority", "voter", "discussed_dispersion")
+_BUILDER_FIELDS = ("limits", "rng", "robot_id", "own_opinion")
 
-DEFAULT_WINDOW_LENGTH = 1.0
-DEFAULT_DECISION_DURATION = 20.0
+# Pattern defaults that hold on every platform (PATTERN_DEFAULTS holds the
+# others). The loader resolves opinions and opinion_choices.
+_KIND_DEFAULTS = {
+    "majority": {"window_length": 1.0, "opinions": "random", "opinion_choices": [0, 1]},
+    "voter": {"window_length": 1.0, "opinions": "random", "opinion_choices": [0, 1]},
+    "discussed_dispersion": {"window_length": 1.0, "decision_duration": 20.0, "opinions": "random"},
+}
 
 
 class ScenarioError(ValueError):
@@ -84,10 +96,10 @@ class ScenarioConfig:
     pattern_params: dict
     seed: int
     duration: float
-    dt: float = 0.1
-    extra_walls: list[list[float]] = field(default_factory=list)
-    initial_opinions: list[int] | None = None
-    staleness_limit: float = DEFAULT_STALENESS_LIMIT
+    dt: float
+    extra_walls: list[list[float]]
+    initial_opinions: list[int] | None
+    staleness_limit: float
 
     @property
     def spec(self) -> PlatformSpec:
@@ -112,51 +124,132 @@ _WALK_STREAM = 1
 _VOTER_STREAM = 2
 
 
-_TOP_KEYS = {
-    "name", "platform", "arena", "robots", "pattern",
-    "seed", "duration", "dt", "extra_walls", "staleness_limit",
+def _finite(value) -> bool:
+    """A finite int or float; YAML's true/yes/on (a bool) is neither."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
+
+
+def _load(path: str, typ, value):
+    """value loaded as a typ, or a ScenarioError naming the key path. typ is
+    float or int (a finite number; a whole one for int), str, bool, dict (a
+    null one loads empty), a Literal, a list or dict of types, a tuple of
+    floats (loaded as a list), a union (its first option that loads, else
+    the first option's error) or Annotated[typ, what, ok]."""
+    if typ is float or typ is int:
+        if not _finite(value):
+            what = "a finite number" if isinstance(value, float) else "a number"
+        elif typ is int and isinstance(value, float) and not value.is_integer():
+            what = "a whole number"
+        else:
+            return typ(value)  # int(): exact, where a float round trip rounds above 2**53
+        raise ScenarioError(f"{path}: {value!r} is not {what}")
+    origin, args = typing.get_origin(typ), typing.get_args(typ)
+    if origin is Annotated:
+        loaded = _load(path, args[0], value)
+        if not args[2](loaded):
+            raise ScenarioError(f"{path}: {value!r} is not {args[1]}")
+        return loaded
+    if origin is Literal and value in args:
+        return value
+    if origin in (Union, UnionType):
+        try:
+            return _load(path, args[0], value)
+        except ScenarioError:
+            for option in args[1:]:
+                with suppress(ScenarioError):
+                    return _load(path, option, value)
+            raise
+    if origin is list and isinstance(value, (list, tuple)):
+        return [_load(path, args[0], v) for v in value]
+    if origin is tuple and isinstance(value, (list, tuple)) and len(value) == len(args):
+        if all(map(_finite, value)):
+            return [float(v) for v in value]
+    if origin is dict and isinstance(value, dict):
+        key, item = args
+        return {_load(path, key, k): _load(f"{path}[{k!r}]", item, v) for k, v in value.items()}
+    if origin is None and isinstance(value, typ):
+        return value
+    if typ is dict and value is None:
+        return {}
+    what = {str: "a string", bool: "a boolean", dict: "a mapping"}.get(typ, typ)
+    raise ScenarioError(f"{path}: {value!r} is not {what}")
+
+
+_POSITIVE = Annotated[float, "> 0", lambda v: v > 0]
+_AT_LEAST_0 = Annotated[float, ">= 0", lambda v: v >= 0]
+_POSES = Annotated[list[tuple[float, float, float]], "a list of at least one pose", bool]
+
+# Every scenario key: (key path, at most two deep; type; default, loaded as
+# it stands; the ScenarioConfig field it loads into and to_meta writes). A
+# mapping may be null, and holds only the keys listed under it.
+_KEYS = (
+    ("name", str, "scenario", "name"),
+    ("platform", str, None, "platform"),  # one of PLATFORMS
+    ("arena.width", _POSITIVE, 18.0, "arena_width"),
+    ("arena.height", _POSITIVE, 18.0, "arena_height"),
+    ("robots.poses", _POSES, None, "poses"),  # None: a line layout places them
+    ("robots.layout", Literal["line"], "line", None),
+    ("robots.count", Annotated[int, ">= 1", lambda n: n >= 1], 1, None),
+    ("robots.spacing", _POSITIVE, 1.0, None),
+    ("robots.headings", float | list[float] | Literal["random", "inward"], 0.0, None),
+    ("robots.heading_jitter", _AT_LEAST_0, 0.0, None),
+    ("pattern.kind", Literal[PATTERN_KINDS], None, "pattern"),
+    ("pattern.params", dict, {}, "pattern_params"),  # keys by kind: _PARAMS
+    ("seed", Annotated[int, ">= 0", lambda n: n >= 0], 0, "seed"),
+    ("duration", _AT_LEAST_0, 60.0, "duration"),
+    ("dt", _POSITIVE, 0.1, "dt"),
+    ("extra_walls", list[tuple[float, float, float, float]], [], "extra_walls"),
+    ("staleness_limit", _POSITIVE, DEFAULT_STALENESS_LIMIT, "staleness_limit"),
+)
+# mapping path -> the keys it may hold
+_LEVELS: dict[str, set] = {"": {path.split(".")[0] for path, *_ in _KEYS}}
+for _parent, _, _name in (path.rpartition(".") for path, *_ in _KEYS):
+    _LEVELS.setdefault(_parent, set()).add(_name)
+
+# kind -> pattern parameter -> type: the behavior's init fields, less the
+# builder's, and the opinions the loader resolves.
+_PARAMS = {
+    kind: {f.name: hints[f.name] for f in fields(cls) if f.init and f.name not in _BUILDER_FIELDS}
+    for kind, cls in BEHAVIORS.items()
+    for hints in [typing.get_type_hints(cls)]
 }
-_ARENA_KEYS = {"width", "height"}
-_PATTERN_KEYS = {"kind", "params"}
-_LAYOUT_KEYS = {"layout", "count", "spacing", "headings", "heading_jitter"}
+for _kind in VOTING_KINDS:
+    _PARAMS[_kind]["opinions"] = list[int] | Literal["random"]
+    if "opinion_choices" in _KIND_DEFAULTS[_kind]:
+        _PARAMS[_kind]["opinion_choices"] = list[int]
 
 
-def _known_keys(where: str, mapping, known: set) -> dict:
-    """mapping itself, once every key in it is one of known."""
-    if not isinstance(mapping, dict):
-        raise ScenarioError(f"{where}: {mapping!r} is not a mapping")
+def _known(noun: str, mapping: dict, known) -> None:
     unknown = mapping.keys() - known
     if unknown:
-        raise ScenarioError(f"unknown {where} keys: {sorted(unknown, key=str)}")
-    return mapping
+        raise ScenarioError(f"unknown {noun} keys: {sorted(unknown, key=str)}")
 
 
-def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
-    robots = _known_keys("robot", raw.get("robots") or {}, _LAYOUT_KEYS | {"poses"})
-    if "poses" in robots:
-        layout = robots.keys() & _LAYOUT_KEYS
+def _lookup(raw: dict) -> dict:
+    """Each mapping of raw and each key of _KEYS, loaded, by its path."""
+    values = {"": raw}
+    for path, names in _LEVELS.items():  # "" first, then arena, robots, pattern
+        if path:
+            values[path] = _load(path, dict, raw.get(path))
+        _known({"": "scenario", "robots": "robot"}.get(path, path), values[path], names)
+    for path, typ, default, _ in _KEYS:
+        parent, _, name = path.rpartition(".")
+        values[path] = _load(path, typ, values[parent][name]) if name in values[parent] else default
+    return values
+
+
+def _resolve_poses(values: dict, rng: np.random.Generator) -> list[Pose2D]:
+    if values["robots.poses"] is not None:
+        layout = values["robots"].keys() - {"poses"}
         if layout:
             raise ScenarioError(f"robots.poses: layout keys {sorted(layout)} given with the poses")
-        poses = [Pose2D(*row) for row in _rows("robots.poses", robots["poses"], 3)]
-        if not poses:
-            raise ScenarioError("need at least one robot")
-        return poses
-    layout = robots.get("layout", "line")
-    if layout != "line":
-        raise ScenarioError(f"unknown layout: {layout!r}")
-    count = _whole_number("robots.count", robots.get("count", 1))
-    spacing = _number("robots.spacing", robots.get("spacing", 1.0))
-    if count < 1 or spacing <= 0:
-        raise ScenarioError("bad line layout parameters")
-    headings = robots.get("headings", 0.0)
-    if headings not in ("random", "inward"):
-        listed = headings if isinstance(headings, (list, tuple)) else [headings] * count
-        headings = [_number("robots.headings", h) for h in listed]
-        if len(headings) != count:
-            raise ScenarioError(f"robots.headings: {len(headings)} headings, {count} robots")
-    jitter = _number("robots.heading_jitter", robots.get("heading_jitter", 0.0))
-    if jitter < 0:
-        raise ScenarioError("heading_jitter must be >= 0")
+        return [Pose2D(*row) for row in values["robots.poses"]]
+    count, spacing = values["robots.count"], values["robots.spacing"]
+    headings, jitter = values["robots.headings"], values["robots.heading_jitter"]
+    if isinstance(headings, list) and len(headings) != count:
+        raise ScenarioError(f"robots.headings: {len(headings)} headings, {count} robots")
     center = -(count - 1) / 2.0 * spacing
     poses = []
     for i in range(count):
@@ -168,101 +261,42 @@ def _resolve_poses(raw: dict, rng: np.random.Generator) -> list[Pose2D]:
             # group when placed by hand for a gathering demo
             th = 0.0 if x <= center else math.pi
         else:
-            th = headings[i]
+            th = headings[i] if isinstance(headings, list) else headings
         if jitter:
             th += float(rng.uniform(-jitter, jitter))
         poses.append(Pose2D(x, 0.0, th))
     return poses
 
 
-def _number(key: str, value) -> float:
-    # YAML reads true/yes/on as a bool, which float() would take for 1.0.
-    if isinstance(value, bool):
-        raise ScenarioError(f"{key}: {value!r} is not a number")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{key}: {value!r} is not a number") from None
-
-
-def _whole_number(key: str, value) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int(value)  # exact: a float round trip rounds integers above 2**53
-    number = _number(key, value)
-    if not number.is_integer():
-        raise ScenarioError(f"{key}: {value!r} is not a whole number")
-    return int(number)
-
-
-def _positive(key: str, value) -> float:
-    number = _number(key, value)
-    if not 0 < number < math.inf:
-        raise ScenarioError(f"{key}: {value!r} is not a positive finite number")
-    return number
-
-
-def _rows(key: str, rows, width: int) -> list[list[float]]:
-    if not isinstance(rows, (list, tuple)):
-        raise ScenarioError(f"{key}: {rows!r} is not a list")
-    out = []
-    for row in rows:
-        values = [_number(key, v) for v in row] if isinstance(row, (list, tuple)) else []
-        if len(values) != width or not all(map(math.isfinite, values)):
-            raise ScenarioError(f"{key}: {row!r} is not a row of {width} finite numbers")
-        out.append(values)
-    return out
-
-
-def _whole_numbers(key: str, values) -> list[int]:
-    if not isinstance(values, (list, tuple)):
-        raise ScenarioError(f"{key}: {values!r} is not a list")
-    return [_whole_number(key, v) for v in values]
-
-
-def _resolve_opinions(
-    kind: str, params: dict, count: int, rng: np.random.Generator
-) -> list[int] | None:
-    if kind not in VOTING_KINDS:
-        return None
-    raw = params.pop("opinions", "random")
-    if kind == "discussed_dispersion":
-        choices = sorted(params["mapping"])
-    else:
-        choices = _whole_numbers("opinion_choices", params.pop("opinion_choices", [0, 1]))
-        if not choices:
-            raise ScenarioError("opinion_choices: needs at least one opinion")
-    if raw == "random":
-        return [int(choices[rng.integers(len(choices))]) for _ in range(count)]
-    opinions = _whole_numbers("opinions", raw)
-    if len(opinions) != count:
-        raise ScenarioError("initial opinions must match the robot count")
-    return opinions
-
-
-def _merged_params(platform: str, kind: str, overrides: dict) -> dict:
+def _pattern(
+    kind: str, platform: str, given: dict, count: int, rng: np.random.Generator
+) -> tuple[dict, list[int] | None]:
+    """The kind's defaults on the platform, overridden by the given
+    parameters, each loaded as its type; and, for a voting kind, the
+    initial opinions of count robots."""
+    types = _PARAMS[kind]
+    _known(f"{kind} parameter", given, types)
     params = dict(PATTERN_DEFAULTS.get(platform, {}).get(kind, {}))
-    params.update(overrides)
-    if kind in VOTING_KINDS:
-        params.setdefault("window_length", DEFAULT_WINDOW_LENGTH)
+    for key, value in given.items():
+        loaded = _load(f"{kind} parameter pattern.params.{key}", types[key], value)
+        # numbers stay as written (an int stays an int), as headers record them
+        params[key] = value if types[key] in (float, tuple[float, float]) else loaded
+    for key, value in _KIND_DEFAULTS.get(kind, {}).items():
+        params.setdefault(key, value)
+    if kind not in VOTING_KINDS:
+        return params, None
+    opinions = params.pop("opinions")
     if kind == "discussed_dispersion":
-        params.setdefault("decision_duration", DEFAULT_DECISION_DURATION)
-        if "mapping" not in params:
-            raise ScenarioError("discussed_dispersion needs an opinion mapping")
-        mapping = params["mapping"]
-        if not isinstance(mapping, dict):
-            raise ScenarioError(f"mapping: {mapping!r} is not an opinion -> distance mapping")
-        params["mapping"] = {
-            _whole_number("mapping", k): _number(f"mapping[{k!r}]", v) for k, v in mapping.items()
-        }
-    # NaN passes every range check the configs make (each comparison is
-    # False), so a non-finite number is rejected here, in any parameter.
-    for key, value in params.items():
-        items = value.values() if isinstance(value, dict) else value
-        if not isinstance(value, (dict, list, tuple)):
-            items = [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
-            raise ScenarioError(f"{kind} parameter {key}: {value!r} holds a non-finite number")
-    return params
+        key, choices = "mapping", sorted(params.get("mapping", {}))
+    else:
+        key, choices = "opinion_choices", params.pop("opinion_choices")
+    if not choices:
+        raise ScenarioError(f"pattern.params.{key}: needs at least one opinion")
+    if opinions == "random":
+        opinions = [int(choices[rng.integers(len(choices))]) for _ in range(count)]
+    elif len(opinions) != count:
+        raise ScenarioError("initial opinions must match the robot count")
+    return params, opinions
 
 
 def load_scenario(
@@ -275,59 +309,23 @@ def load_scenario(
     seed/duration override the file's values before any random choice is
     drawn, so the override fully determines the resolved scenario.
     """
-    if isinstance(source, dict):
-        raw = dict(source)
-    else:
-        text = _read_scenario_text(source)
-        raw = yaml.safe_load(text)
-        if not isinstance(raw, dict):
-            raise ScenarioError("scenario file must hold a mapping")
-    _known_keys("scenario", raw, _TOP_KEYS)
-
-    name = raw.get("name", "scenario")
-    if not isinstance(name, str):
-        raise ScenarioError(f"name: {name!r} is not a string")
-    platform = raw.get("platform")
-    if not isinstance(platform, str) or platform not in PLATFORMS:
-        raise UnknownPlatformError(f"unknown platform: {platform!r}")
-
-    pattern = _known_keys("pattern", raw.get("pattern") or {}, _PATTERN_KEYS)
-    kind = pattern.get("kind")
-    if kind not in PATTERN_KINDS:
-        raise ScenarioError(f"unknown pattern kind: {kind!r}")
-    overrides = pattern.get("params")
-    if overrides is None:
-        overrides = {}
-    if not isinstance(overrides, dict):
-        raise ScenarioError(f"pattern.params: {overrides!r} is not a mapping")
-    params = _merged_params(platform, kind, overrides)
-
-    use_seed = _whole_number("seed", raw.get("seed", 0) if seed is None else seed)
-    if use_seed < 0:
-        raise ScenarioError(f"seed: {use_seed} is negative")
-    use_duration = _number("duration", raw.get("duration", 60.0) if duration is None else duration)
-    if not 0 <= use_duration < math.inf:
-        raise ScenarioError(f"duration: {use_duration!r} is not a finite number >= 0")
-    rng = _rng(use_seed, _SCENARIO_STREAM)
-
-    arena = _known_keys("arena", raw.get("arena") or {}, _ARENA_KEYS)
+    raw = source if isinstance(source, dict) else yaml.safe_load(_read_scenario_text(source))
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario file must hold a mapping")
+    raw = raw | {key: v for key, v in (("seed", seed), ("duration", duration)) if v is not None}
+    values = _lookup(raw)
+    if values["platform"] not in PLATFORMS:
+        raise UnknownPlatformError(f"unknown platform: {values['platform']!r}")
+    kind = values["pattern.kind"]
+    if kind is None:
+        raise ScenarioError("pattern.kind is missing")
+    rng = _rng(values["seed"], _SCENARIO_STREAM)
+    poses = _resolve_poses(values, rng)
+    params, opinions = _pattern(kind, values["platform"], values["pattern.params"], len(poses), rng)
     config = ScenarioConfig(
-        name=name,
-        platform=platform,
-        arena_width=_positive("arena.width", arena.get("width", 18.0)),
-        arena_height=_positive("arena.height", arena.get("height", 18.0)),
-        poses=_resolve_poses(raw, rng),
-        pattern=kind,
-        pattern_params=params,
-        seed=use_seed,
-        duration=use_duration,
-        dt=_positive("dt", raw.get("dt", 0.1)),
-        extra_walls=_rows("extra_walls", raw.get("extra_walls", []), 4),
-        staleness_limit=_positive(
-            "staleness_limit", raw.get("staleness_limit", DEFAULT_STALENESS_LIMIT)
-        ),
+        **{field: values[path] for path, _, _, field in _KEYS if field}
+        | {"poses": poses, "pattern_params": params, "initial_opinions": opinions}
     )
-    config.initial_opinions = _resolve_opinions(kind, params, len(config.poses), rng)
     validate_scenario(config)
     return config
 
@@ -371,8 +369,7 @@ def validate_scenario(config: ScenarioConfig) -> None:
             )
         if any(dist <= spec.range_min for dist in mapping.values()):
             raise ScenarioError("mapped distances must exceed the sensor floor")
-    # Building one behavior rejects unknown keys, builder and run-time
-    # fields among the parameters, and out-of-range values.
+    # Building one behavior rejects the out-of-range values.
     try:
         _build_behavior(config, 0)
     except (TypeError, ValueError) as exc:
@@ -419,32 +416,20 @@ def build_simulation(config: ScenarioConfig) -> Simulation:
 
 def to_meta(config: ScenarioConfig) -> dict:
     spec = config.spec
-    mapping = config.pattern_params.get("mapping")
-    params = dict(config.pattern_params)
-    if mapping is not None:
-        params["mapping"] = {str(k): float(v) for k, v in mapping.items()}
-    return {
-        "format": "swarmsim-trace",
-        "version": 1,
-        "scenario": {
-            "name": config.name,
-            "platform": config.platform,
-            "platform_spec": asdict(spec),
-            "arena": [config.arena_width, config.arena_height],
-            "extra_walls": config.extra_walls,
-            "walls": [[float(v) for v in row] for row in config.walls()],
-            "poses": [[p.x, p.y, p.theta] for p in config.poses],
-            "robot_ids": list(range(len(config.poses))),
-            "radii": [spec.body_radius] * len(config.poses),
-            "pattern": config.pattern,
-            "pattern_params": params,
-            "initial_opinions": config.initial_opinions,
-            "seed": config.seed,
-            "duration": config.duration,
-            "dt": config.dt,
-            "staleness_limit": config.staleness_limit,
-        },
-    }
+    scenario = {field: getattr(config, field) for *_, field in _KEYS if field}
+    params = scenario["pattern_params"] = dict(config.pattern_params)
+    if "mapping" in params:
+        params["mapping"] = {str(k): v for k, v in params["mapping"].items()}  # JSON keys
+    scenario.update(
+        arena=[scenario.pop("arena_width"), scenario.pop("arena_height")],
+        poses=[[p.x, p.y, p.theta] for p in config.poses],
+        initial_opinions=config.initial_opinions,
+        platform_spec=asdict(spec),
+        walls=[[float(v) for v in row] for row in config.walls()],
+        robot_ids=list(range(len(config.poses))),
+        radii=[spec.body_radius] * len(config.poses),
+    )
+    return {"format": "swarmsim-trace", "version": 1, "scenario": scenario}
 
 
 def from_meta(meta: dict) -> ScenarioConfig:
@@ -453,22 +438,25 @@ def from_meta(meta: dict) -> ScenarioConfig:
     Fails if the header's platform_spec differs from the packaged preset.
     """
     sc = meta["scenario"]
-    params = dict(sc["pattern_params"])
+    recorded = dict(sc)
+    recorded["arena_width"], recorded["arena_height"] = sc["arena"]
+    params = recorded["pattern_params"] = dict(sc["pattern_params"])
+    if "mapping" in params:
+        params["mapping"] = {int(k): v for k, v in params["mapping"].items()}
     if sc["initial_opinions"] is not None:
         params["opinions"] = sc["initial_opinions"]
-    width, height = sc["arena"]
-    keys = ("name", "platform", "seed", "duration", "dt", "extra_walls", "staleness_limit")
-    raw = {key: sc[key] for key in keys}
-    raw["arena"] = {"width": width, "height": height}
-    raw["robots"] = {"poses": sc["poses"]}
-    raw["pattern"] = {"kind": sc["pattern"], "params": params}
+    raw: dict = {}
+    for path, _, _, field in _KEYS:
+        parent, _, name = path.rpartition(".")  # paths are at most two deep
+        if field:
+            (raw.setdefault(parent, {}) if parent else raw)[name] = recorded[field]
     config = load_scenario(raw)
-    recorded, preset = sc["platform_spec"], asdict(config.spec)
-    differ = sorted(k for k in recorded.keys() | preset.keys() if recorded.get(k) != preset.get(k))
+    spec, preset = sc["platform_spec"], asdict(config.spec)
+    differ = sorted(k for k in spec.keys() | preset.keys() if spec.get(k) != preset.get(k))
     if differ:
         raise ScenarioError(
             f"trace platform_spec differs from the {config.platform} preset: "
-            + ", ".join(f"{k} {recorded.get(k)!r} != {preset.get(k)!r}" for k in differ)
+            + ", ".join(f"{k} {spec.get(k)!r} != {preset.get(k)!r}" for k in differ)
         )
     return config
 

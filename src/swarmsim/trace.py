@@ -90,11 +90,15 @@ class TraceRecorder:
 
 
 def trace_from_columns(meta: dict, columns) -> Trace:
-    """Trace from any object with one sequence attribute per column."""
-    return Trace(
-        meta,
-        **{name: np.asarray(getattr(columns, name), dtype=dtype) for name, dtype in SCHEMA},
-    )
+    """Trace from any object with one sequence attribute per column. A cell of
+    an int column that is not an int64 integer raises, naming column and row."""
+    arrays = {}
+    for i, (name, dtype) in enumerate(SCHEMA):
+        values = np.asarray(getattr(columns, name))
+        if dtype is int and values.dtype.kind not in "bi":
+            _integer_cells(i, values, 0, _int_text, "an int64")  # raises on a non-integer cell
+        arrays[name] = np.asarray(values, dtype=dtype)
+    return Trace(meta, **arrays)
 
 
 def write_trace(trace: Trace, path: str | Path) -> Path:
@@ -189,9 +193,10 @@ def _integer_cells(column: int, values: np.ndarray, first_row: int, text, what: 
 def read_trace(path: str | Path) -> Trace:
     """Parse a trace file block by block; an empty opinion cell reads as NaN.
 
-    A row with the wrong number of fields or a cell its column's dtype does
-    not parse raises a ValueError naming the file and the line, where blank
-    lines (skipped) count as lines.
+    A row with the wrong number of fields, a cell its column's dtype does not
+    parse, or an opinion that is neither NaN nor an integer raises a
+    ValueError naming the file and the line, where blank lines (skipped)
+    count as lines.
     """
     path = Path(path)
     pieces = [[np.empty(0, dtype)] for _, dtype in SCHEMA]
@@ -220,6 +225,9 @@ def read_trace(path: str | Path) -> Trace:
                     parsed = np.loadtxt(
                         rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
                     )
+                    op = parsed["opinion"]
+                    if not (np.isnan(op) | np.isfinite(op) & (np.trunc(op) == op)).all():
+                        raise ValueError("an opinion is neither NaN nor an integer")
                 except ValueError as exc:
                     _raise_for_first_bad_line(path, lines, lineno, exc)
                 # copies, so that the block's row array is freed
@@ -248,8 +256,9 @@ def _raise_for_first_bad_line(
             raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, expected {width}")
         parts[_OPINION] = parts[_OPINION] or "nan"
         try:
-            for (_, dtype), part in zip(SCHEMA, parts):
-                dtype(part)
+            cells = [dtype(part) for (_, dtype), part in zip(SCHEMA, parts)]
+            if _opinion_text(cells[_OPINION]) is None:
+                raise ValueError(f"opinion {parts[_OPINION]} is not NaN or an integer")
         except ValueError as cell_exc:
             raise ValueError(f"{path}, line {lineno}: {cell_exc}") from None
     last = first_lineno + len(lines) - 1

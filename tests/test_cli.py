@@ -1,6 +1,7 @@
 """Command line harness tests, run in-process through main()."""
 
 import json
+import re
 
 import pytest
 
@@ -177,3 +178,27 @@ def test_run_prints_the_agreed_opinion_and_its_range(tmp_path, capsys):
         f"consensus at t={consensus:.1f}s on opinion {agreed}, "
         f"dispersion range {header['pattern_params']['mapping'][str(agreed)]} m"
     ) in text.splitlines()
+
+
+@pytest.mark.parametrize(
+    "kind, params, written",
+    [("voter", "{window_length: 2}", '"window_length":2'), ("drive", "{linear: 1}", '"linear":1')],
+)
+def test_int_parameters_keep_their_header_bytes_and_replay(tmp_path, capsys, kind, params, written):
+    # Headers record a parameter as written; an int read back as a float
+    # would write 2.0 and no earlier trace would replay.
+    path = tmp_path / "ints.yaml"
+    path.write_text(
+        "platform: turtlebot3_burger\n"
+        "arena: {width: 6.0, height: 6.0}\n"
+        "robots: {layout: line, count: 2}\n"
+        f"pattern: {{kind: {kind}, params: {params}}}\n"
+        "duration: 2.0\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    header = (out / "trace.csv").read_text().split("\n", 1)[0]
+    assert re.search(re.escape(written) + "[,}]", header)
+    capsys.readouterr()
+    assert main(["replay", str(out / "trace.csv"), "--out", str(tmp_path / "replay")]) == 0
+    assert "MATCH" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -372,6 +373,40 @@ def test_write_trace_rejects_a_cell_that_is_not_an_integer(tmp_path, name, cell,
     what = "NaN or an integer" if name == "opinion" else "an int64"
     assert str(info.value) == f"trace column {name!r}, row 3: {shown} is not {what}"
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "name, cell, shown",
+    [
+        ("tick", 1.7, "1.7"),
+        ("robot", math.nan, "nan"),
+        ("suppressed", 2.0**63, "9.223372036854776e+18"),
+    ],
+)
+def test_trace_from_columns_rejects_a_fractional_int_cell(name, cell, shown):
+    # np.asarray(..., dtype=int) used to truncate: tick 1.7 became 1.
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 3)
+    columns = SimpleNamespace(**{n: getattr(trace, n).tolist() for n in COLUMN_NAMES})
+    getattr(columns, name)[3] = cell
+    with pytest.raises(ValueError) as info:
+        trace_module.trace_from_columns(trace.meta, columns)
+    assert str(info.value) == f"trace column {name!r}, row 3: {shown} is not an int64"
+
+
+@pytest.mark.parametrize("cell", ["1.5", "inf", "-0.5"])
+def test_read_trace_rejects_a_fractional_opinion(tmp_path, cell):
+    # A 1.5 used to read back, and compute_metrics truncated it to 1.
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2, opinions=[[0.0, 1.0], [1.0, 1.0]])
+    path = write_trace(trace, tmp_path / "t.csv")
+    lines = path.read_text().splitlines(keepends=True)
+    lines[4] = lines[4].rsplit(",", 1)[0] + f",{cell}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        read_trace(path)
+    assert str(info.value) == f"{path}, line 5: opinion {cell} is not NaN or an integer"
+    lines[4] = lines[4].rsplit(",", 1)[0] + ",1.0\n"  # a whole float is an integer
+    path.write_text("".join(lines))
+    assert read_trace(path).opinion.tolist() == [0.0, 1.0, 1.0, 1.0]
 
 
 # Row counts around the block size b: rows = multiple * b + offset.

@@ -6,9 +6,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from swarmsim import PLATFORMS, build_simulation, load_scenario, wrap_angle
 from swarmsim.scenario import (
+    _KEYS,
     PATTERN_KINDS,
     MappingThresholdError,
     PoseOutsideArenaError,
@@ -247,6 +250,7 @@ def test_bad_pattern_params_fail_at_load(kind, params, message):
         ("random_walk", {"drive_duration": [1.0, math.inf]}, "drive_duration"),
         ("majority", {"window_length": math.nan}, "window_length"),
         ("voter", {"opinion_choices": []}, "opinion_choices"),
+        ("discussed_dispersion", {"mapping": {}}, "mapping"),
     ],
     ids=[
         "nan-drive-speed",
@@ -259,6 +263,7 @@ def test_bad_pattern_params_fail_at_load(kind, params, message):
         "infinite-walk-duration-bound",
         "nan-window",
         "empty-opinion-choices",
+        "empty-mapping",
     ],
 )
 def test_non_finite_or_empty_pattern_param_names_the_key(kind, params, key):
@@ -562,10 +567,17 @@ def kind_scenario(kind):
     )
 
 
+# Parameters written as ints: the header records them as written.
+INT_PARAMS = [
+    scenario_dict(pattern={"kind": "voter", "params": {"window_length": 2}}),
+    scenario_dict(pattern={"kind": "drive", "params": {"linear": 1}}),
+]
+
+
 @pytest.mark.parametrize(
     "source",
-    PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS],
-    ids=PRESETS + [f"dict-{kind}" for kind in PATTERN_KINDS],
+    PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS] + INT_PARAMS,
+    ids=PRESETS + [f"dict-{kind}" for kind in PATTERN_KINDS] + ["int-window", "int-speed"],
 )
 def test_meta_round_trip(source):
     cfg = load_scenario(source, seed=4)
@@ -577,3 +589,123 @@ def test_from_meta_rejects_an_edited_platform_spec():
     meta["scenario"]["platform_spec"]["range_max"] = 3.0
     with pytest.raises(ScenarioError, match="range_max 3.0 != 3.5"):
         from_meta(meta)
+
+
+# ------------------------------------------------------------ typed keys
+
+
+# The type of each scenario key and mapping, as README "Scenario files"
+# states it: a tuple lists the strings it takes. "mapping" keys also take
+# null, read as empty; number, list and row keys take none of the values
+# drawn below.
+KEY_TYPES = {
+    "name": "string",
+    "platform": tuple(PLATFORMS),
+    "arena": "mapping",
+    "arena.width": "number",
+    "arena.height": "number",
+    "robots": "mapping",
+    "robots.poses": "rows",
+    "robots.layout": ("line",),
+    "robots.count": "number",
+    "robots.spacing": "number",
+    "robots.headings": ("random", "inward"),
+    "robots.heading_jitter": "number",
+    "pattern": "mapping",
+    "pattern.kind": PATTERN_KINDS,
+    "pattern.params": "mapping",
+    "seed": "number",
+    "duration": "number",
+    "dt": "number",
+    "extra_walls": "rows",
+    "staleness_limit": "number",
+}
+# Pattern parameters are numbers, pairs of numbers or an opinion mapping,
+# except these; opinions and opinion_choices are lists of whole numbers.
+PARAM_TYPES = {"curved_turns": "boolean", "opinions": ("random",)}
+LOADER_KEYS = {
+    "majority": {"opinions", "opinion_choices"},
+    "voter": {"opinions", "opinion_choices"},
+    "discussed_dispersion": {"opinions"},
+}
+
+# A list, a mapping, a string, a quoted number, a bool, null or NaN.
+WRONG_VALUES = st.one_of(
+    st.lists(st.one_of(st.text(max_size=3), st.booleans(), st.none()), min_size=1, max_size=3),
+    st.dictionaries(st.text(min_size=1, max_size=3), st.integers(), min_size=1, max_size=2),
+    st.text(max_size=6),
+    st.one_of(st.integers(), st.floats(allow_nan=False)).map(str),
+    st.booleans(),
+    st.none(),
+    st.just(math.nan),
+)
+
+
+def of_type(key_type, value):
+    if key_type == "mapping":
+        return value is None or isinstance(value, dict)
+    if key_type == "string":
+        return isinstance(value, str)
+    if key_type == "boolean":
+        return isinstance(value, bool)
+    if isinstance(key_type, tuple):
+        return value in key_type
+    return False
+
+
+def test_key_types_cover_every_key():
+    paths = {path for path, *_ in _KEYS}
+    assert set(KEY_TYPES) == paths | {path.split(".")[0] for path in paths}
+
+
+def _with_value(path, value):
+    """A scenario that loads, with value put at path."""
+    layout = path.startswith("robots.") and path != "robots.poses"
+    raw = scenario_dict(robots={"layout": "line", "count": 2} if layout else {"poses": [[0, 0, 0]]})
+    *parents, name = path.split(".")
+    level = raw
+    for parent in parents:
+        level = level[parent]
+    level[name] = value
+    return raw
+
+
+def _raises_naming(raw, path):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(raw)
+    assert f"{path}: " in str(info.value)
+
+
+@pytest.mark.parametrize("path", sorted(KEY_TYPES))
+@settings(max_examples=40)
+@given(value=WRONG_VALUES)
+def test_wrongly_typed_key_raises_naming_its_path(path, value):
+    assume(not of_type(KEY_TYPES[path], value))
+    _raises_naming(_with_value(path, value), path)
+
+
+@pytest.mark.parametrize(
+    "kind, key",
+    [
+        (kind, key)
+        for kind in PATTERN_KINDS
+        for key in sorted(KIND_KEYS[kind] | LOADER_KEYS.get(kind, set()))
+    ],
+)
+@settings(max_examples=40)
+@given(value=WRONG_VALUES)
+def test_wrongly_typed_pattern_parameter_raises_naming_its_path(kind, key, value):
+    assume(not of_type(PARAM_TYPES.get(key, "number"), value))
+    params = {**KIND_PARAMS.get(kind, {}), key: value}
+    _raises_naming(scenario_dict(pattern={"kind": kind, "params": params}), f"pattern.params.{key}")
+
+
+@pytest.mark.parametrize("path", ["arena", "robots", "pattern", "pattern.params"])
+def test_null_mapping_loads_as_an_empty_one(path):
+    def load(value):
+        try:
+            return load_scenario(_with_value(path, value))
+        except ScenarioError as exc:  # pattern: the kind has no default
+            return str(exc)
+
+    assert load(None) == load({})
