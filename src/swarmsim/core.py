@@ -158,7 +158,7 @@ class ScanSnapshot:
 class BeamTrig(NamedTuple):
     cos: np.ndarray
     sin: np.ndarray
-    wrapped: np.ndarray  # arctan2(sin, cos): the bearing wrapped to [-pi, pi]
+    wrapped: np.ndarray  # math.atan2(sin, cos): the bearing wrapped to [-pi, pi]
 
 
 @functools.lru_cache(maxsize=64)
@@ -167,11 +167,13 @@ def beam_trig(angle_min: float, angle_increment: float, beam_count: int) -> Beam
 
     Each entry is the elementwise function of ``ScanSnapshot.bearings()``, so
     indexing a table gives the same bits as applying the function to the
-    indexed bearings.
+    indexed bearings. wrapped is math.atan2's, entry by entry: np.arctan2's
+    bits depend on the SIMD kernels numpy dispatches on the host.
     """
     bearings = angle_min + np.arange(beam_count) * angle_increment
     cos, sin = np.cos(bearings), np.sin(bearings)
-    tables = BeamTrig(cos, sin, np.arctan2(sin, cos))
+    wrapped = np.array(list(map(math.atan2, sin.tolist(), cos.tolist())), dtype=float)
+    tables = BeamTrig(cos, sin, wrapped)
     for table in tables:
         table.flags.writeable = False
     return tables

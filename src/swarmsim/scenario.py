@@ -124,11 +124,19 @@ _WALK_STREAM = 1
 _VOTER_STREAM = 2
 
 
+def _number(value) -> bool:
+    """An int or float; YAML's true/yes/on (a bool) is neither."""
+    return not isinstance(value, bool) and isinstance(value, (float, int, numbers.Integral))
+
+
 def _finite(value) -> bool:
-    """A finite int or float; YAML's true/yes/on (a bool) is neither."""
+    """A number that a float holds, and not inf or NaN."""
     if isinstance(value, float):
         return math.isfinite(value)
-    return not isinstance(value, bool) and isinstance(value, (int, numbers.Integral))
+    try:
+        return _number(value) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 def _load(path: str, typ, value):
@@ -139,7 +147,7 @@ def _load(path: str, typ, value):
     the first option's error) or Annotated[typ, what, ok]."""
     if typ is float or typ is int:
         if not _finite(value):
-            what = "a finite number" if isinstance(value, float) else "a number"
+            what = "a finite number" if _number(value) else "a number"
         elif typ is int and isinstance(value, float) and not value.is_integer():
             what = "a whole number"
         else:
@@ -279,8 +287,11 @@ def _pattern(
     params = dict(PATTERN_DEFAULTS.get(platform, {}).get(kind, {}))
     for key, value in given.items():
         loaded = _load(f"{kind} parameter pattern.params.{key}", types[key], value)
-        # numbers stay as written (an int stays an int), as headers record them
-        params[key] = value if types[key] in (float, tuple[float, float]) else loaded
+        # numbers stay as written (an int stays an int), as headers record
+        # them, and a pair as the list a header gives back
+        if types[key] in (float, tuple[float, float]):
+            loaded = value if types[key] is float else list(value)
+        params[key] = loaded
     for key, value in _KIND_DEFAULTS.get(kind, {}).items():
         params.setdefault(key, value)
     if kind not in VOTING_KINDS:

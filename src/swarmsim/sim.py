@@ -19,11 +19,11 @@ four phases:
    bound clears the cut the sweep sees no wall, and while it clears a
    robot's step plus radius its wall contact sees none. All of it is a
    pure function of the poses, radii, walls, spec and reach, and only the
-   poses change during a run, so a tick whose (R, 3) pose array has the
-   bytes of the last sensed one reuses that sense; a swarm that stands
-   still (a voting phase) senses once. The ranges block, the walls and the
-   radii are read-only, so an in-place edit raises instead of going
-   unsensed.
+   poses change during a run, so a tick whose (R, 3) pose array
+   (WorldState.poses) has the bytes of the last sensed one reuses that
+   sense; a swarm that stands still (a voting phase) senses once. The
+   ranges block, the walls and the radii are read-only, so an in-place
+   edit raises instead of going unsensed.
 2. Behave, in index order: tick each robot's behavior, one object holding
    its pattern's parameters and state (see patterns), on the votes heard
    since its last tick, and on its scan, a row of the block, if the
@@ -31,8 +31,9 @@ four phases:
    returns a field request in place of a command.
 3. Decide, as one array job: the protection check (a masked min over the
    block) and every potential field of the tick, requested or avoidance.
-4. Move, in index order: arbitrate, move with wall contact; then append
-   the tick's trace rows, one column at a time.
+4. Move, in index order: arbitrate, move with wall contact, or on plain
+   floats where no wall is in reach, into a new pose array; then record
+   the tick's trace rows into typed columns.
 
 Deciding for every robot before any moves changes no input: scans are taken
 before any robot moves, fields read no votes, and votes are published in
@@ -47,35 +48,44 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .bus import Envelope, MessageBus, VOTE_TOPIC
 from .core import DriveCommand, FieldRequest, Pose2D, ScanSnapshot, Segments, beam_trig
 from .core import nearest_distances, potential_fields, segment_distances, vector_to_drive
+from .core import wrap_angle
 from .patterns.base import Pattern
 from .platforms import PlatformSpec
 from .protection import ProtectionState, arbitrate, avoidance_field, note_command, triggered
-from .trace import TraceRecorder
+from .trace import SCHEMA
 
 # Turn rates below this integrate as straight-line motion.
 _OMEGA_EPS = 1e-9
 
 
-def integrate_pose(pose: Pose2D, cmd: DriveCommand, dt: float) -> Pose2D:
-    """Exact unicycle step: straight line for negligible turn rate, else a
-    circular arc of radius v/omega."""
-    v, w = cmd.linear, cmd.angular
+def unicycle_step(x: float, y: float, theta: float, v: float, w: float, dt: float) -> tuple:
+    """Exact unicycle step on floats, heading not wrapped: straight line for
+    negligible turn rate, else a circular arc of radius v/omega."""
     if abs(w) < _OMEGA_EPS:
-        return Pose2D(
-            pose.x + v * dt * math.cos(pose.theta),
-            pose.y + v * dt * math.sin(pose.theta),
-            pose.theta + w * dt,
-        )
-    theta1 = pose.theta + w * dt
-    x = pose.x + (v / w) * (math.sin(theta1) - math.sin(pose.theta))
-    y = pose.y + (v / w) * (math.cos(pose.theta) - math.cos(theta1))
-    return Pose2D(x, y, theta1)
+        return x + v * dt * math.cos(theta), y + v * dt * math.sin(theta), theta + w * dt
+    theta1 = theta + w * dt
+    x1 = x + (v / w) * (math.sin(theta1) - math.sin(theta))
+    return x1, y + (v / w) * (math.cos(theta) - math.cos(theta1)), theta1
+
+
+def integrate_pose(pose: Pose2D, cmd: DriveCommand, dt: float) -> Pose2D:
+    """unicycle_step of a pose, its heading wrapped by Pose2D."""
+    return Pose2D(*unicycle_step(pose.x, pose.y, pose.theta, cmd.linear, cmd.angular, dt))
+
+
+def wrap_heading(theta: float) -> float:
+    """wrap_angle(theta), with the same bits: on (-pi, pi] math.remainder
+    returns theta itself. A non-finite theta is left to the finite check."""
+    if -math.pi < theta <= math.pi or not math.isfinite(theta):
+        return theta
+    return wrap_angle(theta)
 
 
 def rect_walls(width: float, height: float) -> np.ndarray:
@@ -144,11 +154,12 @@ def raycast(
 
 @dataclass
 class WorldState:
-    """Walls plus robot i as a disc of radius radii[i] at poses[i]. Walls
-    never move, so their segment terms are taken once, in segments."""
+    """Walls plus robot i as a disc of radius radii[i] at row i of poses, an
+    (R, 3) float array of (x, y, theta) built from Pose2Ds. Walls never
+    move, so their segment terms are taken once, in segments."""
 
     walls: np.ndarray
-    poses: list[Pose2D]
+    poses: np.ndarray
     radii: np.ndarray
     dt: float = 0.1
     tick: int = 0
@@ -163,6 +174,7 @@ class WorldState:
         self.segments = Segments(self.walls)
         self.radii = np.array(self.radii, dtype=float)
         self.radii.flags.writeable = False
+        self.poses = np.array([(p.x, p.y, p.theta) for p in self.poses], dtype=float).reshape(-1, 3)
         if self.dt <= 0:
             raise ValueError("dt must be positive")
         if self.radii.shape != (len(self.poses),):
@@ -188,16 +200,9 @@ _BOUND_EPS = 1e-6
 _REACH_EPS = 1e-3
 
 
-def pose_array(world: WorldState) -> np.ndarray:
-    """(R, 3) array of every robot's (x, y, theta): all a sense reads of the poses."""
-    return np.array([(p.x, p.y, p.theta) for p in world.poses], dtype=float).reshape(-1, 3)
-
-
-def wall_distances(world: WorldState, poses: np.ndarray | None = None) -> np.ndarray:
-    """(R, S) distance from every robot's centre to every wall segment.
-    poses is ``pose_array(world)``, when the caller already has it."""
-    if poses is None:
-        poses = pose_array(world)
+def wall_distances(world: WorldState) -> np.ndarray:
+    """(R, S) distance from every robot's centre to every wall segment."""
+    poses = world.poses
     return world.segments.distances(poses[:, 0, None], poses[:, 1, None])
 
 
@@ -226,7 +231,6 @@ def raycast_scan(
     world: WorldState,
     spec: PlatformSpec,
     wall_dist: np.ndarray | None = None,
-    poses: np.ndarray | None = None,
     reach: float = math.inf,
 ) -> np.ndarray:
     """Simulated sweeps for every robot, in index order: walls plus the other
@@ -244,15 +248,13 @@ def raycast_scan(
     raycast's own expressions, a hit beyond the cut is dropped before the
     min, and min is exact, so the cuts change no other bit. wall_dist is
     ``wall_distances(world)``, or an (R, 0) block when the caller knows that
-    no wall lies within the cut, and poses ``pose_array(world)``, when the
-    caller already has them.
+    no wall lies within the cut.
     """
     B = spec.beam_count
-    R = len(world.poses)
+    poses = world.poses
+    R = len(poses)
     if R == 0:
         return np.empty((0, B))
-    if poses is None:
-        poses = pose_array(world)
     cut = min(reach, spec.range_max)
     radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]
@@ -266,7 +268,7 @@ def raycast_scan(
     # hit beyond it, which reads inf anyway.
     walls = world.walls
     if wall_dist is None:
-        wall_dist = wall_distances(world, poses)
+        wall_dist = wall_distances(world)
     k, s = np.nonzero(wall_dist <= cut + _CULL_EPS)
     if k.size:
         angles = heading[k, None] + step * np.arange(B)  # full rows, only for kept pairs
@@ -419,6 +421,10 @@ def field_pass(
     return commands, avoidance
 
 
+# The trace cells the move phase lists per robot, in its order, poses first.
+_ROW_COLUMNS = ("x", "y", "theta", "pattern_linear", "pattern_angular", "cmd_linear", "cmd_angular")
+
+
 @dataclass(frozen=True, slots=True)
 class RobotNode:
     """One robot's behavior and protection layer, fixed once built: the
@@ -434,14 +440,21 @@ class Simulation:
     spec."""
 
     def __init__(self, world: WorldState, nodes: list[RobotNode], spec: PlatformSpec, meta: dict):
-        if len(nodes) != len(world.poses):
+        if len(nodes) != (R := len(world.poses)):
             raise ValueError(f"need one node per robot, got {len(nodes)} nodes")
         self.world = world
         self.nodes = tuple(nodes)
         self.spec = spec
         self.meta = meta
         self.bus = MessageBus(len(nodes))
-        self.columns = TraceRecorder()
+        # Row t of each array is recorded tick t: its number, or one cell
+        # per robot. Rows from _recorded on are room to grow.
+        self._trace = {
+            name: np.empty((0,) if name == "tick" else (0, R), dtype)
+            for name, dtype in SCHEMA
+            if name not in ("robot", "clock")
+        }
+        self._recorded = 0
         # The farthest any behavior or protection check of the run reads.
         # Each sweep is cut there; like the spec, it is fixed for the run, and
         # so are the nodes and the fields it is taken from (see core.set_once),
@@ -457,26 +470,46 @@ class Simulation:
         # nearest wall there.
         self._walls_at = None
 
+    @property
+    def columns(self) -> SimpleNamespace:
+        """The trace so far, one array per trace column (trace.COLUMN_NAMES),
+        as trace_from_columns takes it without a copy: views of the recorded
+        columns, and tick, robot and clock built from the tick numbers."""
+        T, R = self._recorded, len(self.nodes)
+        cols = {name: rows[:T].reshape(-1) for name, rows in self._trace.items()}
+        cols["tick"] = tick = np.repeat(cols["tick"], R)
+        # tick * dt elementwise: the bits of the tick's own clock
+        return SimpleNamespace(**cols, robot=np.tile(np.arange(R), T), clock=tick * self.world.dt)
+
+    def _reserve(self, ticks: int) -> None:
+        """Room in the recorded columns for ticks recorded ticks in all."""
+        for name, rows in self._trace.items():
+            if ticks > len(rows):
+                grown = self._trace[name] = np.empty((ticks, *rows.shape[1:]), rows.dtype)
+                grown[: self._recorded] = rows[: self._recorded]
+
     def scan(self, row: np.ndarray) -> ScanSnapshot:
         """One robot's row of the ranges block as its scan."""
         spec = self.spec
         return ScanSnapshot(row, 0.0, math.tau / spec.beam_count, spec.range_min, spec.range_max)
 
-    def _take_walls(self, poses: np.ndarray) -> tuple[np.ndarray, list[float]]:
-        """Wall distances at poses, and each robot's nearest wall."""
-        wall_dist = wall_distances(self.world, poses)
+    def _take_walls(self) -> tuple[np.ndarray, list[float]]:
+        """Wall distances at the world's poses, and each robot's nearest wall."""
+        wall_dist = wall_distances(self.world)
         nearest = wall_dist.min(axis=1, initial=math.inf)
-        self._walls_at = poses, nearest
+        self._walls_at = self.world.poses, nearest
         return wall_dist, nearest.tolist()
 
-    def _wall_bounds(self, poses: np.ndarray) -> np.ndarray | None:
-        """A lower bound on each robot's distance to its nearest wall at
-        poses, None before any wall distance is taken. Walls never move and
-        distance to a fixed set is 1-Lipschitz, so the nearest wall where
-        distances were last taken, less the distance moved since, bounds it."""
+    def _wall_bounds(self) -> np.ndarray | None:
+        """A lower bound on each robot's distance to its nearest wall at the
+        world's poses, None before any wall distance is taken. Walls never
+        move and distance to a fixed set is 1-Lipschitz, so the nearest wall
+        where distances were last taken, less the distance moved since,
+        bounds it."""
         if self._walls_at is None:
             return None
         at, nearest = self._walls_at
+        poses = self.world.poses
         moved = np.hypot(poses[:, 0] - at[:, 0], poses[:, 1] - at[:, 1])
         return nearest - moved - _BOUND_EPS
 
@@ -492,23 +525,18 @@ class Simulation:
         # and only the poses change, so poses with the bytes of the last
         # sensed ones reuse that sense. Wall distances are taken only where a
         # wall can lie within the cut; else the sweep sees no wall.
-        pose_block = pose_array(world)
-        key = pose_block.tobytes()
+        key = world.poses.tobytes()
         if key != self._sense_key:
             self._sense = self._sense_key = None  # one sweep alive at a time
             spec = self.spec
             cut = min(self.reach, spec.range_max)
-            wall_dist, bounds = None, self._wall_bounds(pose_block)
+            wall_dist, bounds = None, self._wall_bounds()
             if bounds is None or bounds.min(initial=math.inf) <= cut + _CULL_EPS:
-                wall_dist, bounds = self._take_walls(pose_block)
+                wall_dist, bounds = self._take_walls()
             else:
                 bounds = bounds.tolist()
             ranges = raycast_scan(
-                world,
-                spec,
-                np.empty((R, 0)) if wall_dist is None else wall_dist,
-                pose_block,
-                self.reach,
+                world, spec, np.empty((R, 0)) if wall_dist is None else wall_dist, self.reach
             )
             reading = nearest_distances(ranges, spec.range_min, spec.range_max).tolist()
             self._sense, self._sense_key = [wall_dist, ranges, bounds, reading], key
@@ -532,43 +560,50 @@ class Simulation:
             ranges, reading, self.spec, outputs, protections, self.reach
         )
 
-        # 4. Move. Robot i moves only in its own turn, so row i of pose_block
-        # still holds its start pose, and so does row i of wall_dist.
-        poses, actuators = world.poses, []
-        for i, (state, cmd, avoid, radius) in enumerate(
-            zip(protections, commands, avoidance, world.radii.tolist())
+        # 4. Move, listing each robot's float trace cells. The moved poses go
+        # into a new array: world.poses holds the start poses, as the rows of
+        # wall_dist do, and _walls_at may hold it, so it is never written.
+        walls, cells = world.walls, []
+        for i, (node, cmd, avoid, radius, (x, y, theta)) in enumerate(
+            zip(nodes, commands, avoidance, world.radii.tolist(), world.poses.tolist())
         ):
+            state = node.protection
             if cmd is not None:
                 note_command(state, cmd, now)
             actuator = arbitrate(state, now, avoid)
-            travel = abs(actuator.linear) * dt
-            if wall_dist is None and bounds[i] <= travel + radius + _REACH_EPS:
-                # A wall can be in reach: take the distances at the start poses.
-                wall_dist, bounds = sense[0], sense[2] = self._take_walls(pose_block)
-            near = _NO_WALLS
-            if wall_dist is not None:
-                near = walls_in_reach(world.walls, wall_dist[i], bounds[i], travel, radius)
-            poses[i] = resolve_wall_contact(poses[i], actuator, dt, radius, near)
-            actuators.append(actuator)
+            travel, near = abs(actuator.linear) * dt, _NO_WALLS
+            if bounds[i] <= travel + radius + _REACH_EPS:  # a wall can be in reach
+                if wall_dist is None:  # take the distances at the start poses
+                    wall_dist, bounds = sense[0], sense[2] = self._take_walls()
+                near = walls_in_reach(walls, wall_dist[i], bounds[i], travel, radius)
+            if near.shape[0]:
+                p = resolve_wall_contact(Pose2D(x, y, theta), actuator, dt, radius, near)
+                x, y, theta = p.x, p.y, p.theta
+            else:  # integrate_pose on floats, as resolve_wall_contact with no wall
+                x, y, theta = unicycle_step(x, y, theta, actuator.linear, actuator.angular, dt)
+                theta = wrap_heading(theta)
+            pattern = (math.nan, math.nan) if cmd is None else (cmd.linear, cmd.angular)
+            cells += (x, y, theta, *pattern, actuator.linear, actuator.angular)
+        block = np.fromiter(cells, float, len(cells)).reshape(R, len(_ROW_COLUMNS))
+        poses = block[:, :3].copy()
+        if not np.isfinite(poses).all():
+            raise ValueError("pose components must be finite")
 
+        if (t := self._recorded) == len(self._trace["tick"]):
+            self._reserve(max(1, 2 * t))  # step() called alone; run() reserves
+        trace = self._trace
+        trace["tick"][t] = tick
+        for name, column in zip(_ROW_COLUMNS, block.T):
+            trace[name][t] = column
+        trace["suppressed"][t] = [avoid is not None for avoid in avoidance]
         opinions = [node.behavior.opinion for node in nodes]
-        self.columns.extend(
-            tick=[tick] * R,
-            robot=range(R),
-            clock=[tick * dt] * R,
-            x=[pose.x for pose in poses],
-            y=[pose.y for pose in poses],
-            theta=[pose.theta for pose in poses],
-            pattern_linear=[math.nan if cmd is None else cmd.linear for cmd in commands],
-            pattern_angular=[math.nan if cmd is None else cmd.angular for cmd in commands],
-            cmd_linear=[cmd.linear for cmd in actuators],
-            cmd_angular=[cmd.angular for cmd in actuators],
-            suppressed=[0 if avoid is None else 1 for avoid in avoidance],
-            opinion=[math.nan if op is None else float(op) for op in opinions],
-        )
+        trace["opinion"][t] = [math.nan if op is None else op for op in opinions]
+        self._recorded = t + 1
+        world.poses = poses
         world.tick = tick
 
     def run(self, ticks: int) -> None:
+        self._reserve(self._recorded + ticks)
         for _ in range(ticks):
             self.step()
         # The post-processing that follows a run needs no sense.

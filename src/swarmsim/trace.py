@@ -6,7 +6,8 @@ written with repr (shortest round-trip), which makes files byte-stable for
 identical runs and lossless to parse.
 
 SCHEMA is the one list of trace columns: the in-memory Trace, the
-simulator's recorder, the writer and the reader are all driven from it.
+simulator's typed columns (Simulation.columns), the writer and the reader
+are all driven from it.
 
 Files are written and parsed in blocks of rows of at most BLOCK_CELLS
 cells, so besides the typed columns themselves (O(rows)) the writer and the
@@ -74,19 +75,6 @@ class Trace:
         self.meta = meta
         for name in COLUMN_NAMES:
             setattr(self, name, columns[name])
-
-
-class TraceRecorder:
-    """Trace columns built tick by tick: one list attribute per schema column."""
-
-    def __init__(self):
-        for name in COLUMN_NAMES:
-            setattr(self, name, [])
-
-    def extend(self, **rows) -> None:
-        """Append rows given as one equal-length sequence per column."""
-        for name in COLUMN_NAMES:
-            getattr(self, name).extend(rows[name])
 
 
 def trace_from_columns(meta: dict, columns) -> Trace:

@@ -260,8 +260,21 @@ def test_beam_trig_indexes_to_the_bits_of_the_bearings(beams):
             cos, sin = np.cos(theta[mask]), np.sin(theta[mask])
             assert np.array_equal(trig.cos[mask].view(np.int64), cos.view(np.int64))
             assert np.array_equal(trig.sin[mask].view(np.int64), sin.view(np.int64))
-            wrapped = np.arctan2(np.sin(theta), np.cos(theta))[mask]
+            wrapped = np.array(list(map(math.atan2, np.sin(theta), np.cos(theta))))[mask]
             assert np.array_equal(trig.wrapped[mask].view(np.int64), wrapped.view(np.int64))
+
+
+@pytest.mark.parametrize("beams", [1, 7, 90, 360, 361, 720])
+@pytest.mark.parametrize("angle_min", [0.0, -math.pi, 0.3])
+def test_beam_trig_wrapped_is_math_atan2_on_every_entry(beams, angle_min):
+    """The wrapped bearings do not depend on the SIMD kernels numpy picks:
+    np.arctan2 differs from math.atan2 on some entries where numpy
+    dispatches AVX-512 kernels."""
+    trig = beam_trig(angle_min, math.tau / beams, beams)
+    assert not trig.wrapped.flags.writeable
+    rows = zip(trig.wrapped.tolist(), trig.sin.tolist(), trig.cos.tolist())
+    for k, (wrapped, sin, cos) in enumerate(rows):
+        assert wrapped.hex() == math.atan2(sin, cos).hex(), k
 
 
 # -- segment distances --------------------------------------------------------

@@ -1,6 +1,7 @@
 """Scenario loading, validation, and round-trip tests."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -567,21 +568,26 @@ def kind_scenario(kind):
     )
 
 
-# Parameters written as ints: the header records them as written.
+# Parameters written as ints, or a pair as a tuple: the header records
+# numbers as written, and a pair as a list.
 INT_PARAMS = [
     scenario_dict(pattern={"kind": "voter", "params": {"window_length": 2}}),
     scenario_dict(pattern={"kind": "drive", "params": {"linear": 1}}),
+    scenario_dict(pattern={"kind": "random_walk", "params": {"drive_duration": (1, 2)}}),
 ]
 
 
 @pytest.mark.parametrize(
     "source",
     PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS] + INT_PARAMS,
-    ids=PRESETS + [f"dict-{kind}" for kind in PATTERN_KINDS] + ["int-window", "int-speed"],
+    ids=PRESETS
+    + [f"dict-{kind}" for kind in PATTERN_KINDS]
+    + ["int-window", "int-speed", "tuple-pair"],
 )
 def test_meta_round_trip(source):
+    """The header as a trace file holds it, JSON text, gives the config back."""
     cfg = load_scenario(source, seed=4)
-    assert from_meta(to_meta(cfg)) == cfg
+    assert from_meta(json.loads(json.dumps(to_meta(cfg)))) == cfg
 
 
 def test_from_meta_rejects_an_edited_platform_spec():
@@ -629,7 +635,11 @@ LOADER_KEYS = {
     "discussed_dispersion": {"opinions"},
 }
 
-# A list, a mapping, a string, a quoted number, a bool, null or NaN.
+# An int no float holds.
+TOO_LARGE = 10**400
+
+# A list, a mapping, a string, a quoted number, a bool, null, NaN or a
+# number too large for a float, alone or in a row.
 WRONG_VALUES = st.one_of(
     st.lists(st.one_of(st.text(max_size=3), st.booleans(), st.none()), min_size=1, max_size=3),
     st.dictionaries(st.text(min_size=1, max_size=3), st.integers(), min_size=1, max_size=2),
@@ -638,6 +648,7 @@ WRONG_VALUES = st.one_of(
     st.booleans(),
     st.none(),
     st.just(math.nan),
+    st.sampled_from([TOO_LARGE, [[0, 0, TOO_LARGE]]]),
 )
 
 
@@ -698,6 +709,27 @@ def test_wrongly_typed_pattern_parameter_raises_naming_its_path(kind, key, value
     assume(not of_type(PARAM_TYPES.get(key, "number"), value))
     params = {**KIND_PARAMS.get(kind, {}), key: value}
     _raises_naming(scenario_dict(pattern={"kind": kind, "params": params}), f"pattern.params.{key}")
+
+
+TOO_LARGE_AT = {
+    "dt": TOO_LARGE,
+    "seed": TOO_LARGE,
+    "robots.poses": [[0, 0, TOO_LARGE]],
+    "extra_walls": [[0, 0, 1, TOO_LARGE]],
+    "pattern.params.linear": TOO_LARGE,
+    "pattern.params.drive_duration": [1, TOO_LARGE],
+}
+
+
+@pytest.mark.parametrize("path", TOO_LARGE_AT)
+def test_wrongly_typed_number_too_large_for_a_float_names_its_key(path):
+    value = TOO_LARGE_AT[path]
+    if path.startswith("pattern.params."):
+        params = {path.rpartition(".")[2]: value}
+        raw = scenario_dict(pattern={"kind": "random_walk", "params": params})
+    else:
+        raw = _with_value(path, value)
+    _raises_naming(raw, path)
 
 
 @pytest.mark.parametrize("path", ["arena", "robots", "pattern", "pattern.params"])

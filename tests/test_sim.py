@@ -38,6 +38,7 @@ from swarmsim.sim import (
     wall_clearance,
     wall_distances,
     walls_in_reach,
+    wrap_heading,
 )
 from swarmsim.trace import COLUMN_NAMES
 
@@ -111,6 +112,32 @@ def test_integrate_matches_rk4_oracle(x, y, theta, v, w, dt):
     assert abs(p.y - float(oy)) < 1e-6
     # poses normalize the heading, the oracle does not
     assert abs(wrap_angle(p.theta - float(ot))) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        math.pi,
+        -math.pi,
+        np.nextafter(math.pi, math.inf),
+        np.nextafter(-math.pi, -math.inf),
+        np.nextafter(math.pi, 0.0),
+        np.nextafter(-math.pi, 0.0),
+        0.0,
+        -0.0,
+        3 * math.pi,
+        -3 * math.pi,
+        1e6,
+        -1e6,
+    ],
+)
+def test_float_wrap_has_the_bits_of_wrap_angle(theta):
+    assert wrap_heading(float(theta)).hex() == wrap_angle(float(theta)).hex()
+
+
+def test_float_wrap_leaves_a_non_finite_heading_to_the_finite_check():
+    assert wrap_heading(math.inf) == math.inf
+    assert math.isnan(wrap_heading(math.nan))
 
 
 # ---------------------------------------------------------------- ray casting
@@ -206,10 +233,11 @@ def test_scan_hit_beyond_max_encodes_as_inf():
 def _reference_scans(world, spec):
     """raycast per robot over all walls and every other body, cut at range_max."""
     scans = []
-    bodies = [(p.x, p.y, r) for p, r in zip(world.poses, world.radii)]
-    for i, me in enumerate(world.poses):
+    poses = world.poses.tolist()
+    bodies = [(x, y, r) for (x, y, _), r in zip(poses, world.radii)]
+    for i, (x, y, theta) in enumerate(poses):
         circles = np.array(bodies[:i] + bodies[i + 1 :]).reshape(-1, 3)
-        dist = raycast((me.x, me.y), me.theta, spec.beam_count, world.walls, circles)
+        dist = raycast((x, y), theta, spec.beam_count, world.walls, circles)
         scans.append(np.where(dist > spec.range_max, np.inf, dist))
     return scans
 
@@ -432,11 +460,11 @@ def test_trace_rows_hold_post_step_state():
     sim = _single_robot_sim(Pose2D(0.0, 0.0, 0.0), DriveCommand(0.2, 0.0))
     sim.step()
     cols = sim.columns
-    assert cols.tick == [1]
-    assert cols.clock == [pytest.approx(0.1)]
-    assert cols.x == [pytest.approx(0.02)]
-    assert cols.cmd_linear == [pytest.approx(0.2)]
-    assert cols.suppressed == [0]
+    assert cols.tick.tolist() == [1]
+    assert cols.clock.tolist() == [pytest.approx(0.1)]
+    assert cols.x.tolist() == [pytest.approx(0.02)]
+    assert cols.cmd_linear.tolist() == [pytest.approx(0.2)]
+    assert cols.suppressed.tolist() == [0]
 
 
 def test_drive_into_wall_suppression_prevents_contact():
@@ -470,12 +498,12 @@ def test_step_integrates_on_walls_in_reach_as_on_all_walls():
     sim = Simulation(world, nodes, spec, meta={})
     contacts = 0
     for tick in range(150):
-        before = list(world.poses)
+        before = [Pose2D(*row) for row in world.poses.tolist()]
         sim.step()
         rows = slice(tick * len(poses), (tick + 1) * len(poses))
         for pose, after, radius, v, w in zip(
             before,
-            world.poses,
+            [Pose2D(*row) for row in world.poses.tolist()],
             world.radii.tolist(),
             sim.columns.cmd_linear[rows],
             sim.columns.cmd_angular[rows],
@@ -486,6 +514,58 @@ def test_step_integrates_on_walls_in_reach_as_on_all_walls():
             free = integrate_pose(pose, cmd, world.dt)
             contacts += (want.x, want.y) != (free.x, free.y)
     assert contacts >= 100
+
+
+@settings(max_examples=60)
+@given(
+    robots=st.lists(
+        st.tuples(
+            st.floats(-5, 5),
+            st.floats(-5, 5),
+            st.sampled_from([math.pi, -math.pi, 0.0, -0.0]) | st.floats(-math.pi, math.pi),
+            st.floats(-2, 2),
+            st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, -1e-9]) | st.floats(-5, 5),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+    dt=st.sampled_from([0.05, 0.1, 0.5]),
+)
+def test_float_move_integrates_as_integrate_pose_bit_for_bit(robots, dt):
+    """With no wall in reach every robot takes the float move: its new row
+    has the bits of integrate_pose, headings that cross +-pi and turn rates
+    at the straight-line switch included."""
+    world = WorldState(
+        walls=NO_WALLS,
+        poses=[Pose2D(x, y, theta) for x, y, theta, _, _ in robots],
+        radii=[0.1] * len(robots),
+        dt=dt,
+    )
+    nodes = [
+        RobotNode(ConstantDrive(DriveCommand(v, w)), ProtectionState(0.05, WAFFLE.limits()))
+        for *_, v, w in robots
+    ]
+    sim = Simulation(world, nodes, WAFFLE, meta={})
+    before = world.poses.tolist()
+    sim.step()
+    cols = sim.columns
+    for start, after, v, w in zip(before, world.poses, cols.cmd_linear, cols.cmd_angular):
+        want = integrate_pose(Pose2D(*start), DriveCommand(v, w), dt)
+        assert np.array_equal(after.view(np.int64), _pose_bits(want))
+
+
+@pytest.mark.parametrize("v, w", [(1e308, 0.0), (1e308, 1e-8)])
+def test_non_finite_step_raises_as_integrate_pose_does(v, w):
+    dt = 10.0
+    world = WorldState(walls=NO_WALLS, poses=[Pose2D(0.0, 0.0, 0.0)], radii=[0.1], dt=dt)
+    node = RobotNode(ConstantDrive(DriveCommand(v, w)), ProtectionState(0.05, WAFFLE.limits()))
+    sim = Simulation(world, [node], WAFFLE, meta={})
+    with pytest.raises(ValueError, match="pose components must be finite"):
+        integrate_pose(Pose2D(0.0, 0.0, 0.0), DriveCommand(v, w), dt)
+    with pytest.raises(ValueError, match="pose components must be finite"):
+        sim.step()
+    assert world.poses.tolist() == [[0.0, 0.0, 0.0]]
+    assert world.tick == 0 and len(sim.columns.tick) == 0
 
 
 def test_robot_overlap_recorded_not_prevented():
@@ -541,7 +621,7 @@ def test_two_runs_are_identical():
 
     a, b = run_once(), run_once()
     for name in ("tick", "robot", "clock", "x", "y", "theta", "cmd_linear", "cmd_angular"):
-        assert getattr(a, name) == getattr(b, name)
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 class Announcer(Pattern):
@@ -697,34 +777,55 @@ def test_standing_swarm_senses_once(raycast_calls):
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("component", ["x", "y", "theta"])
-def test_pose_edit_between_steps_is_sensed(component):
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
+def test_pose_edit_between_steps_is_sensed(k):
     sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
     sim.run(2)
-    pose = sim.world.poses[1]
-    sim.world.poses[1] = dataclasses.replace(pose, **{component: getattr(pose, component) + 0.05})
+    sim.world.poses[1, k] += 0.05
     expected = raycast_scan(sim.world, WAFFLE)
     assert expected.tobytes() != _last_scans(sim).tobytes()
     sim.step()
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("component", ["x", "y", "theta"])
-def test_sign_of_zero_flip_is_sensed(raycast_calls, component):
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
+def test_sign_of_zero_flip_is_sensed(raycast_calls, k):
     sim = _standing_sim([Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.5, 2.0)])
     sim.step()
-    sim.world.poses[0] = dataclasses.replace(sim.world.poses[0], **{component: -0.0})
-    assert math.copysign(1.0, getattr(sim.world.poses[0], component)) == -1.0
+    sim.world.poses[0, k] = -0.0
+    assert math.copysign(1.0, sim.world.poses[0, k]) == -1.0
     expected = raycast_scan(sim.world, WAFFLE)
     sim.step()
     assert len(raycast_calls) == 2
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
+def test_pose_edit_next_to_a_wall_is_bounded_afresh():
+    """An in-place edit between steps puts a robot next to a wall. The wall
+    bound measures the move from the poses wall distances were taken at, so
+    the step stops at the wall as resolve_wall_contact against every wall
+    does. It would not if a step updated the pose array in place."""
+    spec = WAFFLE
+    world = WorldState(
+        walls=rect_walls(4.0, 4.0), poses=[Pose2D(0.0, 0.0, 0.0)], radii=[spec.body_radius]
+    )
+    # A reach of 0.05 m: the sense takes no wall distance 0.16 m from a wall.
+    node = RobotNode(WallDriver(DriveCommand(0.26, 0.0), 0.0), ProtectionState(0.05, spec.limits()))
+    sim = Simulation(world, [node], spec, meta={})
+    sim.step()
+    world.poses[0, 0] = 2.0 - spec.body_radius - 0.01
+    start = Pose2D(*world.poses[0].tolist())
+    sim.step()
+    cmd = DriveCommand(sim.columns.cmd_linear[-1], sim.columns.cmd_angular[-1])
+    want = resolve_wall_contact(start, cmd, world.dt, spec.body_radius, world.walls)
+    assert want.x < start.x + cmd.linear * world.dt  # the wall cuts the step short
+    assert np.array_equal(world.poses[0].view(np.int64), _pose_bits(want))
+
+
 def test_sensed_blocks_and_radii_are_read_only():
     radii = np.array([WAFFLE.body_radius] * 2)
     sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
-    world = WorldState(walls=sim.world.walls, poses=sim.world.poses, radii=radii)
+    world = WorldState(walls=sim.world.walls, poses=[Pose2D(0.0, 0.0, 0.0)] * 2, radii=radii)
     radii[0] = 1.0
     assert world.radii[0] == WAFFLE.body_radius
     sim.step()
