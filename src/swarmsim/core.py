@@ -179,37 +179,22 @@ def beam_trig(angle_min: float, angle_increment: float, beam_count: int) -> Beam
     return tables
 
 
-class Segments:
-    """Wall segments with the per-wall terms of ``segment_distances`` taken once."""
-
-    __slots__ = ("ax", "ay", "ex", "ey", "L2", "degenerate")
-
-    def __init__(self, walls: np.ndarray):
-        self.ax, self.ay = walls[:, 0], walls[:, 1]
-        self.ex, self.ey = walls[:, 2] - self.ax, walls[:, 3] - self.ay
-        self.L2 = self.ex * self.ex + self.ey * self.ey
-        self.degenerate = not (self.L2 > 0).all()
-
-    def distances(self, px, py) -> np.ndarray:
-        """Distance from a point to each segment; points broadcast against
-        the trailing (S,) wall axis."""
-        ax, ay, ex, ey, L2 = self.ax, self.ay, self.ex, self.ey, self.L2
-        if self.degenerate:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                s = ((px - ax) * ex + (py - ay) * ey) / L2
-            s = np.where(L2 > 0, s, 0.0)
-        else:
-            s = ((px - ax) * ex + (py - ay) * ey) / L2
-        # np.clip without its wrapper; they differ only in the sign of a zero
-        # s, which no distance can show.
-        s = np.minimum(np.maximum(s, 0.0), 1.0)
-        return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
-
-
 def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
     """Distance from a point to each segment of an (S, 4) wall array; points
     broadcast against the trailing (S,) wall axis."""
-    return Segments(walls).distances(px, py)
+    ax, ay = walls[:, 0], walls[:, 1]
+    ex, ey = walls[:, 2] - ax, walls[:, 3] - ay
+    L2 = ex * ex + ey * ey
+    if (L2 > 0).all():  # no zero-length wall: skip errstate and where, the common case
+        s = ((px - ax) * ex + (py - ay) * ey) / L2
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = ((px - ax) * ex + (py - ay) * ey) / L2
+        s = np.where(L2 > 0, s, 0.0)
+    # np.clip without its wrapper; they differ only in the sign of a zero
+    # s, which no distance can show.
+    s = np.minimum(np.maximum(s, 0.0), 1.0)
+    return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
 
 
 def nearest_obstacle(scan: ScanSnapshot) -> tuple[float, float] | None:

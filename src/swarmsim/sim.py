@@ -23,7 +23,9 @@ four phases:
    (WorldState.poses) has the bytes of the last sensed one reuses that
    sense; a swarm that stands still (a voting phase) senses once. The
    ranges block, the walls and the radii are read-only, so an in-place
-   edit raises instead of going unsensed.
+   edit raises instead of going unsensed. A fresh sense raises, naming
+   the robot, on a heading outside (-pi, pi], which no tick stores and
+   the two moves would integrate apart.
 2. Behave, in index order: tick each robot's behavior, one object holding
    its pattern's parameters and state (see patterns), on the votes heard
    since its last tick, and on its scan, a row of the block, if the
@@ -47,13 +49,13 @@ downstream as a collision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .bus import Envelope, MessageBus, VOTE_TOPIC
-from .core import DriveCommand, FieldRequest, Pose2D, ScanSnapshot, Segments, beam_trig
+from .core import DriveCommand, FieldRequest, Pose2D, ScanSnapshot, beam_trig
 from .core import nearest_distances, potential_fields, segment_distances, vector_to_drive
 from .core import wrap_angle
 from .patterns.base import Pattern
@@ -155,23 +157,20 @@ def raycast(
 @dataclass
 class WorldState:
     """Walls plus robot i as a disc of radius radii[i] at row i of poses, an
-    (R, 3) float array of (x, y, theta) built from Pose2Ds. Walls never
-    move, so their segment terms are taken once, in segments."""
+    (R, 3) float array of (x, y, theta) built from Pose2Ds."""
 
     walls: np.ndarray
     poses: np.ndarray
     radii: np.ndarray
     dt: float = 0.1
     tick: int = 0
-    segments: Segments = field(init=False, repr=False)
 
     def __post_init__(self):
         # Read-only copies: a tick's sense may be reused and is cut at the
-        # swarm's reach (Simulation.step), and the segment terms are taken
-        # here, so an in-place edit raises instead of going unsensed.
+        # swarm's reach (Simulation.step), so an in-place edit raises
+        # instead of going unsensed.
         self.walls = np.array(self.walls, dtype=float).reshape(-1, 4)
         self.walls.flags.writeable = False
-        self.segments = Segments(self.walls)
         self.radii = np.array(self.radii, dtype=float)
         self.radii.flags.writeable = False
         self.poses = np.array([(p.x, p.y, p.theta) for p in self.poses], dtype=float).reshape(-1, 3)
@@ -203,7 +202,7 @@ _REACH_EPS = 1e-3
 def wall_distances(world: WorldState) -> np.ndarray:
     """(R, S) distance from every robot's centre to every wall segment."""
     poses = world.poses
-    return world.segments.distances(poses[:, 0, None], poses[:, 1, None])
+    return segment_distances(poses[:, 0, None], poses[:, 1, None], world.walls)
 
 
 _NO_WALLS = np.empty((0, 4))
@@ -525,13 +524,17 @@ class Simulation:
         # and only the poses change, so poses with the bytes of the last
         # sensed ones reuse that sense. Wall distances are taken only where a
         # wall can lie within the cut; else the sweep sees no wall.
-        key = world.poses.tobytes()
+        key, rows = world.poses.tobytes(), world.poses.tolist()
         if key != self._sense_key:
+            # Every tick stores wrapped headings; an edit between steps that
+            # does not would be integrated unwrapped by the float move.
+            for i, (_, _, theta) in enumerate(rows):
+                if not -math.pi < theta <= math.pi:
+                    raise ValueError(f"robot {i} has heading {theta!r}, outside (-pi, pi]")
             self._sense = self._sense_key = None  # one sweep alive at a time
             spec = self.spec
-            cut = min(self.reach, spec.range_max)
             wall_dist, bounds = None, self._wall_bounds()
-            if bounds is None or bounds.min(initial=math.inf) <= cut + _CULL_EPS:
+            if bounds is None or bounds.min(initial=math.inf) <= self.reach + _CULL_EPS:
                 wall_dist, bounds = self._take_walls()
             else:
                 bounds = bounds.tolist()
@@ -565,7 +568,7 @@ class Simulation:
         # wall_dist do, and _walls_at may hold it, so it is never written.
         walls, cells = world.walls, []
         for i, (node, cmd, avoid, radius, (x, y, theta)) in enumerate(
-            zip(nodes, commands, avoidance, world.radii.tolist(), world.poses.tolist())
+            zip(nodes, commands, avoidance, world.radii.tolist(), rows)
         ):
             state = node.protection
             if cmd is not None:

@@ -7,7 +7,8 @@ fine substep, and ray casting against a brute-force marching sampler.
 ``trace_rows_reference`` and ``pair_metrics_reference`` are the exceptions:
 they are the plain forms of ``potential_field``, ``segment_distances``, the
 trace writer's rows and the metrics' pairwise terms, kept to check the fast
-ones bit for bit.
+ones bit for bit. The plain form of a whole simulator tick is
+``reference_sim.reference_run``.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ def potential_field_reference(scan, effect_range, polarity):
 
 
 def segment_distances_reference(px, py, walls):
-    """segment_distances with every wall term taken per call and np.clip."""
+    """segment_distances with np.clip and the zero-length wall guard on every call."""
     ax, ay = walls[:, 0], walls[:, 1]
     ex, ey = walls[:, 2] - ax, walls[:, 3] - ay
     L2 = ex * ex + ey * ey

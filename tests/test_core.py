@@ -16,7 +16,6 @@ from swarmsim.core import (
     DriveLimits,
     Pose2D,
     ScanSnapshot,
-    Segments,
     Vector2,
     beam_trig,
     nearest_obstacle,
@@ -282,9 +281,9 @@ def test_beam_trig_wrapped_is_math_atan2_on_every_entry(beams, angle_min):
 
 @pytest.mark.parametrize("degenerate", [False, True])
 def test_segment_distances_match_reference_bit_for_bit(degenerate):
-    """Terms taken once per wall set give the bits of the per-call form, for
-    scalar points, the step's (R, 1) column and the metrics' (T, R, 1) block,
-    with points on the walls, at their ends and on their lines."""
+    """With and without a zero-length wall, the bits of the plain form, for
+    scalar points, the step's (R, 1) column and the metrics' (T, R, 1)
+    block, with points on the walls, at their ends and on their lines."""
     rng = np.random.default_rng(int(degenerate))
     for _ in range(40):
         walls = rng.uniform(-3.0, 3.0, (int(rng.integers(1, 7)), 4))
@@ -296,15 +295,10 @@ def test_segment_distances_match_reference_bit_for_bit(degenerate):
         on_lines = ends[:, :2] + f[:, None] * (ends[:, 2:] - ends[:, :2])
         px = np.concatenate([rng.uniform(-4.0, 4.0, 20), on_lines[:, 0]])
         py = np.concatenate([rng.uniform(-4.0, 4.0, 20), on_lines[:, 1]])
-        segments = Segments(walls)
-        assert segments.degenerate == degenerate
-        for x, y in ((px[:, None], py[:, None]), (px.reshape(4, 10, 1), py.reshape(4, 10, 1))):
+        points = [(px[:, None], py[:, None]), (px.reshape(4, 10, 1), py.reshape(4, 10, 1))]
+        for x, y in points + list(zip(px[:5].tolist(), py[:5].tolist())):
             want = segment_distances_reference(x, y, walls).view(np.int64)
-            assert np.array_equal(segments.distances(x, y).view(np.int64), want)
             assert np.array_equal(segment_distances(x, y, walls).view(np.int64), want)
-        for x, y in zip(px[:5].tolist(), py[:5].tolist()):
-            want = segment_distances_reference(x, y, walls).view(np.int64)
-            assert np.array_equal(segments.distances(x, y).view(np.int64), want)
 
 
 # -- vector_to_drive ----------------------------------------------------------

@@ -1,8 +1,9 @@
 """Simulator tests: exact kinematics, ray casting, wall contact, determinism."""
 
+import copy
 import dataclasses
 import math
-from unittest import mock
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import marching_raycast, random_scene, rk4_pose
+from reference_sim import reference_run, reference_scans
 from swarmsim import (
     ATTRACTIVE,
     DriveCommand,
@@ -230,18 +232,6 @@ def test_scan_hit_beyond_max_encodes_as_inf():
     assert not scan.valid_mask()[0]
 
 
-def _reference_scans(world, spec):
-    """raycast per robot over all walls and every other body, cut at range_max."""
-    scans = []
-    poses = world.poses.tolist()
-    bodies = [(x, y, r) for (x, y, _), r in zip(poses, world.radii)]
-    for i, (x, y, theta) in enumerate(poses):
-        circles = np.array(bodies[:i] + bodies[i + 1 :]).reshape(-1, 3)
-        dist = raycast((x, y), theta, spec.beam_count, world.walls, circles)
-        scans.append(np.where(dist > spec.range_max, np.inf, dist))
-    return scans
-
-
 def _crowded_world(rng, range_max):
     """Random bodies of mixed radii in a walled arena with interior walls.
 
@@ -284,8 +274,33 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
         world = _crowded_world(rng, range_max)
         sweep = raycast_scan(world, spec)
         assert sweep.shape == (len(world.poses), beams)
-        for row, expected in zip(sweep, _reference_scans(world, spec)):
+        expect = reference_scans(world.poses.tolist(), world.radii.tolist(), world.walls, spec)
+        for row, expected in zip(sweep, expect):
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf], ids=["up", "down"])
+@pytest.mark.parametrize("name", ["arctan2", "arcsin"])
+def test_beam_window_absorbs_a_one_ulp_shift_of_its_bearings(monkeypatch, name, toward):
+    """np.arctan2 and np.arcsin give the beam window's centre and half-width;
+    their bits depend on the SIMD kernels numpy dispatches. The window's
+    extra beam on each side absorbs a one-ulp shift of either: the block
+    keeps its bits. Scaling either by 0.9 does change some block, so the
+    patch takes effect."""
+    rng = np.random.default_rng(7)
+    scenes = []
+    for _ in range(300):
+        beams = int(rng.choice([7, 90, 360, 361, 720]))
+        range_max = float(rng.choice([1.0, 2.5, 3.5]))
+        spec = dataclasses.replace(WAFFLE, beam_count=beams, range_max=range_max)
+        world = _crowded_world(rng, range_max)
+        scenes.append((world, spec, raycast_scan(world, spec).tobytes()))
+    exact = getattr(np, name)
+    monkeypatch.setattr(np, name, lambda *args: np.nextafter(exact(*args), toward))
+    for world, spec, block in scenes:
+        assert raycast_scan(world, spec).tobytes() == block
+    monkeypatch.setattr(np, name, lambda *args: 0.9 * exact(*args))
+    assert any(raycast_scan(world, spec).tobytes() != block for world, spec, block in scenes)
 
 
 def test_scan_hit_below_floor_keeps_raw_distance_but_invalid():
@@ -439,25 +454,18 @@ def test_world_clock_is_tick_times_dt():
 # ------------------------------------------------------------ full simulation
 
 
-def _single_robot_sim(pose, cmd, arena=4.0, threshold=None):
-    spec = WAFFLE
-    world = WorldState(
-        walls=rect_walls(arena, arena),
-        poses=[pose],
-        radii=[spec.body_radius],
-    )
-    node = RobotNode(
-        behavior=ConstantDrive(cmd),
-        protection=ProtectionState(
-            threshold=spec.protection_threshold if threshold is None else threshold,
-            limits=spec.limits(),
-        ),
-    )
-    return Simulation(world, [node], spec, meta={})
+def _driven(walls, robots, dt=0.1, radius=WAFFLE.body_radius, threshold=0.05):
+    """Robots (x, y, theta, v, w) of one radius, each driving its one (v, w)."""
+    world = WorldState(walls, [Pose2D(*r[:3]) for r in robots], [radius] * len(robots), dt)
+    nodes = [
+        RobotNode(ConstantDrive(DriveCommand(v, w)), ProtectionState(threshold, WAFFLE.limits()))
+        for *_, v, w in robots
+    ]
+    return Simulation(world, nodes, WAFFLE, meta={})
 
 
 def test_trace_rows_hold_post_step_state():
-    sim = _single_robot_sim(Pose2D(0.0, 0.0, 0.0), DriveCommand(0.2, 0.0))
+    sim = _driven(rect_walls(4.0, 4.0), [(0.0, 0.0, 0.0, 0.2, 0.0)], threshold=0.5)
     sim.step()
     cols = sim.columns
     assert cols.tick.tolist() == [1]
@@ -468,7 +476,7 @@ def test_trace_rows_hold_post_step_state():
 
 
 def test_drive_into_wall_suppression_prevents_contact():
-    sim = _single_robot_sim(Pose2D(0.0, 0.0, 0.0), DriveCommand(0.26, 0.0))
+    sim = _driven(rect_walls(4.0, 4.0), [(0.0, 0.0, 0.0, 0.26, 0.0)], threshold=0.5)
     sim.run(300)
     cols = sim.columns
     walls = sim.world.walls
@@ -478,88 +486,11 @@ def test_drive_into_wall_suppression_prevents_contact():
     assert max(cols.x) < 2.0 - WAFFLE.body_radius
 
 
-def test_step_integrates_on_walls_in_reach_as_on_all_walls():
-    """Robots pressed against walls, and others far from any, move in
-    Simulation.step exactly as resolve_wall_contact moves them against every
-    wall."""
-    spec = WAFFLE
-    cmds = [(0.26, 0.0), (0.26, 0.9), (0.2, -1.5), (0.26, 1e-10), (0.1, 0.0), (0.0, 1.0)]
-    poses = [(0.0, 0.0, 0.0), (-1.0, 1.0, 2.0), (1.0, -1.0, -2.5), (-1.2, -0.3, 3.0),
-             (0.5, 1.5, 1.2), (0.0, -1.5, 0.0)]
-    world = WorldState(
-        walls=np.vstack([rect_walls(4.0, 4.0), [[-0.5, 0.6, 0.8, 0.6]]]),
-        poses=[Pose2D(*p) for p in poses],
-        radii=[spec.body_radius] * len(poses),
-    )
-    nodes = [
-        RobotNode(ConstantDrive(DriveCommand(*c)), ProtectionState(0.05, spec.limits()))
-        for c in cmds
-    ]
-    sim = Simulation(world, nodes, spec, meta={})
-    contacts = 0
-    for tick in range(150):
-        before = [Pose2D(*row) for row in world.poses.tolist()]
-        sim.step()
-        rows = slice(tick * len(poses), (tick + 1) * len(poses))
-        for pose, after, radius, v, w in zip(
-            before,
-            [Pose2D(*row) for row in world.poses.tolist()],
-            world.radii.tolist(),
-            sim.columns.cmd_linear[rows],
-            sim.columns.cmd_angular[rows],
-        ):
-            cmd = DriveCommand(v, w)
-            want = resolve_wall_contact(pose, cmd, world.dt, radius, world.walls)
-            assert np.array_equal(_pose_bits(after), _pose_bits(want))
-            free = integrate_pose(pose, cmd, world.dt)
-            contacts += (want.x, want.y) != (free.x, free.y)
-    assert contacts >= 100
-
-
-@settings(max_examples=60)
-@given(
-    robots=st.lists(
-        st.tuples(
-            st.floats(-5, 5),
-            st.floats(-5, 5),
-            st.sampled_from([math.pi, -math.pi, 0.0, -0.0]) | st.floats(-math.pi, math.pi),
-            st.floats(-2, 2),
-            st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, -1e-9]) | st.floats(-5, 5),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    dt=st.sampled_from([0.05, 0.1, 0.5]),
-)
-def test_float_move_integrates_as_integrate_pose_bit_for_bit(robots, dt):
-    """With no wall in reach every robot takes the float move: its new row
-    has the bits of integrate_pose, headings that cross +-pi and turn rates
-    at the straight-line switch included."""
-    world = WorldState(
-        walls=NO_WALLS,
-        poses=[Pose2D(x, y, theta) for x, y, theta, _, _ in robots],
-        radii=[0.1] * len(robots),
-        dt=dt,
-    )
-    nodes = [
-        RobotNode(ConstantDrive(DriveCommand(v, w)), ProtectionState(0.05, WAFFLE.limits()))
-        for *_, v, w in robots
-    ]
-    sim = Simulation(world, nodes, WAFFLE, meta={})
-    before = world.poses.tolist()
-    sim.step()
-    cols = sim.columns
-    for start, after, v, w in zip(before, world.poses, cols.cmd_linear, cols.cmd_angular):
-        want = integrate_pose(Pose2D(*start), DriveCommand(v, w), dt)
-        assert np.array_equal(after.view(np.int64), _pose_bits(want))
-
-
 @pytest.mark.parametrize("v, w", [(1e308, 0.0), (1e308, 1e-8)])
 def test_non_finite_step_raises_as_integrate_pose_does(v, w):
     dt = 10.0
-    world = WorldState(walls=NO_WALLS, poses=[Pose2D(0.0, 0.0, 0.0)], radii=[0.1], dt=dt)
-    node = RobotNode(ConstantDrive(DriveCommand(v, w)), ProtectionState(0.05, WAFFLE.limits()))
-    sim = Simulation(world, [node], WAFFLE, meta={})
+    sim = _driven(NO_WALLS, [(0.0, 0.0, 0.0, v, w)], dt, radius=0.1)
+    world = sim.world
     with pytest.raises(ValueError, match="pose components must be finite"):
         integrate_pose(Pose2D(0.0, 0.0, 0.0), DriveCommand(v, w), dt)
     with pytest.raises(ValueError, match="pose components must be finite"):
@@ -573,19 +504,8 @@ def test_robot_overlap_recorded_not_prevented():
     # robots drive straight through each other; the world does not resolve
     # body overlap, it only happens and gets recorded.
     spec = WAFFLE
-    world = WorldState(
-        walls=rect_walls(8.0, 8.0),
-        poses=[Pose2D(-0.6, 0.0, 0.0), Pose2D(0.6, 0.0, math.pi)],
-        radii=[spec.body_radius] * 2,
-    )
-    nodes = [
-        RobotNode(
-            behavior=ConstantDrive(DriveCommand(0.26, 0.0)),
-            protection=ProtectionState(threshold=0.121, limits=spec.limits()),
-        )
-        for i in range(2)
-    ]
-    sim = Simulation(world, nodes, spec, meta={})
+    robots = [(-0.6, 0.0, 0.0, 0.26, 0.0), (0.6, 0.0, math.pi, 0.26, 0.0)]
+    sim = _driven(rect_walls(8.0, 8.0), robots, threshold=0.121)
     sim.run(80)
     cols = sim.columns
     xs = np.asarray(cols.x).reshape(-1, 2)
@@ -597,19 +517,10 @@ def test_robot_overlap_recorded_not_prevented():
 
 
 def test_simulation_rejects_mismatched_nodes():
-    spec = WAFFLE
-    world = WorldState(
-        walls=rect_walls(4.0, 4.0),
-        poses=[Pose2D(0, 0, 0)],
-        radii=[spec.body_radius],
-    )
-    node = RobotNode(
-        behavior=ConstantDrive(DriveCommand(0.1, 0.0)),
-        protection=ProtectionState(threshold=0.5, limits=spec.limits()),
-    )
-    for nodes in ([], [node, node]):
+    sim = _driven(rect_walls(4.0, 4.0), [(0.0, 0.0, 0.0, 0.1, 0.0)], threshold=0.5)
+    for nodes in ([], sim.nodes * 2):
         with pytest.raises(ValueError, match="one node per robot"):
-            Simulation(world, nodes, spec, meta={})
+            Simulation(sim.world, nodes, WAFFLE, meta={})
 
 
 def test_two_runs_are_identical():
@@ -685,44 +596,6 @@ def _hex_columns(columns):
     return {name: [float(v).hex() for v in getattr(columns, name)] for name in COLUMN_NAMES}
 
 
-@given(
-    kind=st.sampled_from(sorted(_REUSE_KINDS)),
-    cells=st.lists(st.integers(0, 24), min_size=1, max_size=6),
-    headings=st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.pi]), min_size=6, max_size=6),
-    ticks=st.integers(1, 30),
-    decision=st.sampled_from([1.0, 2.0]),
-    seed=st.integers(0, 2**16),
-)
-def test_reused_sense_matches_a_fresh_sense_every_tick(kind, cells, headings, ticks, decision, seed):
-    # Robots on a 5 x 5 grid of 0.9 m cells in a 5 m arena, some sharing a
-    # cell: standing voters, robots that protection pushes apart, and
-    # dispersers give static, partly static and moving ticks.
-    params = dict(_REUSE_KINDS[kind])
-    if kind == "discussed_dispersion":
-        params["decision_duration"] = decision
-    raw = {
-        "name": "reuse",
-        "platform": "turtlebot3_waffle_pi",
-        "arena": {"width": 5.0, "height": 5.0},
-        "robots": {
-            "poses": [
-                [0.9 * (c % 5) - 1.8 + 0.01 * n, 0.9 * (c // 5) - 1.8, headings[n]]
-                for n, c in enumerate(cells)
-            ]
-        },
-        "pattern": {"kind": kind, "params": params},
-        "seed": seed,
-        "duration": ticks * 0.1,
-    }
-    config = load_scenario(raw)
-    reused, fresh = build_simulation(config), build_simulation(config)
-    for _ in range(config.tick_count()):
-        reused.step()
-        fresh._sense_key = None
-        fresh.step()
-    assert _hex_columns(reused.columns) == _hex_columns(fresh.columns)
-
-
 class ScanKeeper(Pattern):
     """Test behavior that stands still and keeps every scan it is handed."""
 
@@ -753,8 +626,6 @@ def _last_scans(sim):
 
 @pytest.fixture
 def raycast_calls(monkeypatch):
-    import swarmsim.sim
-
     calls = []
     original = swarmsim.sim.raycast_scan
 
@@ -786,6 +657,20 @@ def test_pose_edit_between_steps_is_sensed(k):
     assert expected.tobytes() != _last_scans(sim).tobytes()
     sim.step()
     assert _last_scans(sim).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("theta", [4.0, -math.pi, math.nan])
+def test_pose_edit_to_a_heading_outside_the_wrap_raises(theta):
+    """No tick stores such a heading, and the float move and
+    resolve_wall_contact would integrate it apart: the next step raises
+    before any behavior ticks."""
+    sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
+    sim.step()
+    sim.world.poses[1, 2] = theta
+    with pytest.raises(ValueError, match=re.escape(f"robot 1 has heading {theta!r}")):
+        sim.step()
+    assert [len(node.behavior.scans) for node in sim.nodes] == [1, 1]
+    assert sim.world.tick == 1 and len(sim.columns.tick) == 2
 
 
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
@@ -898,28 +783,6 @@ def _reach_scenario(kind, seed):
     return load_scenario(raw)
 
 
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("kind", PATTERN_KINDS)
-def test_every_kind_senses_to_its_reach_with_the_bits_of_a_full_sense(kind, seed):
-    config = _reach_scenario(kind, seed)
-    cut, full = build_simulation(config), build_simulation(config)
-    # The full twin senses to range_max, takes wall distances on every tick
-    # and hands every behavior its scan.
-    full.reach = WAFFLE.range_max
-    assert cut.reach < full.reach
-    for node in full.nodes:
-        node.behavior.reads_scan = True
-    for n in range(config.tick_count()):
-        cut.step()
-        full._walls_at = None
-        full.step()
-        if n == 0:  # the cut drops readings that the full sense keeps
-            assert np.isinf(cut._sense[1]).sum() > np.isinf(full._sense[1]).sum()
-            # A scan of a cut sweep keeps the sensor's window.
-            assert cut.scan(cut._sense[1][0]).range_max == WAFFLE.range_max
-    assert _hex_columns(cut.columns) == _hex_columns(full.columns)
-
-
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
 def test_each_kind_declares_its_reach(kind):
     config = _reach_scenario(kind, 0)
@@ -935,16 +798,15 @@ def test_each_kind_declares_its_reach(kind):
     # Of the kinds, only flocking reads its scan in its tick.
     assert {node.behavior.reads_scan for node in sim.nodes} == {kind == "flocking"}
     assert sim.reach == min(WAFFLE.range_max, max(reads, WAFFLE.protection_threshold))
+    assert sim.reach < WAFFLE.range_max  # so the run cuts its sweeps
+    # A scan of a cut sweep keeps the sensor's window.
+    assert sim.scan(np.zeros(WAFFLE.beam_count)).range_max == WAFFLE.range_max
 
 
 def test_undeclared_read_range_reaches_the_full_range():
-    world = WorldState(walls=rect_walls(4.0, 4.0), poses=[Pose2D(0.0, 0.0, 0.0)], radii=[0.15])
-    node = RobotNode(
-        behavior=ConstantDrive(DriveCommand(0.0, 0.0)),
-        protection=ProtectionState(threshold=WAFFLE.protection_threshold, limits=WAFFLE.limits()),
-    )
-    assert node.behavior.read_range == math.inf
-    assert Simulation(world, [node], WAFFLE, meta={}).reach == WAFFLE.range_max
+    sim = _driven(rect_walls(4.0, 4.0), [(0.0, 0.0, 0.0, 0.0, 0.0)], threshold=0.5)
+    assert sim.nodes[0].behavior.read_range == math.inf
+    assert sim.reach == WAFFLE.range_max
 
 
 @pytest.mark.parametrize(
@@ -1073,37 +935,6 @@ def _wall_run(platform, seed, read_range, threshold):
     return Simulation(world, nodes, spec, meta={})
 
 
-@settings(max_examples=40)
-@given(
-    platform=st.sampled_from(sorted(PLATFORMS)),
-    seed=st.integers(0, 2**32 - 1),
-    read_range=st.sampled_from([0.0, 1.0, math.inf]),
-    threshold=st.sampled_from([None, 0.05]),
-)
-def test_wall_bound_keeps_the_bits_of_wall_distances_every_tick(
-    platform, seed, read_range, threshold
-):
-    ticks = 25
-    cut = _wall_run(platform, seed, read_range, threshold)
-    full = _wall_run(platform, seed, read_range, threshold)
-    calls = []
-    original = swarmsim.sim.wall_distances
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    with mock.patch.object(swarmsim.sim, "wall_distances", counted):
-        for _ in range(ticks):
-            cut.step()
-        taken = len(calls)
-        for _ in range(ticks):
-            full._walls_at = None  # the uncut form: wall distances on every tick
-            full.step()
-    assert taken <= len(calls) - taken
-    assert _hex_columns(cut.columns) == _hex_columns(full.columns)
-
-
 def test_wall_bound_takes_wall_distances_once_far_from_the_walls(monkeypatch):
     # experiment1-waffle: no robot comes within 3 m of a wall, against a 2 m
     # reach and a few centimetres of travel per tick.
@@ -1115,3 +946,98 @@ def test_wall_bound_takes_wall_distances_once_far_from_the_walls(monkeypatch):
     config = load_scenario("experiment1-waffle", seed=0, duration=30.0)
     build_simulation(config).run(config.tick_count())
     assert len(calls) == 1
+
+
+# ------------------------------------------ whole runs against the reference
+
+
+def _reuse_grid(kind, cells, headings, decision, seed):
+    """Robots on a 5 x 5 grid of 0.9 m cells in a 5 m arena, some sharing a
+    cell: standing voters, robots that protection pushes apart, and
+    dispersers give static, partly static and moving ticks."""
+    params = dict(_REUSE_KINDS[kind])
+    if kind == "discussed_dispersion":
+        params["decision_duration"] = decision
+    raw = {
+        "name": "reuse",
+        "platform": "turtlebot3_waffle_pi",
+        "arena": {"width": 5.0, "height": 5.0},
+        "robots": {
+            "poses": [
+                [0.9 * (c % 5) - 1.8 + 0.01 * n, 0.9 * (c // 5) - 1.8, headings[n]]
+                for n, c in enumerate(cells)
+            ]
+        },
+        "pattern": {"kind": kind, "params": params},
+        "seed": seed,
+        "duration": 3.0,
+    }
+    return build_simulation(load_scenario(raw))
+
+
+# Robots driving into outer and interior walls, and others far from any.
+_PRESSED_AGAINST_WALLS = (
+    np.vstack([rect_walls(4.0, 4.0), [[-0.5, 0.6, 0.8, 0.6]]]),
+    [(0.0, 0.0, 0.0, 0.26, 0.0), (-1.0, 1.0, 2.0, 0.26, 0.9), (1.0, -1.0, -2.5, 0.2, -1.5),
+     (-1.2, -0.3, 3.0, 0.26, 1e-10), (0.5, 1.5, 1.2, 0.1, 0.0), (0.0, -1.5, 0.0, 0.0, 1.0)],
+)
+# Wall-free robots, headings at +-pi and turn rates at the straight-line switch.
+_FLOAT_EDGE_ROBOT = st.tuples(
+    st.floats(-5, 5),
+    st.floats(-5, 5),
+    st.sampled_from([math.pi, -math.pi, 0.0, -0.0]) | st.floats(-math.pi, math.pi),
+    st.floats(-2, 2),
+    st.sampled_from([0.0, 1e-10, -1e-10, 1e-9, -1e-9]) | st.floats(-5, 5),
+)
+# Scene families, each as (ticks, simulation).
+_SCENES = {
+    "reuse grid": st.tuples(st.integers(1, 30), st.builds(
+        _reuse_grid,
+        st.sampled_from(sorted(_REUSE_KINDS)),
+        st.lists(st.integers(0, 24), min_size=1, max_size=6),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, math.pi]), min_size=6, max_size=6),
+        st.sampled_from([1.0, 2.0]),
+        st.integers(0, 2**16),
+    )),
+    "near walls": st.tuples(st.just(25), st.builds(
+        _wall_run,
+        st.sampled_from(sorted(PLATFORMS)),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([0.0, 1.0, math.inf]),
+        st.sampled_from([None, 0.05]),
+    )),
+    "pressed against walls": st.builds(lambda: (150, _driven(*_PRESSED_AGAINST_WALLS))),
+    "wall-free float edges": st.tuples(st.integers(1, 5), st.builds(
+        _driven,
+        st.just(NO_WALLS),
+        st.lists(_FLOAT_EDGE_ROBOT, min_size=1, max_size=6),
+        st.sampled_from([0.05, 0.1, 0.5]),
+        st.just(0.1),
+    )),
+}
+
+
+@pytest.mark.parametrize("family", list(_SCENES))
+@settings(max_examples=40)
+@given(data=st.data())
+def test_whole_runs_match_the_reference_tick_bit_for_bit(family, data):
+    """Every trace cell of a run of Simulation.step has the bits of the
+    plain reference tick, run from the same start: no sense reuse, reach
+    cut, wall bound, float move or batched decide pass changes one."""
+    ticks, sim = data.draw(_SCENES[family])
+    world, nodes = copy.deepcopy((sim.world, sim.nodes))
+    sim.run(ticks)
+    assert _hex_columns(sim.columns) == reference_run(world, nodes, sim.spec, ticks)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_every_kind_senses_to_its_reach_with_the_bits_of_a_full_sense(kind, seed):
+    """A run that cuts its sweeps at the swarm's reach, and hands a scan only
+    to behaviors that read it, has every trace cell of the reference tick,
+    which senses to range_max and hands every behavior its scan."""
+    config = _reach_scenario(kind, seed)
+    sim = build_simulation(config)
+    world, nodes = copy.deepcopy((sim.world, sim.nodes))
+    sim.run(config.tick_count())
+    assert _hex_columns(sim.columns) == reference_run(world, nodes, sim.spec, config.tick_count())
