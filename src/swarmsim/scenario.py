@@ -24,7 +24,7 @@ from typing import Annotated, Literal, Union
 import numpy as np
 import yaml
 
-from .core import Pose2D
+from .core import Pose2D, segment_distances
 from .metrics import MetricsReport, compute_metrics, write_metrics_json, write_series_csv
 from .patterns import (
     Attraction,
@@ -39,7 +39,7 @@ from .patterns import (
 )
 from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
 from .protection import DEFAULT_STALENESS_LIMIT, ProtectionState
-from .sim import RobotNode, Simulation, WorldState, rect_walls, wall_clearance
+from .sim import RobotNode, Simulation, WorldState, rect_walls
 from .trace import Trace, trace_from_columns, write_trace
 
 # kind -> the behavior class whose init fields, less the ones
@@ -118,6 +118,10 @@ class ScenarioConfig:
 def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, *key]))
 
+
+# libyaml's parser where PyYAML was built with it, else the pure-Python
+# one. Both build values with SafeConstructor and resolve tags alike.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
 
 _SCENARIO_STREAM = 0
 _WALK_STREAM = 1
@@ -320,7 +324,7 @@ def load_scenario(
     seed/duration override the file's values before any random choice is
     drawn, so the override fully determines the resolved scenario.
     """
-    raw = source if isinstance(source, dict) else yaml.safe_load(_read_scenario_text(source))
+    raw = source if isinstance(source, dict) else _parse(source, _read_scenario_text(source))
     if not isinstance(raw, dict):
         raise ScenarioError("scenario file must hold a mapping")
     raw = raw | {key: v for key, v in (("seed", seed), ("duration", duration)) if v is not None}
@@ -354,16 +358,33 @@ def _read_scenario_text(source: str | Path) -> str:
     return res.read_text()
 
 
+def _parse(source: str | Path, text: str):
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        # A ReaderError, a character YAML does not allow, has no mark; the
+        # first line of its message names the character.
+        mark = getattr(exc, "problem_mark", None)
+        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = exc.problem if mark else str(exc).splitlines()[0]
+        raise ScenarioError(f"{source}{where}: {problem}") from exc
+
+
 def validate_scenario(config: ScenarioConfig) -> None:
     spec = config.spec
-    half_w = config.arena_width / 2.0
-    half_h = config.arena_height / 2.0
-    walls = config.walls()
-    for i, pose in enumerate(config.poses):
-        if abs(pose.x) > half_w - spec.body_radius or abs(pose.y) > half_h - spec.body_radius:
-            raise PoseOutsideArenaError(f"robot {i} starts outside the arena: {pose}")
-        if wall_clearance(pose.x, pose.y, walls) < spec.body_radius:
-            raise PoseOutsideArenaError(f"robot {i} starts inside a wall: {pose}")
+    radius = spec.body_radius
+    x, y = np.array([(p.x, p.y) for p in config.poses]).T
+    # Every start pose at once; the first failing robot raises, and for it
+    # outside the arena goes before inside a wall.
+    outside = (np.abs(x) > config.arena_width / 2.0 - radius) | (
+        np.abs(y) > config.arena_height / 2.0 - radius
+    )
+    in_wall = segment_distances(x[:, None], y[:, None], config.walls()).min(axis=1) < radius
+    bad = outside | in_wall
+    if bad.any():
+        i = int(bad.argmax())
+        where = "outside the arena" if outside[i] else "inside a wall"
+        raise PoseOutsideArenaError(f"robot {i} starts {where}: {config.poses[i]}")
 
     params = config.pattern_params
     kind = config.pattern

@@ -526,9 +526,13 @@ class Simulation:
         # wall can lie within the cut; else the sweep sees no wall.
         key, rows = world.poses.tobytes(), world.poses.tolist()
         if key != self._sense_key:
-            # Every tick stores wrapped headings; an edit between steps that
-            # does not would be integrated unwrapped by the float move.
-            for i, (_, _, theta) in enumerate(rows):
+            # Every tick stores finite positions and wrapped headings; an edit
+            # between steps that does not would reach the behaviors, and the
+            # float move would integrate an unwrapped heading.
+            for i, (x, y, theta) in enumerate(rows):
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    name, value = ("y", y) if math.isfinite(x) else ("x", x)
+                    raise ValueError(f"robot {i} has {name} {value!r}, not finite")
                 if not -math.pi < theta <= math.pi:
                     raise ValueError(f"robot {i} has heading {theta!r}, outside (-pi, pi]")
             self._sense = self._sense_key = None  # one sweep alive at a time

@@ -9,6 +9,41 @@ from swarmsim.cli import main
 from swarmsim.trace import read_trace
 
 
+# The scenario files these tests write; test_scenario.py also parses each
+# with both YAML loaders.
+TINY_YAML = """
+name: tiny
+platform: turtlebot3_burger
+arena: {width: 6.0, height: 6.0}
+robots:
+  layout: line
+  count: 2
+  spacing: 1.0
+pattern:
+  kind: dispersion
+  params: {dispersion_range: 1.5}
+seed: 7
+duration: 1.0
+"""
+UNKNOWN_PLATFORM_YAML = "name: bad\nplatform: nope\narena: {width: 6.0, height: 6.0}\n"
+MALFORMED_YAML = "name: bad\nplatform: [jackal\narena: {width: 6.0, height: 6.0}\n"
+# (kind, params as written, their bytes in the trace header)
+INT_PARAMETERS = [
+    ("voter", "{window_length: 2}", '"window_length":2'),
+    ("drive", "{linear: 1}", '"linear":1'),
+]
+
+
+def int_parameters_yaml(kind, params):
+    return (
+        "platform: turtlebot3_burger\n"
+        "arena: {width: 6.0, height: 6.0}\n"
+        "robots: {layout: line, count: 2}\n"
+        f"pattern: {{kind: {kind}, params: {params}}}\n"
+        "duration: 2.0\n"
+    )
+
+
 def read_json(path):
     return json.loads(path.read_text())
 
@@ -25,22 +60,8 @@ def test_run_writes_artifacts(tmp_path, capsys):
 
 
 def test_run_accepts_yaml_path(tmp_path):
-    yaml_text = """
-name: tiny
-platform: turtlebot3_burger
-arena: {width: 6.0, height: 6.0}
-robots:
-  layout: line
-  count: 2
-  spacing: 1.0
-pattern:
-  kind: dispersion
-  params: {dispersion_range: 1.5}
-seed: 7
-duration: 1.0
-"""
     path = tmp_path / "tiny.yaml"
-    path.write_text(yaml_text)
+    path.write_text(TINY_YAML)
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
     assert (out / "trace.csv").exists()
@@ -111,11 +132,20 @@ def test_missing_subcommand_exits_with_usage():
 
 def test_run_on_unknown_platform_prints_one_error_line(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
-    path.write_text("name: bad\nplatform: nope\narena: {width: 6.0, height: 6.0}\n")
+    path.write_text(UNKNOWN_PLATFORM_YAML)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "nope" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_on_malformed_yaml_prints_one_error_line(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(MALFORMED_YAML)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}, line 3, column 6: ") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -180,21 +210,12 @@ def test_run_prints_the_agreed_opinion_and_its_range(tmp_path, capsys):
     ) in text.splitlines()
 
 
-@pytest.mark.parametrize(
-    "kind, params, written",
-    [("voter", "{window_length: 2}", '"window_length":2'), ("drive", "{linear: 1}", '"linear":1')],
-)
+@pytest.mark.parametrize("kind, params, written", INT_PARAMETERS)
 def test_int_parameters_keep_their_header_bytes_and_replay(tmp_path, capsys, kind, params, written):
     # Headers record a parameter as written; an int read back as a float
     # would write 2.0 and no earlier trace would replay.
     path = tmp_path / "ints.yaml"
-    path.write_text(
-        "platform: turtlebot3_burger\n"
-        "arena: {width: 6.0, height: 6.0}\n"
-        "robots: {layout: line, count: 2}\n"
-        f"pattern: {{kind: {kind}, params: {params}}}\n"
-        "duration: 2.0\n"
-    )
+    path.write_text(int_parameters_yaml(kind, params))
     out = tmp_path / "out"
     assert main(["run", str(path), "--out", str(out)]) == 0
     header = (out / "trace.csv").read_text().split("\n", 1)[0]

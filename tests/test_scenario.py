@@ -4,15 +4,25 @@ import dataclasses
 import json
 import math
 import re
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from test_cli import (
+    INT_PARAMETERS,
+    MALFORMED_YAML,
+    TINY_YAML,
+    UNKNOWN_PLATFORM_YAML,
+    int_parameters_yaml,
+)
 
-from swarmsim import PLATFORMS, build_simulation, load_scenario, wrap_angle
+from swarmsim import PLATFORMS, Pose2D, build_simulation, load_scenario, wrap_angle
 from swarmsim.scenario import (
     _KEYS,
+    _YAML_LOADER,
     PATTERN_KINDS,
     MappingThresholdError,
     PoseOutsideArenaError,
@@ -20,7 +30,9 @@ from swarmsim.scenario import (
     UnknownPlatformError,
     from_meta,
     to_meta,
+    validate_scenario,
 )
+from swarmsim.sim import wall_clearance
 
 
 def scenario_dict(**overrides):
@@ -162,6 +174,75 @@ def test_pose_inside_interior_wall():
                 extra_walls=[[0.05, -1.0, 0.05, 1.0]],
             )
         )
+
+
+def _pose_check_reference(config):
+    """The start-pose check as a loop of one wall_clearance per robot: the
+    message of the first failing robot, outside the arena before inside a
+    wall, or None."""
+    radius = config.spec.body_radius
+    half_w, half_h = config.arena_width / 2.0, config.arena_height / 2.0
+    walls = config.walls()
+    for i, pose in enumerate(config.poses):
+        if abs(pose.x) > half_w - radius or abs(pose.y) > half_h - radius:
+            return f"robot {i} starts outside the arena: {pose}"
+        if wall_clearance(pose.x, pose.y, walls) < radius:
+            return f"robot {i} starts inside a wall: {pose}"
+    return None
+
+
+_RADIUS = PLATFORMS["turtlebot3_waffle_pi"].body_radius
+# No extra wall; one; and two, the second of zero length. Each lies on a
+# coordinate axis, where a body radius off the wall is a distance of
+# exactly the body radius.
+_EXTRA_WALLS = [[], [[0.0, -1.0, 0.0, 1.0]], [[-1.0, 0.0, 1.0, 0.0], [0.0, -0.4, 0.0, -0.4]]]
+
+
+@st.composite
+def _start_layouts(draw):
+    """Arena, extra walls and start poses: inside the arena, outside it, or
+    on an arena edge, a wall's coordinate, a body radius from either, or
+    one ulp either side of one of those."""
+    width, height = draw(st.sampled_from([(4.0, 4.0), (6.5, 3.0)]))
+    walls = draw(st.sampled_from(_EXTRA_WALLS))
+
+    def coordinate(half, lines):
+        margin = half - _RADIUS
+        edges = [half, margin, *lines] + [c + s * _RADIUS for c in lines for s in (-1.0, 1.0)]
+        edge = st.tuples(
+            st.sampled_from(edges + [-v for v in edges]),
+            st.sampled_from([-math.inf, None, math.inf]),
+        ).map(lambda e: e[0] if e[1] is None else math.nextafter(*e))
+        outside = st.tuples(
+            st.floats(margin, 2.0 * half, exclude_min=True), st.sampled_from([-1.0, 1.0])
+        ).map(lambda t: t[0] * t[1])
+        return draw(st.one_of(st.floats(-margin, margin), edge, outside))
+
+    xs = [c for wall in walls for c in wall[0::2]]
+    ys = [c for wall in walls for c in wall[1::2]]
+    count = draw(st.integers(1, 5))
+    poses = [Pose2D(coordinate(width / 2.0, xs), coordinate(height / 2.0, ys), 0.0) for _ in range(count)]
+    return width, height, walls, poses
+
+
+@given(_start_layouts())
+@settings(max_examples=300)
+def test_start_pose_check_raises_as_a_per_robot_wall_clearance_loop(layout):
+    width, height, walls, poses = layout
+    config = dataclasses.replace(
+        load_scenario(scenario_dict()),
+        arena_width=width,
+        arena_height=height,
+        extra_walls=walls,
+        poses=poses,
+    )
+    expected = _pose_check_reference(config)
+    if expected is None:
+        validate_scenario(config)
+    else:
+        with pytest.raises(PoseOutsideArenaError) as info:
+            validate_scenario(config)
+        assert type(info.value) is PoseOutsideArenaError and str(info.value) == expected
 
 
 def test_negative_duration_rejected():
@@ -478,49 +559,117 @@ def test_bad_top_level_value_names_the_key(overrides, key):
         load_scenario(scenario_dict(**overrides))
 
 
-@pytest.mark.parametrize(
-    "text, key",
-    [
-        ("platform: [jackal]", "platform"),
-        ("platform: {name: jackal}", "platform"),
-        ("pattern: {kind: drive, params: [1]}", "pattern.params"),
-        ("pattern: {kind: drive, params: []}", "pattern.params"),
-        ("name: [n]", "name"),
-        ("name: 5", "name"),
-    ],
-    ids=["platform-list", "platform-mapping", "params-list", "params-empty-list", "name-list", "name-int"],
-)
-def test_wrongly_typed_name_platform_or_params_names_the_key(tmp_path, text, key):
+_WRONGLY_TYPED = [
+    ("platform: [jackal]", "platform"),
+    ("platform: {name: jackal}", "platform"),
+    ("pattern: {kind: drive, params: [1]}", "pattern.params"),
+    ("pattern: {kind: drive, params: []}", "pattern.params"),
+    ("name: [n]", "name"),
+    ("name: 5", "name"),
+]
+_BOOLEAN_COUNTS = ["count: true", "count: yes", "count: on"]
+_NON_BOOLEAN_CURVED_TURNS = ['"false"', "0", "1", "null", "[true]"]
+_UNREADABLE_YAML = "name: t\nplatform: \x07\n"
+
+
+def _wrongly_typed_yaml(text):
     lines = {"name": "name: t", "platform": "platform: jackal", "pattern": "pattern: {kind: drive}"}
     lines[text.split(":")[0]] = text
-    path = tmp_path / "s.yaml"
-    path.write_text("\n".join(lines.values()) + "\nrobots: {poses: [[0, 0, 0]]}\n")
-    with pytest.raises(ScenarioError, match=re.escape(f"{key}: ")):
-        load_scenario(str(path))
+    return "\n".join(lines.values()) + "\nrobots: {poses: [[0, 0, 0]]}\n"
 
 
-@pytest.mark.parametrize("text", ["count: true", "count: yes", "count: on"])
-def test_yaml_boolean_count_fails_at_load(tmp_path, text):
-    path = tmp_path / "bool.yaml"
-    path.write_text(
+def _boolean_count_yaml(text):
+    return (
         "platform: turtlebot3_waffle_pi\n"
         "pattern: {kind: attraction}\n"
         f"robots: {{layout: line, {text}}}\n"
     )
-    with pytest.raises(ScenarioError, match="robots.count: True is not a number"):
-        load_scenario(path)
 
 
-@pytest.mark.parametrize("text", ['"false"', "0", "1", "null", "[true]"])
-def test_non_boolean_curved_turns_fails_at_load(tmp_path, text):
-    path = tmp_path / "walk.yaml"
-    path.write_text(
+def _curved_turns_yaml(text):
+    return (
         "platform: turtlebot3_waffle_pi\n"
         f"pattern: {{kind: random_walk, params: {{curved_turns: {text}}}}}\n"
         "robots: {layout: line, count: 2}\n"
     )
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    _WRONGLY_TYPED,
+    ids=["platform-list", "platform-mapping", "params-list", "params-empty-list", "name-list", "name-int"],
+)
+def test_wrongly_typed_name_platform_or_params_names_the_key(tmp_path, text, key):
+    path = tmp_path / "s.yaml"
+    path.write_text(_wrongly_typed_yaml(text))
+    with pytest.raises(ScenarioError, match=re.escape(f"{key}: ")):
+        load_scenario(str(path))
+
+
+@pytest.mark.parametrize("text", _BOOLEAN_COUNTS)
+def test_yaml_boolean_count_fails_at_load(tmp_path, text):
+    path = tmp_path / "bool.yaml"
+    path.write_text(_boolean_count_yaml(text))
+    with pytest.raises(ScenarioError, match="robots.count: True is not a number"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("text", _NON_BOOLEAN_CURVED_TURNS)
+def test_non_boolean_curved_turns_fails_at_load(tmp_path, text):
+    path = tmp_path / "walk.yaml"
+    path.write_text(_curved_turns_yaml(text))
     with pytest.raises(ScenarioError, match="curved_turns: .* is not a boolean"):
         load_scenario(path)
+
+
+def _written_texts():
+    """Every scenario file the tests write."""
+    return [
+        TINY_YAML,
+        UNKNOWN_PLATFORM_YAML,
+        MALFORMED_YAML,
+        _UNREADABLE_YAML,
+        *(int_parameters_yaml(kind, params) for kind, params, _ in INT_PARAMETERS),
+        *(_wrongly_typed_yaml(text) for text, _ in _WRONGLY_TYPED),
+        *(_boolean_count_yaml(text) for text in _BOOLEAN_COUNTS),
+        *(_curved_turns_yaml(text) for text in _NON_BOOLEAN_CURVED_TURNS),
+    ]
+
+
+def _parsed(text, loader):
+    """The value, and its repr (2 and 2.0 are equal, but load apart); or the
+    error class and where it points, if it does."""
+    try:
+        value = yaml.load(text, Loader=loader)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        return type(exc), mark and (mark.line, mark.column)
+    return value, repr(value)
+
+
+def test_scenario_loader_parses_as_the_pure_python_safe_loader():
+    assert _YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    presets = [
+        res.read_text()
+        for res in resources.files("swarmsim").joinpath("scenarios").iterdir()
+        if res.name.endswith(".yaml")
+    ]
+    assert len(presets) >= 5
+    for text in presets + _written_texts():
+        assert _parsed(text, _YAML_LOADER) == _parsed(text, yaml.SafeLoader), text
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [(MALFORMED_YAML, ", line 3, column 6: "), (_UNREADABLE_YAML, ": unacceptable character #x0007")],
+    ids=["unclosed-list", "control-character"],
+)
+def test_malformed_yaml_raises_a_one_line_scenario_error_naming_the_file(tmp_path, text, where):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=re.escape(f"{path}{where}")) as info:
+        load_scenario(path)
+    assert "\n" not in str(info.value)
 
 
 @pytest.mark.parametrize("value", [True, False])

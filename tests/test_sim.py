@@ -659,17 +659,30 @@ def test_pose_edit_between_steps_is_sensed(k):
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("theta", [4.0, -math.pi, math.nan])
-def test_pose_edit_to_a_heading_outside_the_wrap_raises(theta):
-    """No tick stores such a heading, and the float move and
-    resolve_wall_contact would integrate it apart: the next step raises
-    before any behavior ticks."""
+@pytest.mark.parametrize(
+    "k, value, message",
+    [
+        (0, math.nan, "x nan, not finite"),
+        (1, -math.inf, "y -inf, not finite"),
+        (2, 4.0, "heading 4.0, outside (-pi, pi]"),
+        (2, -math.pi, f"heading {-math.pi!r}, outside (-pi, pi]"),
+        (2, math.nan, "heading nan, outside (-pi, pi]"),
+    ],
+    ids=["x-nan", "y-minus-inf", "heading-4", "heading-minus-pi", "heading-nan"],
+)
+def test_pose_edit_to_a_pose_no_tick_stores_raises(k, value, message):
+    """No tick stores a non-finite position or a heading outside the wrap,
+    and the behaviors and the float move would act on one: the next step
+    raises, naming the robot, before any behavior ticks or any command
+    reaches protection."""
     sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
     sim.step()
-    sim.world.poses[1, 2] = theta
-    with pytest.raises(ValueError, match=re.escape(f"robot 1 has heading {theta!r}")):
+    stamps = [node.protection.last_cmd_stamp for node in sim.nodes]
+    sim.world.poses[1, k] = value
+    with pytest.raises(ValueError, match=re.escape(f"robot 1 has {message}")):
         sim.step()
     assert [len(node.behavior.scans) for node in sim.nodes] == [1, 1]
+    assert [node.protection.last_cmd_stamp for node in sim.nodes] == stamps
     assert sim.world.tick == 1 and len(sim.columns.tick) == 2
 
 
