@@ -20,6 +20,8 @@ REPULSIVE = "repulsive"
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
+    if -math.pi < theta <= math.pi:
+        return theta  # what math.remainder returns on this interval
     w = math.remainder(theta, math.tau)
     if w <= -math.pi:
         w += math.tau

@@ -8,7 +8,6 @@ replay checks a trace's recorded spec against the preset.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import DriveLimits
@@ -81,12 +80,7 @@ _TURTLEBOT3_DEFAULTS: dict[str, dict] = {
     "attraction": {"attraction_range": 2.0},
     "dispersion": {"dispersion_range": 1.0},
     "drive": {"linear": 0.15},
-    "random_walk": {
-        "linear": 0.15,
-        "angular": 1.5,
-        "drive_duration": [0.5, 4.0],
-        "turn_angle": [0.3, math.pi],
-    },
+    "random_walk": {"linear": 0.15, "angular": 1.5},
     "flocking": {
         "r_near": 0.5,
         "r_far": 1.2,
@@ -103,12 +97,7 @@ PATTERN_DEFAULTS: dict[str, dict[str, dict]] = {
         "attraction": {"attraction_range": 3.0},
         "dispersion": {"dispersion_range": 2.0},
         "drive": {"linear": 1.0},
-        "random_walk": {
-            "linear": 1.0,
-            "angular": 2.0,
-            "drive_duration": [0.5, 4.0],
-            "turn_angle": [0.3, math.pi],
-        },
+        "random_walk": {"linear": 1.0, "angular": 2.0},
         "flocking": {
             "r_near": 1.3,
             "r_far": 2.5,

@@ -61,6 +61,7 @@ _BUILDER_FIELDS = ("limits", "rng", "robot_id", "own_opinion")
 # Pattern defaults that hold on every platform (PATTERN_DEFAULTS holds the
 # others). The loader resolves opinions and opinion_choices.
 _KIND_DEFAULTS = {
+    "random_walk": {"drive_duration": [0.5, 4.0], "turn_angle": [0.3, math.pi]},
     "majority": {"window_length": 1.0, "opinions": "random", "opinion_choices": [0, 1]},
     "voter": {"window_length": 1.0, "opinions": "random", "opinion_choices": [0, 1]},
     "discussed_dispersion": {"window_length": 1.0, "decision_duration": 20.0, "opinions": "random"},
@@ -362,12 +363,20 @@ def _parse(source: str | Path, text: str):
     try:
         return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        # A ReaderError, a character YAML does not allow, has no mark; the
-        # first line of its message names the character.
-        mark = getattr(exc, "problem_mark", None)
-        where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = exc.problem if mark else str(exc).splitlines()[0]
-        raise ScenarioError(f"{source}{where}: {problem}") from exc
+        error = exc
+    # libyaml words and marks its errors apart from the pure-Python parser:
+    # report the latter's where it fails too, so an error reads the same
+    # however PyYAML was built.
+    try:
+        yaml.load(text, Loader=yaml.SafeLoader)
+    except yaml.YAMLError as exc:
+        error = exc
+    # A ReaderError, a character YAML does not allow, has no mark; the first
+    # line of its message names the character.
+    mark = getattr(error, "problem_mark", None)
+    where = f", line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+    problem = error.problem if mark else str(error).splitlines()[0]
+    raise ScenarioError(f"{source}{where}: {problem}") from error
 
 
 def validate_scenario(config: ScenarioConfig) -> None:

@@ -34,8 +34,9 @@ four phases:
 3. Decide, as one array job: the protection check (a masked min over the
    block) and every potential field of the tick, requested or avoidance.
 4. Move, in index order: arbitrate, move with wall contact, or on plain
-   floats where no wall is in reach, into a new pose array; then record
-   the tick's trace rows into typed columns.
+   floats wrapped by wrap_angle where no wall is in reach, into a new pose
+   array; then record the tick's trace rows into typed columns. Wall
+   distances the sense did not take are taken here, once, for this tick.
 
 Deciding for every robot before any moves changes no input: scans are taken
 before any robot moves, fields read no votes, and votes are published in
@@ -80,14 +81,6 @@ def unicycle_step(x: float, y: float, theta: float, v: float, w: float, dt: floa
 def integrate_pose(pose: Pose2D, cmd: DriveCommand, dt: float) -> Pose2D:
     """unicycle_step of a pose, its heading wrapped by Pose2D."""
     return Pose2D(*unicycle_step(pose.x, pose.y, pose.theta, cmd.linear, cmd.angular, dt))
-
-
-def wrap_heading(theta: float) -> float:
-    """wrap_angle(theta), with the same bits: on (-pi, pi] math.remainder
-    returns theta itself. A non-finite theta is left to the finite check."""
-    if -math.pi < theta <= math.pi or not math.isfinite(theta):
-        return theta
-    return wrap_angle(theta)
 
 
 def rect_walls(width: float, height: float) -> np.ndarray:
@@ -203,27 +196,6 @@ def wall_distances(world: WorldState) -> np.ndarray:
     """(R, S) distance from every robot's centre to every wall segment."""
     poses = world.poses
     return segment_distances(poses[:, 0, None], poses[:, 1, None], world.walls)
-
-
-_NO_WALLS = np.empty((0, 4))
-
-
-def walls_in_reach(
-    walls: np.ndarray, dist: np.ndarray, nearest: float, travel: float, radius: float
-) -> np.ndarray:
-    """The walls one robot can touch in one step.
-
-    dist is the robot's row of ``wall_distances`` and nearest its minimum
-    (inf with no walls). Every waypoint of a step lies within its arc
-    length, travel = |v|*dt, of the start pose, so a wall farther than
-    travel + radius from the start stays more than radius from every
-    waypoint and bisection point. Leaving it out of ``resolve_wall_contact``
-    changes no clearance test.
-    """
-    reach = travel + radius + _REACH_EPS
-    if nearest > reach:
-        return _NO_WALLS  # most robots: cheaper than indexing an all-False row
-    return walls[dist <= reach]
 
 
 def raycast_scan(
@@ -460,8 +432,8 @@ class Simulation:
         # or a field request past it raises in field_pass.
         reads = [d for node in nodes for d in (node.behavior.read_range, node.protection.threshold)]
         self.reach = min(spec.range_max, max(reads, default=0.0))
-        # The last sense, [wall distances or None, ranges block, nearest wall
-        # per robot or a lower bound on it, nearest valid reading per robot],
+        # The last sense, (wall distances or None, ranges block, nearest wall
+        # per robot or a lower bound on it, nearest valid reading per robot),
         # and the bytes of the pose array it was taken at.
         self._sense = None
         self._sense_key = None
@@ -546,9 +518,8 @@ class Simulation:
                 world, spec, np.empty((R, 0)) if wall_dist is None else wall_dist, self.reach
             )
             reading = nearest_distances(ranges, spec.range_min, spec.range_max).tolist()
-            self._sense, self._sense_key = [wall_dist, ranges, bounds, reading], key
-        sense = self._sense
-        wall_dist, ranges, bounds, reading = sense
+            self._sense, self._sense_key = (wall_dist, ranges, bounds, reading), key
+        wall_dist, ranges, bounds, reading = self._sense
 
         # 2. Behave, in index order: the bus sees the votes in that order.
         # Only a behavior that reads its scan gets one.
@@ -578,17 +549,19 @@ class Simulation:
             if cmd is not None:
                 note_command(state, cmd, now)
             actuator = arbitrate(state, now, avoid)
-            travel, near = abs(actuator.linear) * dt, _NO_WALLS
-            if bounds[i] <= travel + radius + _REACH_EPS:  # a wall can be in reach
-                if wall_dist is None:  # take the distances at the start poses
-                    wall_dist, bounds = sense[0], sense[2] = self._take_walls()
-                near = walls_in_reach(walls, wall_dist[i], bounds[i], travel, radius)
-            if near.shape[0]:
+            # Every waypoint lies within the step's arc length, |v|*dt, of the
+            # start, so a wall farther than that plus the radius changes no
+            # clearance test of resolve_wall_contact.
+            reach = abs(actuator.linear) * dt + radius + _REACH_EPS
+            if bounds[i] <= reach and wall_dist is None:  # a wall can be in reach:
+                wall_dist, bounds = self._take_walls()  # exact, for this tick only
+            if bounds[i] <= reach:
+                near = walls[wall_dist[i] <= reach]
                 p = resolve_wall_contact(Pose2D(x, y, theta), actuator, dt, radius, near)
                 x, y, theta = p.x, p.y, p.theta
             else:  # integrate_pose on floats, as resolve_wall_contact with no wall
                 x, y, theta = unicycle_step(x, y, theta, actuator.linear, actuator.angular, dt)
-                theta = wrap_heading(theta)
+                theta = wrap_angle(theta)
             pattern = (math.nan, math.nan) if cmd is None else (cmd.linear, cmd.angular)
             cells += (x, y, theta, *pattern, actuator.linear, actuator.angular)
         block = np.fromiter(cells, float, len(cells)).reshape(R, len(_ROW_COLUMNS))

@@ -19,6 +19,7 @@ from test_cli import (
     int_parameters_yaml,
 )
 
+import swarmsim.scenario
 from swarmsim import PLATFORMS, Pose2D, build_simulation, load_scenario, wrap_angle
 from swarmsim.scenario import (
     _KEYS,
@@ -670,6 +671,31 @@ def test_malformed_yaml_raises_a_one_line_scenario_error_naming_the_file(tmp_pat
     with pytest.raises(ScenarioError, match=re.escape(f"{path}{where}")) as info:
         load_scenario(path)
     assert "\n" not in str(info.value)
+
+
+# Texts that libyaml and the pure-Python parser word or mark apart.
+_WORDED_APART_YAML = {
+    "non-ascii-then-unclosed-list": "a: éé\nc: [x",
+    "indented-key": "a: 1\n b: 2\n",
+    "unclosed-list": "a: [1, 2",
+    "list-then-mapping": "- a\nb: 1\n",
+    "undefined-alias": "a: &x 1\nb: *y\n",
+    "tab-indent": "a:\n\t- 1\n",
+    "control-character": _UNREADABLE_YAML,
+}
+
+
+@pytest.mark.parametrize("text", _WORDED_APART_YAML.values(), ids=_WORDED_APART_YAML.keys())
+def test_malformed_yaml_reads_the_same_however_pyyaml_was_built(monkeypatch, text):
+    """The scenario error is the pure-Python parser's with either loader;
+    the libyaml half runs where PyYAML has libyaml."""
+    messages = set()
+    for loader in [yaml.SafeLoader] + [yaml.CSafeLoader] * yaml.__with_libyaml__:
+        monkeypatch.setattr(swarmsim.scenario, "_YAML_LOADER", loader)
+        with pytest.raises(ScenarioError) as info:
+            swarmsim.scenario._parse("s.yaml", text)
+        messages.add(str(info.value))
+    assert len(messages) == 1, messages
 
 
 @pytest.mark.parametrize("value", [True, False])

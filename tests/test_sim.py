@@ -39,8 +39,6 @@ from swarmsim.sim import (
     resolve_wall_contact,
     wall_clearance,
     wall_distances,
-    walls_in_reach,
-    wrap_heading,
 )
 from swarmsim.trace import COLUMN_NAMES
 
@@ -134,12 +132,12 @@ def test_integrate_matches_rk4_oracle(x, y, theta, v, w, dt):
     ],
 )
 def test_float_wrap_has_the_bits_of_wrap_angle(theta):
-    assert wrap_heading(float(theta)).hex() == wrap_angle(float(theta)).hex()
-
-
-def test_float_wrap_leaves_a_non_finite_heading_to_the_finite_check():
-    assert wrap_heading(math.inf) == math.inf
-    assert math.isnan(wrap_heading(math.nan))
+    """The float move wraps by wrap_angle, whose pass-through on (-pi, pi]
+    keeps the bits of the plain math.remainder form."""
+    plain = math.remainder(float(theta), math.tau)
+    if plain <= -math.pi:
+        plain += math.tau
+    assert wrap_angle(float(theta)).hex() == plain.hex()
 
 
 # ---------------------------------------------------------------- ray casting
@@ -387,7 +385,7 @@ def _contact_scene(rng):
 def _resolve_in_reach(pose, cmd, dt, radius, walls):
     """resolve_wall_contact on the walls in reach, cut as Simulation.step cuts them."""
     dist = wall_distances(WorldState(walls=walls, poses=[pose], radii=[radius]))[0]
-    near = walls_in_reach(walls, dist, float(dist.min()), abs(cmd.linear) * dt, radius)
+    near = walls[dist <= abs(cmd.linear) * dt + radius + _REACH_EPS]
     return resolve_wall_contact(pose, cmd, dt, radius, near), near
 
 
@@ -486,14 +484,16 @@ def test_drive_into_wall_suppression_prevents_contact():
     assert max(cols.x) < 2.0 - WAFFLE.body_radius
 
 
-@pytest.mark.parametrize("v, w", [(1e308, 0.0), (1e308, 1e-8)])
+@pytest.mark.parametrize("v, w", [(1e308, 0.0), (1e308, 1e-8), (0.0, 1e308), (0.0, -1e308)])
 def test_non_finite_step_raises_as_integrate_pose_does(v, w):
+    """A position that overflows fails the finite check; a heading that
+    overflows fails math.sin first, in either move."""
     dt = 10.0
     sim = _driven(NO_WALLS, [(0.0, 0.0, 0.0, v, w)], dt, radius=0.1)
     world = sim.world
-    with pytest.raises(ValueError, match="pose components must be finite"):
+    with pytest.raises(ValueError) as raised:
         integrate_pose(Pose2D(0.0, 0.0, 0.0), DriveCommand(v, w), dt)
-    with pytest.raises(ValueError, match="pose components must be finite"):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(raised.value))}$"):
         sim.step()
     assert world.poses.tolist() == [[0.0, 0.0, 0.0]]
     assert world.tick == 0 and len(sim.columns.tick) == 0
@@ -1041,6 +1041,30 @@ def test_whole_runs_match_the_reference_tick_bit_for_bit(family, data):
     world, nodes = copy.deepcopy((sim.world, sim.nodes))
     sim.run(ticks)
     assert _hex_columns(sim.columns) == reference_run(world, nodes, sim.spec, ticks)
+
+
+def test_wall_bound_takes_wall_distances_at_most_once_a_tick_near_the_walls(monkeypatch):
+    """A reach of 0.05 m, short of a step plus a radius: the sense takes no
+    wall distance once the robots are clear of the cut, and the move phase
+    takes them for the robots pressed against the walls, several in most
+    ticks, at most once a tick. The run has every trace cell of the
+    reference tick."""
+    walls, robots = _PRESSED_AGAINST_WALLS
+    world = WorldState(walls, [Pose2D(*r[:3]) for r in robots], [WAFFLE.body_radius] * len(robots))
+    nodes = [
+        RobotNode(WallDriver(DriveCommand(v, w), 0.0), ProtectionState(0.05, WAFFLE.limits()))
+        for *_, v, w in robots
+    ]
+    sim = Simulation(world, nodes, WAFFLE, meta={})
+    start = copy.deepcopy((sim.world, sim.nodes))
+    taken_at = []
+    original = swarmsim.sim.wall_distances
+    monkeypatch.setattr(
+        swarmsim.sim, "wall_distances", lambda world: taken_at.append(world.tick) or original(world)
+    )
+    sim.run(150)
+    assert len(taken_at) == len(set(taken_at)) > 100
+    assert _hex_columns(sim.columns) == reference_run(*start, sim.spec, 150)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
