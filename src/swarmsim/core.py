@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,31 +25,6 @@ def wrap_angle(theta: float) -> float:
     if w <= -math.pi:
         w += math.tau
     return w
-
-
-def set_once(*names: str):
-    """Class decorator for a dataclass: each named field is set by __init__
-    and never again, and a later set raises AttributeError. The simulator
-    reads such a field once, when it is built (``Simulation.reach``), so a
-    later change would go unsensed. A read costs one C-level attribute
-    lookup more than a plain field's, and no set happens per tick."""
-
-    def decorate(cls):
-        for name in names:
-            stored = "_" + name
-
-            def fset(self, value, name=name, stored=stored):
-                if hasattr(self, stored):
-                    raise AttributeError(
-                        f"{type(self).__name__}.{name} is fixed once built: the simulation "
-                        "senses only as far as it reads at build time"
-                    )
-                object.__setattr__(self, stored, value)
-
-            setattr(cls, name, property(operator.attrgetter(stored), fset))
-        return cls
-
-    return decorate
 
 
 @dataclass(frozen=True, slots=True)

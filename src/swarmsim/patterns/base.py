@@ -32,7 +32,8 @@ class Pattern:
     """Base behavior. Subclasses implement tick().
 
     read_range is the largest distance whose reading can change the tick or
-    its field request. The simulator senses only that far (see
+    its field request. The simulator senses only as far as it reads at
+    build, and a tick raises if it reads farther since (see
     ``Simulation.reach``), so a subclass that reads its scan declares it;
     the default reads the full sensor range. reads_scan says whether tick
     reads its scan: the simulator hands a behavior that declares it False

@@ -22,7 +22,6 @@ from ..core import (
     ScanSnapshot,
     nearest_obstacle,
     potential_field,  # noqa: F401  (hooked by the benchmark's tracer)
-    set_once,
     wrap_angle,
 )
 from .base import Pattern, TickResult
@@ -149,7 +148,6 @@ class RandomWalk(Pattern):
         return TickResult(self.limits.clamp(linear, angular))
 
 
-@set_once("r_near", "r_far")
 @dataclass
 class Flocking(Pattern):
     """Three-rule sector scheme.
@@ -187,9 +185,9 @@ class Flocking(Pattern):
 
     @property
     def read_range(self) -> float:
-        # A reading past r_far is neither nearer than r_near nor inside a
+        # A reading past both radii is neither nearer than r_near nor inside a
         # sector's [r_near, r_far], so it changes no rule.
-        return self.r_far
+        return max(self.r_near, self.r_far)
 
     def _sector_minima(self, scan: ScanSnapshot) -> tuple[float, float]:
         """Nearest valid reading in the left and right sectors (inf when empty)."""

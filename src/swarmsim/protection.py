@@ -23,13 +23,11 @@ from .core import (
     ScanSnapshot,
     nearest_obstacle,  # noqa: F401  (hooked by the benchmark's tracer)
     potential_field,  # noqa: F401  (hooked by the benchmark's tracer)
-    set_once,
 )
 
 DEFAULT_STALENESS_LIMIT = 0.5
 
 
-@set_once("threshold")
 @dataclass
 class ProtectionState:
     threshold: float

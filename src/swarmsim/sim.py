@@ -12,18 +12,18 @@ four phases:
    protection threshold of the run reads, where that is short of
    range_max: a reading past it changes no tick, field or protection
    check, so the cut changes no trace bit. The reach is taken at build,
-   and the fields it is taken from cannot be set after it. Robot-to-wall
-   distances are taken only when a wall can be in reach: each robot's
-   nearest wall where they were last taken, less the distance it moved
-   since, bounds its distance now (walls never move), and while every
-   bound clears the cut the sweep sees no wall, and while it clears a
-   robot's step plus radius its wall contact sees none. All of it is a
-   pure function of the poses, radii, walls, spec and reach, and only the
-   poses change during a run, so a tick whose (R, 3) pose array
-   (WorldState.poses) has the bytes of the last sensed one reuses that
-   sense; a swarm that stands still (a voting phase) senses once. The
-   ranges block, the walls and the radii are read-only, so an in-place
-   edit raises instead of going unsensed. A fresh sense raises, naming
+   and a tick that reads past it, in phase 2 or 3, raises before any
+   robot moves. Robot-to-wall distances are taken only when a wall can be
+   in reach: each robot's nearest wall where they were last taken, less
+   the distance it moved since, bounds its distance now (walls never
+   move), and while every bound clears the cut the sweep sees no wall,
+   and while it clears a robot's step plus radius its wall contact sees
+   none. All of it is a pure function of the poses, radii, walls, spec
+   and reach, so a tick whose (R, 3) pose array (WorldState.poses) has
+   the bytes of the last sensed one, at its reach, reuses that sense; a
+   swarm that stands still (a voting phase) senses once. The ranges
+   block, the walls and the radii are read-only, so an in-place edit
+   raises instead of going unsensed. A fresh sense raises, naming
    the robot, on a heading outside (-pi, pi], which no tick stores and
    the two moves would integrate apart.
 2. Behave, in index order: tick each robot's behavior, one object holding
@@ -355,29 +355,28 @@ def field_pass(
     ranges is the tick's (R, B) block and nearest its ``nearest_distances``
     as a list; commands[i] is what robot i's behavior returned (a command,
     a field request or None) and protections[i] its protection state. reach
-    is the distance the block was cut at (``raycast_scan``): a field that
-    would read past it raises. Returns each robot's behavior command, with a
-    field request resolved on its scan, and its avoidance command, None
-    where the protection check did not fire: the bits of the per-scan
-    layers.
+    is the distance the block was cut at (``raycast_scan``): a field or a
+    protection threshold that would read past it raises. Returns each
+    robot's behavior command, with a field request resolved on its scan, and
+    its avoidance command, None where the protection check did not fire: the
+    bits of the per-scan layers.
     """
     avoid = [i for i, (p, d) in enumerate(zip(protections, nearest)) if triggered(p, d)]
     fields = [i for i, cmd in enumerate(commands) if isinstance(cmd, FieldRequest)]
+    # A field reads up to min(effect_range, range_max), a protection check and
+    # its avoidance field up to min(threshold, range_max); the block stops at reach.
+    reads = [commands[i].effect_range for i in fields] + [p.threshold for p in protections]
+    if reach < spec.range_max and max(reads, default=reach) > reach:
+        raise ValueError(
+            f"a field request or protection threshold reads to {max(reads)} m, past the "
+            f"sensed reach of {reach} m taken at build from read_range and thresholds"
+        )
     requests = [commands[i] for i in fields] + [avoidance_field(protections[i]) for i in avoid]
     commands = list(commands)
     avoidance = [None] * len(commands)
     if not requests:
         return commands, avoidance
     effect_ranges = [q.effect_range for q in requests]
-    # A field reads up to min(effect_range, range_max); the block holds that
-    # only up to reach.
-    if reach < spec.range_max:
-        beyond = [e for e in effect_ranges if e > reach]
-        if beyond:
-            raise ValueError(
-                f"a field request reads to {max(beyond)} m, past the sensed reach of "
-                f"{reach} m taken from the behaviors' read_range and protection thresholds"
-            )
     B = spec.beam_count
     forces = potential_fields(
         ranges[fields + avoid],
@@ -398,8 +397,9 @@ _ROW_COLUMNS = ("x", "y", "theta", "pattern_linear", "pattern_angular", "cmd_lin
 
 @dataclass(frozen=True, slots=True)
 class RobotNode:
-    """One robot's behavior and protection layer, fixed once built: the
-    simulation's reach is taken from them (see Simulation.reach)."""
+    """One robot's behavior and protection layer, fixed once built. The
+    simulation's reach is taken from them at build, and a tick that reads
+    past it raises (see Simulation.reach)."""
 
     behavior: Pattern
     protection: ProtectionState
@@ -426,10 +426,9 @@ class Simulation:
             if name not in ("robot", "clock")
         }
         self._recorded = 0
-        # The farthest any behavior or protection check of the run reads.
-        # Each sweep is cut there; like the spec, it is fixed for the run, and
-        # so are the nodes and the fields it is taken from (see core.set_once),
-        # or a field request past it raises in field_pass.
+        # The farthest any behavior or protection check of the run reads, taken
+        # once, here. Each sweep is cut there; a field raised past it since
+        # raises where a tick reads it, in the behave loop or in field_pass.
         reads = [d for node in nodes for d in (node.behavior.read_range, node.protection.threshold)]
         self.reach = min(spec.range_max, max(reads, default=0.0))
         # The last sense, (wall distances or None, ranges block, nearest wall
@@ -493,10 +492,10 @@ class Simulation:
 
         # 1. Sense. Scans and wall distances are taken before any robot moves.
         # They are pure functions of the poses, radii, walls, spec and reach,
-        # and only the poses change, so poses with the bytes of the last
-        # sensed ones reuse that sense. Wall distances are taken only where a
-        # wall can lie within the cut; else the sweep sees no wall.
-        key, rows = world.poses.tobytes(), world.poses.tolist()
+        # so poses with the bytes of the last sensed ones, at its reach, reuse
+        # that sense. Wall distances are taken only where a wall can lie
+        # within the cut; else the sweep sees no wall.
+        key, rows = (world.poses.tobytes(), self.reach), world.poses.tolist()
         if key != self._sense_key:
             # Every tick stores finite positions and wrapped headings; an edit
             # between steps that does not would reach the behaviors, and the
@@ -522,11 +521,17 @@ class Simulation:
         wall_dist, ranges, bounds, reading = self._sense
 
         # 2. Behave, in index order: the bus sees the votes in that order.
-        # Only a behavior that reads its scan gets one.
+        # Only a behavior that reads its scan gets one; it may not read past reach.
         outputs = []
         for i, (node, mailbox) in enumerate(zip(nodes, self.bus.mailboxes)):
-            behavior = node.behavior
-            scan = self.scan(ranges[i]) if behavior.reads_scan else None
+            behavior, scan = node.behavior, None
+            if behavior.reads_scan:
+                if min(behavior.read_range, self.spec.range_max) > self.reach:
+                    raise ValueError(
+                        f"robot {i}'s behavior reads to {behavior.read_range} m, past the "
+                        f"sensed reach of {self.reach} m taken at build"
+                    )
+                scan = self.scan(ranges[i])
             result = behavior.tick(scan, now, dt, mailbox.drain())
             for opinion in result.messages:
                 self.bus.publish(Envelope(VOTE_TOPIC, opinion, i, now))

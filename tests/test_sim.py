@@ -28,7 +28,7 @@ from swarmsim import (
     wrap_angle,
 )
 import swarmsim.sim
-from swarmsim.core import FieldRequest, ScanSnapshot
+from swarmsim.core import FieldRequest, ScanSnapshot, nearest_obstacle
 from swarmsim.patterns.base import Pattern, TickResult
 from swarmsim.scenario import PATTERN_KINDS
 from swarmsim.sim import (
@@ -822,6 +822,28 @@ def test_undeclared_read_range_reaches_the_full_range():
     assert sim.reach == WAFFLE.range_max
 
 
+class ScanReader(Pattern):
+    """Test behavior that reads its scan to read_range: it turns while
+    anything valid is nearer than that, else drives straight."""
+
+    def __init__(self, read_range):
+        self.read_range = read_range
+
+    def tick(self, scan, now, dt, inbox):
+        nearest = nearest_obstacle(scan)
+        if nearest is not None and nearest[0] < self.read_range:
+            return TickResult(DriveCommand(0.05, 1.0))
+        return TickResult(DriveCommand(0.2, 0.0))
+
+
+def _reach_sim(kind):
+    sim = build_simulation(_reach_scenario("flocking" if kind == "custom" else kind, 0))
+    if kind == "custom":  # the flocking world, its robots reading to r_far
+        nodes = [RobotNode(ScanReader(n.behavior.r_far), n.protection) for n in sim.nodes]
+        sim = Simulation(sim.world, nodes, sim.spec, meta={})
+    return sim
+
+
 @pytest.mark.parametrize(
     "kind, owner, name",
     [
@@ -829,18 +851,32 @@ def test_undeclared_read_range_reaches_the_full_range():
         ("flocking", "behavior", "r_near"),
         ("flocking", "protection", "threshold"),
         ("attraction", "protection", "threshold"),
+        ("attraction", "behavior", "attraction_range"),
+        ("custom", "behavior", "read_range"),
     ],
 )
-def test_fields_the_reach_is_taken_from_are_fixed_once_built(kind, owner, name):
-    # The reach is taken once, at build: raising one of these afterwards
-    # would let the sweep go short of what the behavior or protection reads.
-    sim = build_simulation(_reach_scenario(kind, 0))
-    target = getattr(sim.nodes[0], owner)
-    before = getattr(target, name)
-    with pytest.raises(AttributeError, match="fixed once built"):
-        setattr(target, name, 3.0)
-    assert getattr(target, name) == before
-    sim.step()
+def test_a_field_the_reach_is_taken_from_raised_raises_and_lowered_matches_the_reference(
+    kind, owner, name
+):
+    # The reach is taken once, at build. A field raised past it afterwards
+    # would read past the cut sweep: the next step raises before any robot
+    # moves.
+    sim = _reach_sim(kind)
+    assert sim.reach < 3.0
+    for node in sim.nodes:
+        setattr(getattr(node, owner), name, 3.0)
+    poses, tick = sim.world.poses.tobytes(), sim.world.tick
+    with pytest.raises(ValueError, match="past the sensed reach"):
+        sim.step()
+    assert (sim.world.poses.tobytes(), sim.world.tick) == (poses, tick)
+    # A field lowered reads short of the reach, and the run is exact.
+    sim = _reach_sim(kind)
+    for node in sim.nodes:
+        target = getattr(node, owner)
+        setattr(target, name, 0.5 * getattr(target, name))
+    world, nodes = copy.deepcopy((sim.world, sim.nodes))
+    sim.run(30)
+    assert _hex_columns(sim.columns) == reference_run(world, nodes, sim.spec, 30)
 
 
 def test_nodes_the_reach_is_taken_from_are_fixed_once_built():
@@ -869,8 +905,7 @@ class Overreach(Pattern):
         return TickResult(FieldRequest(self.effect_range, ATTRACTIVE, WAFFLE.limits()))
 
 
-@pytest.mark.parametrize("effect_range", [1.0, 1.5])
-def test_field_request_past_the_reach_raises(effect_range):
+def _overreach_sim(effect_range):
     world = WorldState(
         walls=rect_walls(4.0, 4.0),
         poses=[Pose2D(-0.6, 0.0, 0.0), Pose2D(0.6, 0.0, 0.0)],
@@ -883,7 +918,12 @@ def test_field_request_past_the_reach_raises(effect_range):
         )
         for _ in range(2)
     ]
-    sim = Simulation(world, nodes, WAFFLE, meta={})
+    return Simulation(world, nodes, WAFFLE, meta={})
+
+
+@pytest.mark.parametrize("effect_range", [1.0, 1.5])
+def test_field_request_past_the_reach_raises(effect_range):
+    sim = _overreach_sim(effect_range)
     assert sim.reach == 1.0
     if effect_range <= sim.reach:
         sim.step()
@@ -892,12 +932,22 @@ def test_field_request_past_the_reach_raises(effect_range):
             sim.step()
         sim.reach = WAFFLE.range_max  # a full sense holds what the field reads
         sim.step()
+        # The step senses anew at the new reach, as a simulation built with
+        # it does; the sweep cut at 1.0 m misses the other robot.
+        full = _overreach_sim(effect_range)
+        full.reach = WAFFLE.range_max
+        full.step()
+        assert sim.world.poses.tobytes() == full.world.poses.tobytes()
     ranges = np.full((1, WAFFLE.beam_count), np.inf)
     state = ProtectionState(threshold=0.5, limits=WAFFLE.limits())
     request = FieldRequest(effect_range, ATTRACTIVE, WAFFLE.limits())
     if effect_range > 1.0:
         with pytest.raises(ValueError, match="past the sensed reach"):
             field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=1.0)
+        # A threshold past the reach raises on a tick with no field to resolve.
+        state.threshold = effect_range
+        with pytest.raises(ValueError, match="past the sensed reach"):
+            field_pass(ranges, [math.inf], WAFFLE, [None], [state], reach=1.0)
     field_pass(ranges, [math.inf], WAFFLE, [request], [state], reach=WAFFLE.range_max)
 
 
