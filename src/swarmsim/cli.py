@@ -7,8 +7,9 @@
 run executes a scenario (preset name or YAML path) and writes trace.csv,
 metrics.json, and series.csv. replay re-executes the scenario embedded in a
 trace header and verifies the two files are byte-identical; on a mismatch it
-prints where they first differ. metrics recomputes the report from a trace
-alone. A bad scenario, a bad trace or a file that cannot be read prints one
+prints where they first differ and, without --out, keeps the replay's files
+in a temporary directory. metrics recomputes the report from a trace alone.
+A bad scenario, a bad trace or a file that cannot be read prints one
 ``error:`` line on stderr and exits with status 2.
 
 run and metrics print the same summary, read from the trace alone: the
@@ -19,6 +20,7 @@ experiment's outcome for that seed. A batch of seeds is a shell loop over
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 import tempfile
 from itertools import zip_longest
@@ -101,7 +103,10 @@ def _cmd_replay(args) -> int:
     print(f"replayed {config.name} seed {config.seed}: {'MATCH' if same else 'MISMATCH'}")
     if not same:
         print(f"first difference: {_first_difference(recorded, replayed)}")
-    print(f"replay artifacts in {out}")
+    if same and not args.out:
+        shutil.rmtree(out)
+    else:
+        print(f"replay artifacts in {out}")
     return 0 if same else 1
 
 

@@ -50,6 +50,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     radii = np.asarray(scenario["radii"], dtype=float)
     walls = np.asarray(scenario["walls"], dtype=float).reshape(-1, 4)
     dt = float(scenario["dt"])
+    window_length = float((scenario.get("pattern_params") or {}).get("window_length") or 0)
     R = len(robot_ids)
 
     n = len(trace.tick)
@@ -57,24 +58,12 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     if n != T * R:
         raise ValueError("trace rows do not form complete ticks")
 
-    if T == 0:
-        return MetricsReport(
-            robot_ids=robot_ids,
-            clock=np.empty(0),
-            mean_distance_to_centroid=np.empty(0),
-            min_pairwise_distance=np.empty(0),
-            clearance=np.empty((0, R)),
-            collision_count=0,
-            opinion_windows=[] if _window_length(scenario) else None,
-            consensus_time=None,
-        )
-
-    order = np.lexsort((trace.robot, trace.tick))
-    _check_tick_grid(trace.tick[order].reshape(T, R), trace.robot[order].reshape(T, R))
-    xs = trace.x[order].reshape(T, R)
-    ys = trace.y[order].reshape(T, R)
-    clock = trace.clock[order].reshape(T, R)[:, 0]
-    opinions = trace.opinion[order].reshape(T, R)
+    # Rows as every writer lays them out: tick-major, robots 0..R-1.
+    _check_tick_grid(trace.tick.reshape(T, R), trace.robot.reshape(T, R))
+    xs = trace.x.reshape(T, R)
+    ys = trace.y.reshape(T, R)
+    clock = trace.clock.reshape(T, R)[:, :1].reshape(T)
+    opinions = trace.opinion.reshape(T, R)
 
     mean_dist = _mean_distance_to_centroid(xs, ys)
 
@@ -83,7 +72,7 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     collisions = 0
     diagonal = np.arange(R)
     contact = radii[:, None] + radii
-    step = max(1, BLOCK_CELLS // (R * (R + len(walls))))
+    step = max(1, BLOCK_CELLS // (R * (R + len(walls)) or 1))
     for start in range(0, T, step):
         ticks = slice(start, start + step)
         bx, by = xs[ticks], ys[ticks]
@@ -99,31 +88,20 @@ def compute_metrics(trace: Trace) -> MetricsReport:
         np.minimum(wall_clear.min(axis=2, initial=np.inf), pair.min(axis=2), out=clearance[ticks])
     collision_count = collisions // 2
 
-    window_length = _window_length(scenario)
-    has_opinions = not np.isnan(opinions).all()
+    movement_only = opinions.size and np.isnan(opinions).all()  # rows, but no opinion cell
     opinion_windows: list[dict[int, int]] | None = None
-    if window_length and has_opinions:
-        opinion_windows = []
+    if window_length and not movement_only:
         # Tick t runs at t*dt and lands in row t; window k closes at the
         # first tick time >= (k+1)*L, the same comparison the robots make.
-        tick_times = np.arange(T) * dt
-        k = 0
-        while True:
-            boundary = (k + 1) * window_length
-            t_idx = int(np.searchsorted(tick_times, boundary, side="left"))
-            if t_idx >= T:
-                break
-            row = opinions[t_idx]
-            opinion_windows.append(dict(Counter(int(v) for v in row[~np.isnan(row)])))
-            k += 1
+        # Boundaries up to T*dt reach past the last tick time, (T-1)*dt.
+        boundaries = np.arange(1, int(T * dt / window_length) + 1) * window_length
+        closing = np.searchsorted(np.arange(T) * dt, boundaries)
+        rows = opinions[closing[closing < T]]
+        opinion_windows = [dict(Counter(int(v) for v in row[~np.isnan(row)])) for row in rows]
 
-    consensus_time: float | None = None
-    if has_opinions:
-        for t in range(T):
-            row = opinions[t]
-            if not np.isnan(row).any() and np.all(row == row[0]):
-                consensus_time = float(clock[t])
-                break
+    # NaN equals nothing, so a row where a robot has not voted never agrees
+    agreed = np.flatnonzero((opinions == opinions[:, :1]).all(axis=1))
+    consensus_time = float(clock[agreed[0]]) if agreed.size else None
 
     return MetricsReport(
         robot_ids=robot_ids,
@@ -138,10 +116,10 @@ def compute_metrics(trace: Trace) -> MetricsReport:
 
 
 def _check_tick_grid(ticks: np.ndarray, robots: np.ndarray) -> None:
-    """Sorted (T, R) tick and robot cells must hold robots 0..R-1 once per tick."""
+    """(T, R) tick and robot cells must hold robots 0..R-1 in order once per tick."""
     R = robots.shape[1]
     bad = (robots != np.arange(R)) | (ticks != ticks[:, :1])
-    bad[1:, 0] |= ticks[1:, 0] <= ticks[:-1, 0]
+    bad[1:, :1] |= ticks[1:, :1] <= ticks[:-1, :1]
     if bad.any():
         t, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(
@@ -152,9 +130,11 @@ def _check_tick_grid(ticks: np.ndarray, robots: np.ndarray) -> None:
 
 def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Mean distance of the points in each row (last axis) to their centroid."""
-    cx = xs.mean(axis=-1, keepdims=True)
-    cy = ys.mean(axis=-1, keepdims=True)
-    return np.hypot(xs - cx, ys - cy).mean(axis=-1)
+    # np.mean's own sum / count, without its warning on a header with no robots
+    count = xs.shape[-1]
+    cx = xs.sum(axis=-1, keepdims=True) / count
+    cy = ys.sum(axis=-1, keepdims=True) / count
+    return np.hypot(xs - cx, ys - cy).sum(axis=-1) / count
 
 
 def initial_spread(trace: Trace) -> float:
@@ -163,15 +143,7 @@ def initial_spread(trace: Trace) -> float:
     return float(_mean_distance_to_centroid(xs, ys))
 
 
-def _window_length(scenario: dict) -> float | None:
-    params = scenario.get("pattern_params") or {}
-    wl = params.get("window_length")
-    return float(wl) if wl else None
-
-
 def _json_safe(value):
-    if value is None:
-        return None
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
@@ -190,8 +162,7 @@ def write_metrics_json(report: MetricsReport, path: str | Path) -> Path:
         "final_mean_distance_to_centroid": _json_safe(final_mean),
         "final_min_pairwise_distance": _json_safe(final_pair),
         "min_clearance_per_robot": [
-            _json_safe(float(report.clearance[:, i].min())) if report.tick_count else None
-            for i in range(len(report.robot_ids))
+            _json_safe(float(v)) for v in report.clearance.min(axis=0, initial=np.inf)
         ],
         "opinion_windows": (
             None

@@ -4,16 +4,18 @@ These deliberately avoid the closed-form solutions used by the simulator:
 pose integration is checked against a classical RK4 integrator run at a
 fine substep, and ray casting against a brute-force marching sampler.
 ``potential_field_reference``, ``segment_distances_reference``,
-``trace_rows_reference`` and ``pair_metrics_reference`` are the exceptions:
-they are the plain forms of ``potential_field``, ``segment_distances``, the
-trace writer's rows and the metrics' pairwise terms, kept to check the fast
-ones bit for bit. The plain form of a whole simulator tick is
-``reference_sim.reference_run``.
+``trace_rows_reference``, ``pair_metrics_reference``,
+``opinion_windows_reference`` and ``consensus_time_reference`` are the
+exceptions: they are the plain forms of ``potential_field``,
+``segment_distances``, the trace writer's rows, the metrics' pairwise terms,
+opinion windows and consensus time, kept to check the fast ones bit for bit.
+The plain form of a whole simulator tick is ``reference_sim.reference_run``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -119,6 +121,36 @@ def pair_metrics_reference(xs, ys, radii, walls=np.empty((0, 4))):
     sum_radii = radii[:, None] + radii[None, :]
     overlaps = (pair < sum_radii[None, :, :]) & ~eye[None, :, :]
     return min_pairwise, np.minimum(wall_clear, robot_clear), int(overlaps.sum()) // 2
+
+
+def opinion_windows_reference(opinions, dt, window_length):
+    """Opinion histograms from (T, R) opinions, one window at a time: window
+    k closes at the first tick time t*dt >= (k+1)*window_length, and its
+    histogram counts that row's opinions. None without a window length, or
+    for a trace with rows but no opinion cell."""
+    if not window_length or (opinions.size and np.isnan(opinions).all()):
+        return None
+    windows = []
+    tick_times = np.arange(len(opinions)) * dt
+    k = 0
+    while True:
+        boundary = (k + 1) * window_length
+        t_idx = int(np.searchsorted(tick_times, boundary, side="left"))
+        if t_idx >= len(opinions):
+            return windows
+        row = opinions[t_idx]
+        windows.append(dict(Counter(int(v) for v in row[~np.isnan(row)])))
+        k += 1
+
+
+def consensus_time_reference(opinions, clock):
+    """Clock of the first (T, R) opinion row, tick by tick, that has every
+    robot's opinion and all of them equal; None if no row has."""
+    for t in range(len(opinions)):
+        row = opinions[t]
+        if not np.isnan(row).any() and np.all(row == row[0]):
+            return float(clock[t])
+    return None
 
 
 def marching_raycast(origin, heading, beam_count, walls, circles, step=1e-3, cap=12.0):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tempfile
 
 import pytest
 
@@ -91,6 +92,39 @@ def test_replay_flags_tampered_trace(tmp_path, capsys):
     code = main(["replay", str(trace_path), "--out", str(tmp_path / "replay")])
     assert code == 1
     assert "MISMATCH" in capsys.readouterr().out
+
+
+@pytest.fixture
+def replay_tempdir(tmp_path, monkeypatch):
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    return temp
+
+
+def test_replay_without_out_removes_its_artifacts_on_a_match(tmp_path, capsys, replay_tempdir):
+    out = tmp_path / "out"
+    main(["run", "experiment1-waffle", "--seed", "1", "--duration", "1.0", "--out", str(out)])
+    capsys.readouterr()
+    assert main(["replay", str(out / "trace.csv")]) == 0
+    text = capsys.readouterr().out
+    assert "MATCH" in text
+    assert "replay artifacts" not in text
+    assert list(replay_tempdir.glob("swarmsim-replay-*")) == []
+
+
+def test_replay_without_out_keeps_its_artifacts_on_a_mismatch(tmp_path, capsys, replay_tempdir):
+    out = tmp_path / "out"
+    main(["run", "experiment1-waffle", "--seed", "1", "--duration", "1.0", "--out", str(out)])
+    trace_path = out / "trace.csv"
+    trace_path.write_bytes(trace_path.read_bytes() + b"\n")
+    capsys.readouterr()
+    assert main(["replay", str(trace_path)]) == 1
+    text = capsys.readouterr().out
+    assert "MISMATCH" in text
+    (artifacts,) = replay_tempdir.glob("swarmsim-replay-*")
+    assert f"replay artifacts in {artifacts}" in text
+    assert (artifacts / "trace.csv").exists()
 
 
 def test_replay_names_first_differing_cell(tmp_path, capsys):

@@ -2,14 +2,21 @@
 
 import json
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import pair_metrics_reference, trace_rows_reference
+from oracles import (
+    consensus_time_reference,
+    opinion_windows_reference,
+    pair_metrics_reference,
+    trace_rows_reference,
+)
 import swarmsim.metrics as metrics_module
 import swarmsim.trace as trace_module
 from swarmsim import compute_metrics, load_scenario, read_trace, run, write_trace
@@ -110,6 +117,31 @@ def test_empty_trace_gives_empty_report():
     assert report.mean_distance_to_centroid.size == 0
 
 
+@pytest.mark.parametrize("window_length", [None, 1.0])
+@pytest.mark.parametrize("robots", [0, 3], ids=["no-robots", "three-robots"])
+def test_empty_trace_gives_the_empty_report_without_warnings(tmp_path, robots, window_length):
+    """No ticks, or a header with no robots at all, go through the one path
+    to the empty report without a numpy warning about an empty slice."""
+    trace = make_trace(np.empty((0, robots, 2)), window_length=window_length)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = compute_metrics(trace)
+        write_metrics_json(report, tmp_path / "metrics.json")
+        write_series_csv(report, tmp_path / "series.csv")
+    assert report.robot_ids == list(range(robots))
+    assert report.clock.shape == (0,)
+    assert report.mean_distance_to_centroid.shape == (0,)
+    assert report.min_pairwise_distance.shape == (0,)
+    assert report.clearance.shape == (0, robots)
+    assert report.collision_count == 0
+    assert report.opinion_windows == ([] if window_length else None)
+    assert report.consensus_time is None
+    payload = json.loads((tmp_path / "metrics.json").read_text())
+    assert payload["min_clearance_per_robot"] == [None] * robots
+    assert payload["final_mean_distance_to_centroid"] is None
+    assert payload["opinion_windows"] == ([] if window_length else None)
+
+
 def test_incomplete_tick_rows_rejected():
     trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]])
     trace.tick = trace.tick[:-1]
@@ -129,14 +161,22 @@ def _tick_one_twice(trace):
     trace.tick[7:14] = 1
 
 
+def _robots_zero_and_one_swapped_at_tick_two(trace):
+    # every tick stays complete; only the order of its rows is wrong
+    for name in COLUMN_NAMES:
+        column = getattr(trace, name)
+        column[[7, 8]] = column[[8, 7]]
+
+
 @pytest.mark.parametrize(
     "damage, where",
     [
         (_robot_nine_in_seven, "tick 2, robot 9"),
         (_robot_one_twice_at_tick_one, "tick 1, robot 1"),
         (_tick_one_twice, "tick 1, robot 0"),
+        (_robots_zero_and_one_swapped_at_tick_two, "tick 2, robot 1"),
     ],
-    ids=["unknown-robot", "duplicate-robot-row", "duplicate-tick"],
+    ids=["unknown-robot", "duplicate-robot-row", "duplicate-tick", "rows-out-of-order"],
 )
 def test_malformed_tick_grid_rejected_naming_tick_and_robot(damage, where):
     trace = make_trace([[[float(i), 0.0] for i in range(7)]] * 3)
@@ -217,6 +257,38 @@ def test_window_histograms_sample_rows_at_window_close():
     )
     # window k closes at the first tick time >= (k+1)*0.2: rows 2 and 4
     assert report.opinion_windows == [{0: 1, 1: 1}, {1: 2}]
+
+
+@st.composite
+def _opinion_scenes(draw):
+    robots = draw(st.integers(1, 6))
+    ticks = draw(st.integers(0, 60))
+    opinion = st.sampled_from([0.0, 1.0, 2.0, math.nan])
+    opinions = draw(arrays(float, (ticks, robots), elements=opinion))
+    # rows where no robot has voted yet, robots that never vote
+    opinions[draw(st.lists(st.integers(0, max(ticks - 1, 0)), max_size=ticks))] = math.nan
+    if draw(st.booleans()):
+        opinions[:, draw(st.integers(0, robots - 1))] = math.nan
+    dt = draw(st.sampled_from([0.1, 0.05, 1 / 3]))
+    window_length = draw(
+        st.one_of(st.none(), st.sampled_from([0.2, 0.3, 1.1, 2.2]), st.floats(0.01, 5.0))
+    )
+    return opinions, dt, window_length
+
+
+@given(_opinion_scenes())
+def test_opinion_terms_match_the_loop_references(scene):
+    """Window histograms and consensus time equal the window-by-window and
+    tick-by-tick loops, for empty traces, unvoted rows and robots, and
+    boundaries that fall between, on or next to tick times."""
+    opinions, dt, window_length = scene
+    ticks, robots = opinions.shape
+    trace = make_trace(
+        np.zeros((ticks, robots, 2)), opinions=opinions, dt=dt, window_length=window_length
+    )
+    report = compute_metrics(trace)
+    assert report.opinion_windows == opinion_windows_reference(opinions, dt, window_length)
+    assert report.consensus_time == consensus_time_reference(opinions, trace.clock[::robots])
 
 
 def test_movement_only_trace_has_no_opinion_windows():
