@@ -26,7 +26,13 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
-from .metrics import compute_metrics, initial_spread, write_metrics_json, write_series_csv
+from .metrics import (
+    compute_metrics,
+    header_scenario,
+    initial_spread,
+    write_metrics_json,
+    write_series_csv,
+)
 from .scenario import from_meta, load_scenario, run
 from .trace import COLUMN_NAMES, read_trace
 
@@ -40,7 +46,7 @@ def _summary_lines(trace, report) -> list[str]:
         lines.append(f"mean distance to centroid: {initial:.4f} -> {final:.4f}{ratio}")
         lines.append(f"final min pairwise distance: {report.min_pairwise_distance[-1]:.4f}")
         lines.append(f"min clearance: {report.clearance.min():.4f}")
-    scenario = trace.meta["scenario"]
+    scenario = header_scenario(trace.meta, "initial_opinions", "pattern_params")
     opinions = scenario["initial_opinions"]
     if opinions is not None:
         lines.append(f"initial opinions: {opinions}")
@@ -114,11 +120,12 @@ def _cmd_metrics(args) -> int:
     trace_path = Path(args.trace)
     trace = read_trace(trace_path)
     report = compute_metrics(trace)
+    summary = _summary_lines(trace, report)  # reads the rest of the header before any write
     out = Path(args.out) if args.out else trace_path.parent
     write_metrics_json(report, out / "metrics.json")
     write_series_csv(report, out / "series.csv")
     print(f"wrote {out / 'metrics.json'} and {out / 'series.csv'}")
-    for line in _summary_lines(trace, report):
+    for line in summary:
         print(line)
     return 0
 

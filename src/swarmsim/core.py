@@ -115,10 +115,6 @@ class ScanSnapshot:
         if not (0 < self.range_min < self.range_max):
             raise ValueError("need 0 < range_min < range_max")
 
-    @property
-    def beam_count(self) -> int:
-        return self.ranges.size
-
     def bearings(self) -> np.ndarray:
         return self.angle_min + np.arange(self.ranges.size) * self.angle_increment
 

@@ -44,8 +44,19 @@ class MetricsReport:
         return len(self.clock)
 
 
+def header_scenario(meta: dict, *keys: str) -> dict:
+    """The scenario of a trace header; a key of `keys` that it lacks raises a
+    ValueError naming the key's path, such as scenario.radii."""
+    if "scenario" not in meta:
+        raise ValueError("trace header has no scenario")
+    missing = [key for key in keys if key not in meta["scenario"]]
+    if missing:
+        raise ValueError(f"trace header has no scenario.{missing[0]}")
+    return meta["scenario"]
+
+
 def compute_metrics(trace: Trace) -> MetricsReport:
-    scenario = trace.meta["scenario"]
+    scenario = header_scenario(trace.meta, "robot_ids", "radii", "walls", "dt")
     robot_ids = [int(r) for r in scenario["robot_ids"]]
     radii = np.asarray(scenario["radii"], dtype=float)
     walls = np.asarray(scenario["walls"], dtype=float).reshape(-1, 4)
@@ -139,7 +150,7 @@ def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def initial_spread(trace: Trace) -> float:
     """Mean distance to the centroid of the start poses the header records."""
-    xs, ys, _ = np.asarray(trace.meta["scenario"]["poses"], dtype=float).T
+    xs, ys, _ = np.asarray(header_scenario(trace.meta, "poses")["poses"], dtype=float).T
     return float(_mean_distance_to_centroid(xs, ys))
 
 

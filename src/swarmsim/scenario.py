@@ -25,7 +25,13 @@ import numpy as np
 import yaml
 
 from .core import Pose2D, segment_distances
-from .metrics import MetricsReport, compute_metrics, write_metrics_json, write_series_csv
+from .metrics import (
+    MetricsReport,
+    compute_metrics,
+    header_scenario,
+    write_metrics_json,
+    write_series_csv,
+)
 from .patterns import (
     Attraction,
     DiscussedDispersion,
@@ -476,9 +482,11 @@ def to_meta(config: ScenarioConfig) -> dict:
 def from_meta(meta: dict) -> ScenarioConfig:
     """The scenario a trace header records, resolved again by load_scenario.
 
-    Fails if the header's platform_spec differs from the packaged preset.
+    Fails, naming the key, if the header lacks a key this reads, and fails
+    if its platform_spec differs from the packaged preset.
     """
-    sc = meta["scenario"]
+    fields = [field for *_, field in _KEYS if field and not field.startswith("arena_")]
+    sc = header_scenario(meta, "arena", "initial_opinions", "platform_spec", *fields)
     recorded = dict(sc)
     recorded["arena_width"], recorded["arena_height"] = sc["arena"]
     params = recorded["pattern_params"] = dict(sc["pattern_params"])

@@ -25,7 +25,6 @@ import json
 import math
 from itertools import islice
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
@@ -179,13 +178,9 @@ def _integer_cells(column: int, values: np.ndarray, first_row: int, text, what: 
 
 
 def read_trace(path: str | Path) -> Trace:
-    """Parse a trace file block by block; an empty opinion cell reads as NaN.
-
-    A row with the wrong number of fields, a cell its column's dtype does not
-    parse, or an opinion that is neither NaN nor an integer raises a
-    ValueError naming the file and the line, where blank lines (skipped)
-    count as lines.
-    """
+    """Parse a trace file, a block of lines at a time, with _parse_rows. A row
+    of the wrong width, or one _parse_rows rejects, raises a ValueError
+    naming the file and the line; blank lines are skipped but counted."""
     path = Path(path)
     pieces = [[np.empty(0, dtype)] for _, dtype in SCHEMA]
     with path.open() as fh:
@@ -199,28 +194,14 @@ def read_trace(path: str | Path) -> Trace:
         lineno = 3
         step = block_rows(len(SCHEMA))
         while lines := list(islice(fh, step)):
-            # An empty opinion cell ends its line in "," (or ",\n"): read it
-            # as "nan".
-            rows = [
-                line[:-1] + "nan\n" if line.endswith(",\n")
-                else line + "nan" if line.endswith(",")
-                else line
-                for line in lines
-                if line != "\n"
-            ]
-            if rows:
-                try:
-                    parsed = np.loadtxt(
-                        rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
-                    )
-                    op = parsed["opinion"]
-                    if not (np.isnan(op) | np.isfinite(op) & (np.trunc(op) == op)).all():
-                        raise ValueError("an opinion is neither NaN nor an integer")
-                except ValueError as exc:
-                    _raise_for_first_bad_line(path, lines, lineno, exc)
-                # copies, so that the block's row array is freed
-                for piece, name in zip(pieces, COLUMN_NAMES):
-                    piece.append(parsed[name].copy())
+            try:
+                parsed = _parse_rows(lines)
+            except ValueError:
+                _raise_for_first_bad_line(path, lines, lineno)
+                raise  # no line fails alone: the block's own error
+            # copies, so that the block's row array is freed
+            for piece, name in zip(pieces, COLUMN_NAMES):
+                piece.append(parsed[name].copy())
             lineno += len(lines)
     arrays = {}
     for name, piece in zip(COLUMN_NAMES, pieces):
@@ -229,25 +210,34 @@ def read_trace(path: str | Path) -> Trace:
     return Trace(meta, **arrays)
 
 
-def _raise_for_first_bad_line(
-    path: Path, lines: list[str], first_lineno: int, exc: ValueError
-) -> NoReturn:
-    """Raise the error of the first line of a block that np.loadtxt rejected,
-    checking its width and parsing its cells one at a time."""
-    width = len(SCHEMA)
-    for lineno, line in enumerate(lines, start=first_lineno):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise ValueError(f"{path}, line {lineno}: {len(parts)} fields, expected {width}")
-        parts[_OPINION] = parts[_OPINION] or "nan"
+def _parse_rows(lines: list[str]) -> np.ndarray:
+    """The non-blank lines as _ROW_DTYPE rows, an empty opinion cell as NaN;
+    a cell its column does not parse, or a fractional opinion, raises."""
+    # An empty opinion cell ends its line in "," (or ",\n"): read it as "nan".
+    rows = [
+        line[:-1] + "nan\n" if line.endswith(",\n")
+        else line + "nan" if line.endswith(",")
+        else line
+        for line in lines
+        if line != "\n"
+    ]
+    if not rows:  # np.loadtxt warns on no input
+        return np.empty(0, _ROW_DTYPE)
+    parsed = np.loadtxt(rows, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1)
+    op = parsed["opinion"]
+    bad = op[~(np.isnan(op) | np.isfinite(op) & (np.trunc(op) == op))]
+    if bad.size:
+        raise ValueError(f"opinion {float(bad[0])} is not NaN or an integer")
+    return parsed
+
+
+def _raise_for_first_bad_line(path: Path, lines: list[str], lineno: int) -> None:
+    """Raise the error of the first line of the wrong width or that fails alone."""
+    for lineno, line in enumerate(lines, start=lineno):
+        fields = len(line.rstrip("\n").split(","))
         try:
-            cells = [dtype(part) for (_, dtype), part in zip(SCHEMA, parts)]
-            if _opinion_text(cells[_OPINION]) is None:
-                raise ValueError(f"opinion {parts[_OPINION]} is not NaN or an integer")
-        except ValueError as cell_exc:
-            raise ValueError(f"{path}, line {lineno}: {cell_exc}") from None
-    last = first_lineno + len(lines) - 1
-    raise ValueError(f"{path}, lines {first_lineno}-{last}: {exc}") from None
+            if line != "\n" and fields != len(SCHEMA):
+                raise ValueError(f"{fields} fields, expected {len(SCHEMA)}")
+            _parse_rows([line])
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {lineno}: {exc}") from None

@@ -7,7 +7,8 @@ import tempfile
 import pytest
 
 from swarmsim.cli import main
-from swarmsim.trace import read_trace
+from swarmsim.scenario import load_scenario, to_meta
+from swarmsim.trace import HEADER_PREFIX, read_trace
 
 
 # The scenario files these tests write; test_scenario.py also parses each
@@ -83,15 +84,26 @@ def test_replay_matches_fresh_run(tmp_path, capsys):
     assert "MATCH" in capsys.readouterr().out
 
 
-def test_replay_flags_tampered_trace(tmp_path, capsys):
+@pytest.mark.parametrize("tamper", ["blank line added", "last newline cut"])
+def test_replay_flags_tampered_trace(tmp_path, capsys, tamper):
     out = tmp_path / "out"
     main(["run", "experiment1-waffle", "--seed", "1", "--duration", "2.0", "--out", str(out)])
     trace_path = out / "trace.csv"
-    trace_path.write_bytes(trace_path.read_bytes() + b"\n")
+    text = trace_path.read_text()
+    last = text.splitlines()[-1]
+    lineno = text.count("\n")
+    if tamper == "blank line added":
+        trace_path.write_text(text + "\n")
+        difference = f"line {lineno + 1} only in the trace: '\\n'"
+    else:
+        trace_path.write_text(text[:-1])
+        difference = f"line {lineno}: {last!r} in the trace, {last + chr(10)!r} in the replay"
     capsys.readouterr()
     code = main(["replay", str(trace_path), "--out", str(tmp_path / "replay")])
     assert code == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert "MISMATCH" in text
+    assert f"first difference: {difference}\n" in text
 
 
 @pytest.fixture
@@ -194,6 +206,42 @@ def test_replay_of_a_truncated_trace_prints_one_error_line(tmp_path, capsys):
     assert main(["replay", str(trace_path), "--out", str(tmp_path / "replay")]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {trace_path}, line {len(lines)}: 3 fields, expected 12\n"
+
+
+# Every key to_meta writes, by its path in the header.
+_META = to_meta(load_scenario("experiment1-waffle"))
+HEADER_KEYS = [*_META, *(f"scenario.{key}" for key in _META["scenario"])]
+
+
+@pytest.fixture(scope="module")
+def waffle_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("waffle")
+    assert main(["run", "experiment1-waffle", "--duration", "2.0", "--out", str(out)]) == 0
+    return out / "trace.csv"
+
+
+@pytest.mark.parametrize("key", HEADER_KEYS)
+def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_trace, key):
+    header, rows = waffle_trace.read_text().split("\n", 1)
+    meta = json.loads(header[len(HEADER_PREFIX):])
+    parent, _, name = key.rpartition(".")
+    del (meta[parent] if parent else meta)[name]
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER_PREFIX + json.dumps(meta) + "\n" + rows)
+    capsys.readouterr()
+    error = f"error: trace header has no {key}\n"
+
+    code = main(["metrics", str(path), "--out", str(tmp_path / "metrics")])
+    if code != 0:
+        assert (code, capsys.readouterr().err) == (2, error)
+        assert not (tmp_path / "metrics").exists()
+
+    code = main(["replay", str(path), "--out", str(tmp_path / "replay")])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert "MISMATCH" in out and "first difference: header differs" in out
+    else:
+        assert (code, err) == (2, error)
 
 
 def _summary(text: str) -> list[str]:

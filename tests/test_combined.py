@@ -36,6 +36,12 @@ def test_mapping_must_be_nonempty():
         combined_state(own=0, mapping={})
 
 
+def test_mapped_distances_must_be_positive():
+    # The loader's protection-threshold check rejects these first.
+    with pytest.raises(ValueError, match="^mapped distances must be positive$"):
+        combined_state(own=0, mapping={0: 0.0, 1: 1.0})
+
+
 @given(scans())
 def test_discussion_phase_is_standstill_for_any_scan(scan):
     pattern = combined_state()

@@ -20,6 +20,7 @@ from swarmsim.core import (
     beam_trig,
     nearest_obstacle,
     potential_field,
+    potential_fields,
     segment_distances,
     vector_to_drive,
     wrap_angle,
@@ -61,6 +62,34 @@ def test_scan_rejects_partial_sweep():
             angle_increment=math.pi / 180.0,
             range_min=0.12,
             range_max=3.5,
+        )
+
+
+@pytest.mark.parametrize(
+    "ranges, increment, message",
+    [
+        (np.ones(0), math.pi / 180.0, "ranges must be a non-empty 1-D array"),
+        (np.ones((2, 180)), math.pi / 90.0, "ranges must be a non-empty 1-D array"),
+        (np.ones(360), 0.0, "angle_increment must be positive"),
+    ],
+    ids=["empty", "2-D", "zero-increment"],
+)
+def test_scan_rejects_a_bad_beam_set(ranges, increment, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScanSnapshot(ranges, 0.0, increment, range_min=0.12, range_max=3.5)
+
+
+@pytest.mark.parametrize("limits", [(0.0, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, 1.0, 0.0)])
+def test_drive_limits_must_be_positive(limits):
+    with pytest.raises(ValueError, match="^drive limits must be positive$"):
+        DriveLimits(*limits)
+
+
+def test_potential_fields_rejects_an_unknown_polarity():
+    scan = make_scan({0: 1.0})
+    with pytest.raises(ValueError, match="^unknown polarity: 'sideways'$"):
+        potential_fields(
+            scan.ranges[None, :], scan.range_min, scan.range_max, scan.trig(), [2.0], ["sideways"]
         )
 
 

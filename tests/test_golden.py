@@ -4,6 +4,8 @@ scripts/make_goldens.py regenerates them; do that only for a change that is
 meant to alter trace bytes.
 """
 
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,11 @@ from swarmsim.trace import trace_from_columns
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = sorted(GOLDEN_DIR.glob("*/trace.csv"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "scripts"))
+from make_goldens import MANIFEST, PAPER_RUNS, paper_run  # noqa: E402
+
+MANIFEST_SEED = 1  # the one seed per preset Tier-1 replays
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=[p.parent.name for p in GOLDEN])
@@ -56,6 +63,16 @@ def test_golden_run_with_instance_wrapped_ticks_is_byte_identical(path, tmp_path
     write_trace(trace_from_columns(sim.meta, sim.columns), tmp_path / "trace.csv")
     assert (tmp_path / "trace.csv").read_bytes() == path.read_bytes()
     assert len(calls) == config.tick_count() * len(sim.nodes)
+
+
+@pytest.mark.parametrize("preset", PAPER_RUNS)
+def test_paper_run_matches_the_manifest(preset):
+    """One full-length seed of each preset; CI regenerates the whole manifest."""
+    entries = json.loads((ROOT / MANIFEST).read_text())[preset]
+    assert [entry["seed"] for entry in entries] == list(PAPER_RUNS[preset])
+    assert paper_run(preset, MANIFEST_SEED) == {
+        key: value for key, value in entries[MANIFEST_SEED].items() if key != "seed"
+    }
 
 
 def test_every_pattern_kind_has_a_golden():

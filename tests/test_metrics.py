@@ -334,11 +334,19 @@ def test_opinion_cells_read_back_on_a_last_line_without_newline(tmp_path, last_o
     assert list(map(float.hex, read)) == list(map(float.hex, wrote))
 
 
-def test_read_trace_rejects_other_files(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x,y\n1,2\n", "{path} is not a trace file"),
+        (trace_module.HEADER_PREFIX + "{}\nx,y\n1,2\n", "unexpected trace columns: ['x', 'y']"),
+    ],
+)
+def test_read_trace_rejects_other_files(tmp_path, text, message):
     path = tmp_path / "not_a_trace.csv"
-    path.write_text("x,y\n1,2\n")
-    with pytest.raises(ValueError):
+    path.write_text(text)
+    with pytest.raises(ValueError) as info:
         read_trace(path)
+    assert str(info.value) == message.format(path=path)
 
 
 @pytest.mark.parametrize("damage", ["short", "long"])
@@ -355,16 +363,29 @@ def test_read_trace_rejects_rows_of_the_wrong_width(tmp_path, damage):
         read_trace(path)
 
 
-def test_read_trace_names_the_line_of_a_bad_cell(tmp_path):
+@pytest.mark.parametrize(
+    "column, cell, dtype",
+    [
+        ("x", "one", "float64"),
+        ("x", "1_0.5", "float64"),  # Python's float() reads it
+        ("x", "\u0967.5", "float64"),  # a Devanagari digit one, which float() also reads
+        ("tick", "9223372036854775808", "int64"),  # 2**63, one past int64
+    ],
+)
+def test_read_trace_names_the_line_of_a_bad_cell(tmp_path, column, cell, dtype):
     trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2)
     path = write_trace(trace, tmp_path / "t.csv")
     lines = path.read_text().splitlines(keepends=True)
     cells = lines[4].split(",")
-    cells[COLUMN_NAMES.index("x")] = "one"
+    index = COLUMN_NAMES.index(column)
+    cells[index] = cell
     lines[4] = ",".join(cells)
     path.write_text("".join(lines))
-    with pytest.raises(ValueError, match=r"t\.csv, line 5: "):
+    with pytest.raises(ValueError) as info:
         read_trace(path)
+    assert str(info.value) == (
+        f"{path}, line 5: could not convert string {cell!r} to {dtype} at row 0, column {index + 1}."
+    )
 
 
 _INT64 = st.integers(-(2**63), 2**63 - 1)
@@ -580,13 +601,27 @@ def test_blank_lines_are_skipped_and_counted_across_blocks(small_blocks, tmp_pat
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as info:
         read_trace(path)
-    assert str(info.value) == f"{path}, line {lineno}: could not convert string to float: 'one'"
+    assert str(info.value) == (
+        f"{path}, line {lineno}: could not convert string 'one' to float64 at row 0, column 4."
+    )
 
     lines[lineno - 1] = ",".join(cells[1:])
     path.write_text("".join(lines))
     with pytest.raises(ValueError) as info:
         read_trace(path)
     assert str(info.value) == f"{path}, line {lineno}: 11 fields, expected 12"
+
+
+@pytest.mark.parametrize("change", ["missing", "extra"])
+def test_trace_rejects_missing_or_extra_columns(change):
+    trace = make_trace([[[0.0, 0.0], [1.0, 0.0]]] * 2)
+    columns = {name: getattr(trace, name) for name in COLUMN_NAMES}
+    if change == "missing":
+        del columns["opinion"]
+    else:
+        columns["speed"] = columns["x"]
+    with pytest.raises(TypeError, match="^trace columns must be exactly "):
+        Trace(trace.meta, **columns)
 
 
 def test_trace_rejects_ragged_columns():

@@ -152,6 +152,12 @@ def test_walk_deterministic_under_fixed_seed():
     assert trajectory(7) != trajectory(8)
 
 
+def test_walk_rejects_a_non_boolean_curved_turns():
+    # The loader rejects it by type first; a direct construction reaches this check.
+    with pytest.raises(ValueError, match="^curved_turns: 'false' is not a boolean$"):
+        RandomWalk(**WALK_PARAMS, rng=np.random.default_rng(0), curved_turns="false")
+
+
 def test_walk_curved_turns_keep_linear():
     pattern = walk(
         TURN_MODE,

@@ -107,6 +107,12 @@ def test_threshold_below_sensor_floor_rejected():
         ProtectionState(threshold=-0.1, limits=LIMITS)
 
 
+def test_nonpositive_staleness_limit_rejected():
+    # The loader rejects it by type first; a direct construction reaches this check.
+    with pytest.raises(ValueError, match="^staleness limit must be positive$"):
+        ProtectionState(threshold=0.5, limits=LIMITS, staleness_limit=0.0)
+
+
 @given(scans(), st.floats(min_value=0.0, max_value=2.0))
 def test_arbitration_is_total_and_branch_exact(scan, age):
     """Exactly one of the three outcomes, chosen by the documented rules."""

@@ -101,9 +101,24 @@ def test_voter_preset_constants():
     assert set(cfg.initial_opinions) <= set(range(7))
 
 
-def test_unknown_preset_raises():
-    with pytest.raises(ScenarioError):
-        load_scenario("no-such-preset")
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("no-such-preset", "no such scenario file or preset: 'no-such-preset'"),
+        ("no/such/file.yaml", "scenario file not found: no/such/file.yaml"),
+    ],
+)
+def test_unknown_preset_raises(source, message):
+    with pytest.raises(ScenarioError) as info:
+        load_scenario(source)
+    assert str(info.value) == message
+
+
+def test_scenario_file_must_hold_a_mapping(tmp_path):
+    path = tmp_path / "list.yaml"
+    path.write_text("- name: t\n- platform: jackal\n")
+    with pytest.raises(ScenarioError, match="^scenario file must hold a mapping$"):
+        load_scenario(path)
 
 
 # ------------------------------------------------------------------ overrides
@@ -135,6 +150,21 @@ def test_zero_duration_is_valid():
 
 
 # ----------------------------------------------------------------- validation
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("range_min", 0.0, "need 0 < range_min < range_max"),
+        ("beam_count", 0, "bad body geometry"),
+        ("body_radius", 0.0, "bad body geometry"),
+        ("turn_gain", 0.0, "speed limits must be positive"),
+        ("protection_threshold", 0.0, "protection threshold must be positive"),
+    ],
+)
+def test_platform_spec_rejects_bad_values(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dataclasses.replace(PLATFORMS["jackal"], **{field: value})
 
 
 def test_unknown_platform():
@@ -295,6 +325,13 @@ def test_opinion_outside_mapping_domain():
         ("majority", {"window_lenght": 1.0}, "window_lenght"),
         ("majority", {"rule": "voter"}, "'rule'"),
         ("discussed_dispersion", {"mapping": {0: 1.0}, "opinion_choices": [0]}, "opinion_choices"),
+        ("attraction", {"attraction_range": 0}, "attraction_range must be positive"),
+        ("dispersion", {"dispersion_range": -1.0}, "dispersion_range must be positive"),
+        ("random_walk", {"linear": 0}, "walk speeds must be positive"),
+        ("random_walk", {"turn_angle": [2.0, 1.0]}, "bad turn_angle bounds"),
+        ("flocking", {"r_near": 2.0, "r_far": 1.0}, "need 0 < r_near < r_far"),
+        ("flocking", {"angular": 0}, "flocking speeds must be positive"),
+        ("flocking", {"r_near": 1.0, "r_far": 5.0}, "bands must fit inside the sensor window"),
     ],
     ids=[
         "negative-drive",
@@ -308,6 +345,13 @@ def test_opinion_outside_mapping_domain():
         "misspelt-voting-key",
         "voting-rule-as-parameter",
         "choices-for-mapped-opinions",
+        "zero-attraction-range",
+        "negative-dispersion-range",
+        "zero-walk-speed",
+        "reversed-turn-angles",
+        "reversed-flocking-bands",
+        "zero-flocking-speed",
+        "flocking-band-past-range-max",
     ],
 )
 def test_bad_pattern_params_fail_at_load(kind, params, message):

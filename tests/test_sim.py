@@ -196,6 +196,11 @@ def _scan(world, spec, i=0):
     return ScanSnapshot(row, 0.0, math.tau / spec.beam_count, spec.range_min, spec.range_max)
 
 
+def test_sweep_of_an_empty_swarm_is_empty():
+    world = WorldState(rect_walls(10.0, 10.0), [], [], 0.1)
+    assert raycast_scan(world, WAFFLE).shape == (0, WAFFLE.beam_count)
+
+
 def test_scan_lone_robot_in_large_arena_sees_nothing():
     world = WorldState(
         walls=rect_walls(18.0, 18.0),
