@@ -20,12 +20,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import segment_distances
+from .core import GRID_MIN_ROBOTS, near_pairs, segment_distances
 from .trace import Trace, block_rows, float_texts, text_cells, write_rows
+from .typed import POSITIVE, load_typed
 
 # Pair and wall distance cells held at a time: a block of b ticks holds the
 # (b, R, R) robot distances and the (b, R, S) wall distances.
 BLOCK_CELLS = 1 << 18
+# The cell grid's candidate pairs a (tick, robot) row may take on average,
+# and how many times a block's cell side may shrink to stay under it (each
+# time by 0.9 or more; by about 7 where 2,500 robots share a cell).
+_PAIR_BUDGET = 32
+_SHRINKS = 16
 
 
 @dataclass
@@ -47,7 +53,7 @@ class MetricsReport:
 def header_scenario(meta: dict, *keys: str) -> dict:
     """The scenario of a trace header; a key of `keys` that it lacks raises a
     ValueError naming the key's path, such as scenario.radii."""
-    if "scenario" not in meta:
+    if not isinstance(meta.get("scenario"), dict):
         raise ValueError("trace header has no scenario")
     missing = [key for key in keys if key not in meta["scenario"]]
     if missing:
@@ -55,14 +61,30 @@ def header_scenario(meta: dict, *keys: str) -> dict:
     return meta["scenario"]
 
 
+def _header_value(scenario: dict, key: str, typ):
+    """scenario[key] loaded as a typ, or a ScenarioError (a ValueError)
+    naming its path, such as trace header scenario.radii."""
+    return load_typed(f"trace header scenario.{key}", typ, scenario[key])
+
+
 def compute_metrics(trace: Trace) -> MetricsReport:
     scenario = header_scenario(trace.meta, "robot_ids", "radii", "walls", "dt")
-    robot_ids = [int(r) for r in scenario["robot_ids"]]
-    radii = np.asarray(scenario["radii"], dtype=float)
-    walls = np.asarray(scenario["walls"], dtype=float).reshape(-1, 4)
-    dt = float(scenario["dt"])
-    window_length = float((scenario.get("pattern_params") or {}).get("window_length") or 0)
+    robot_ids = _header_value(scenario, "robot_ids", list[int])
+    radii = np.array(_header_value(scenario, "radii", list[float]), dtype=float)
+    walls = _header_value(scenario, "walls", list[tuple[float, float, float, float]])
+    walls = np.array(walls, dtype=float).reshape(-1, 4)
+    dt = _header_value(scenario, "dt", POSITIVE)
+    params = load_typed(
+        "trace header scenario.pattern_params", dict, scenario.get("pattern_params")
+    )
+    window_length = load_typed(
+        "trace header scenario.pattern_params.window_length",
+        float,
+        params.get("window_length") or 0,
+    )
     R = len(robot_ids)
+    if len(radii) != R:
+        raise ValueError(f"trace header scenario.radii has {len(radii)} radii for {R} robot_ids")
 
     n = len(trace.tick)
     T = n // R if R else 0
@@ -81,22 +103,19 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     min_pairwise = np.empty(T)
     clearance = np.empty((T, R))
     collisions = 0
-    diagonal = np.arange(R)
-    contact = radii[:, None] + radii
     step = max(1, BLOCK_CELLS // (R * (R + len(walls)) or 1))
     for start in range(0, T, step):
         ticks = slice(start, start + step)
         bx, by = xs[ticks], ys[ticks]
-        # (b, R, R) center distances; a robot is not its own neighbour, so
-        # the diagonal is inf (all of it when R = 1).
-        pair = bx[:, :, None] - bx[:, None, :]
-        np.hypot(pair, by[:, :, None] - by[:, None, :], out=pair)
-        pair[:, diagonal, diagonal] = np.inf
-        min_pairwise[ticks] = pair.min(axis=(1, 2))
-        collisions += int(np.count_nonzero(pair < contact))
-        pair -= radii  # now the distance to each neighbour's surface
+        # A large swarm takes its pairs from the cell grid where it can, and
+        # any swarm its (b, R, R) pairs where not.
+        terms = _near_pair_terms(bx, by, radii) if R >= GRID_MIN_ROBOTS else None
+        near, surface, hits = terms or _dense_rows(bx, by, radii, np.arange(bx.size))
+        min_pairwise[ticks] = near.reshape(-1, R).min(axis=1)
+        surface = surface.reshape(-1, R)
+        collisions += hits
         wall_clear = segment_distances(bx[..., None], by[..., None], walls)
-        np.minimum(wall_clear.min(axis=2, initial=np.inf), pair.min(axis=2), out=clearance[ticks])
+        np.minimum(wall_clear.min(axis=2, initial=np.inf), surface, out=clearance[ticks])
     collision_count = collisions // 2
 
     movement_only = opinions.size and np.isnan(opinions).all()  # rows, but no opinion cell
@@ -126,6 +145,91 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     )
 
 
+def _cell_side(bx: np.ndarray, by: np.ndarray, radii: np.ndarray) -> float:
+    """near_pairs' first cell side for a (b, R) block of positions: 1.3 mean
+    spacings of a tick's R robots over the block's bounding box, and no less
+    than the largest contact distance. NaN or inf where a position is not
+    finite, or the box overflows."""
+    R = bx.shape[1]
+    w, h = np.ptp(bx), np.ptp(by)
+    # the spacing of R robots over an area, or along a line
+    spacing = np.maximum(np.sqrt(w * h / R), np.maximum(w, h) / R)
+    return float(np.maximum(1.3 * spacing, 2 * radii.max())) * (1 + 1e-9)
+
+
+def _near_pair_terms(bx: np.ndarray, by: np.ndarray, radii: np.ndarray):
+    """_dense_rows' terms for every row of a (b, R) block of positions, from
+    the pairs of near_pairs' cells; None where the block has a non-finite
+    position, or no side gives few enough candidates.
+
+    Each pair term is the dense pass's expression and min is exact, so a
+    row's minima over its candidates are its dense minima wherever no other
+    robot can be nearer: a robot that is no candidate lies more than
+    side * (1 - 1e-10) away in x or y, so its rounded distance exceeds
+    side * (1 - 1e-9), and its surface lies that less the largest radius
+    away. A row whose minima do not clear those takes its dense row. Every
+    colliding pair is a candidate, as the side is at least the largest
+    contact distance.
+
+    Robots bunched in a small part of the bounding box (a pile and a few
+    stragglers, a far outlier) would give coarse cells holding most of the
+    swarm: over _PAIR_BUDGET candidates a row, the side shrinks to where
+    the budget would hold for robots spread evenly, no lower than the
+    contact distance and at most _SHRINKS times, and the stragglers take
+    their dense rows.
+    """
+    b, R = bx.shape
+    side = _cell_side(bx, by, radii)
+    if not 0 < side < math.inf:
+        return None
+    x, y, group = bx.ravel(), by.ravel(), np.repeat(np.arange(b), R)
+    least = 2 * radii.max() * (1 + 1e-9)
+    limit = _PAIR_BUDGET * x.size
+    for _ in range(_SHRINKS + 1):
+        pairs = near_pairs(x, y, side, group, limit)
+        if not isinstance(pairs, int) or side <= least:
+            break
+        # where robots are dense, their candidates grow as the side squared
+        side = max(side * 0.9 * math.sqrt(limit / pairs), least)
+    if isinstance(pairs, int):
+        return None
+    a, o = pairs
+    d = np.hypot(x[a] - x[o], y[a] - y[o])
+    r = np.tile(radii, b)
+    hits = int(np.count_nonzero(d < r[a] + r[o]))
+    near = np.full(b * R, np.inf)
+    surface = np.full(b * R, np.inf)
+    if a.size:
+        first = np.flatnonzero(np.diff(a, prepend=-1))
+        near[a[first]] = np.minimum.reduceat(d, first)
+        surface[a[first]] = np.minimum.reduceat(d - r[o], first)
+    cut = side * (1 - 1e-9)
+    (far,) = np.nonzero((near > cut) | (surface > cut - radii.max()))
+    if far.size:
+        near[far], surface[far], _ = _dense_rows(bx, by, radii, far)
+    return near, surface, hits
+
+
+def _dense_rows(bx: np.ndarray, by: np.ndarray, radii: np.ndarray, rows: np.ndarray):
+    """For the given flat (tick, robot) rows of a (b, R) block of positions,
+    the distances to the nearest other centre and to the nearest other
+    surface, and the number of ordered colliding pairs among them."""
+    t, i = np.divmod(rows, bx.shape[1])
+    # (rows, R) center distances, in two arrays like a (b, R, R) block's;
+    # a robot is not its own neighbour, so its own cell is inf.
+    row = bx[t]
+    np.subtract(bx[t, i, None], row, out=row)
+    other = by[t]
+    np.subtract(by[t, i, None], other, out=other)
+    np.hypot(row, other, out=row)
+    row[np.arange(rows.size), i] = np.inf
+    np.add(radii[i, None], radii, out=other)  # contact distances
+    hits = int(np.count_nonzero(row < other))
+    near = row.min(axis=1)
+    row -= radii  # now the distance to each neighbour's surface
+    return near, row.min(axis=1), hits
+
+
 def _check_tick_grid(ticks: np.ndarray, robots: np.ndarray) -> None:
     """(T, R) tick and robot cells must hold robots 0..R-1 in order once per tick."""
     R = robots.shape[1]
@@ -150,7 +254,9 @@ def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def initial_spread(trace: Trace) -> float:
     """Mean distance to the centroid of the start poses the header records."""
-    xs, ys, _ = np.asarray(header_scenario(trace.meta, "poses")["poses"], dtype=float).T
+    scenario = header_scenario(trace.meta, "poses")
+    poses = _header_value(scenario, "poses", list[tuple[float, float, float]])
+    xs, ys, _ = np.array(poses, dtype=float).reshape(-1, 3).T
     return float(_mean_distance_to_centroid(xs, ys))
 
 

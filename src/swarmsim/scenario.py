@@ -12,14 +12,11 @@ _KEYS, drives the key check, typed loading and that round trip.
 from __future__ import annotations
 
 import math
-import numbers
 import typing
-from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
-from types import UnionType
-from typing import Annotated, Literal, Union
+from typing import Annotated, Literal
 
 import numpy as np
 import yaml
@@ -47,6 +44,7 @@ from .platforms import PATTERN_DEFAULTS, PLATFORMS, PlatformSpec
 from .protection import DEFAULT_STALENESS_LIMIT, ProtectionState
 from .sim import RobotNode, Simulation, WorldState, rect_walls
 from .trace import Trace, trace_from_columns, write_trace
+from .typed import POSITIVE, ScenarioError, load_typed
 
 # kind -> the behavior class whose init fields, less the ones
 # _build_behavior sets, are that kind's scenario parameters.
@@ -72,10 +70,6 @@ _KIND_DEFAULTS = {
     "voter": {"window_length": 1.0, "opinions": "random", "opinion_choices": [0, 1]},
     "discussed_dispersion": {"window_length": 1.0, "decision_duration": 20.0, "opinions": "random"},
 }
-
-
-class ScenarioError(ValueError):
-    pass
 
 
 class UnknownPlatformError(ScenarioError):
@@ -135,68 +129,6 @@ _WALK_STREAM = 1
 _VOTER_STREAM = 2
 
 
-def _number(value) -> bool:
-    """An int or float; YAML's true/yes/on (a bool) is neither."""
-    return not isinstance(value, bool) and isinstance(value, (float, int, numbers.Integral))
-
-
-def _finite(value) -> bool:
-    """A number that a float holds, and not inf or NaN."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    try:
-        return _number(value) and math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def _load(path: str, typ, value):
-    """value loaded as a typ, or a ScenarioError naming the key path. typ is
-    float or int (a finite number; a whole one for int), str, bool, dict (a
-    null one loads empty), a Literal, a list or dict of types, a tuple of
-    floats (loaded as a list), a union (its first option that loads, else
-    the first option's error) or Annotated[typ, what, ok]."""
-    if typ is float or typ is int:
-        if not _finite(value):
-            what = "a finite number" if _number(value) else "a number"
-        elif typ is int and isinstance(value, float) and not value.is_integer():
-            what = "a whole number"
-        else:
-            return typ(value)  # int(): exact, where a float round trip rounds above 2**53
-        raise ScenarioError(f"{path}: {value!r} is not {what}")
-    origin, args = typing.get_origin(typ), typing.get_args(typ)
-    if origin is Annotated:
-        loaded = _load(path, args[0], value)
-        if not args[2](loaded):
-            raise ScenarioError(f"{path}: {value!r} is not {args[1]}")
-        return loaded
-    if origin is Literal and value in args:
-        return value
-    if origin in (Union, UnionType):
-        try:
-            return _load(path, args[0], value)
-        except ScenarioError:
-            for option in args[1:]:
-                with suppress(ScenarioError):
-                    return _load(path, option, value)
-            raise
-    if origin is list and isinstance(value, (list, tuple)):
-        return [_load(path, args[0], v) for v in value]
-    if origin is tuple and isinstance(value, (list, tuple)) and len(value) == len(args):
-        if all(map(_finite, value)):
-            return [float(v) for v in value]
-    if origin is dict and isinstance(value, dict):
-        key, item = args
-        return {_load(path, key, k): _load(f"{path}[{k!r}]", item, v) for k, v in value.items()}
-    if origin is None and isinstance(value, typ):
-        return value
-    if typ is dict and value is None:
-        return {}
-    what = {str: "a string", bool: "a boolean", dict: "a mapping"}.get(typ, typ)
-    raise ScenarioError(f"{path}: {value!r} is not {what}")
-
-
-_POSITIVE = Annotated[float, "> 0", lambda v: v > 0]
 _AT_LEAST_0 = Annotated[float, ">= 0", lambda v: v >= 0]
 _POSES = Annotated[list[tuple[float, float, float]], "a list of at least one pose", bool]
 
@@ -206,21 +138,21 @@ _POSES = Annotated[list[tuple[float, float, float]], "a list of at least one pos
 _KEYS = (
     ("name", str, "scenario", "name"),
     ("platform", str, None, "platform"),  # one of PLATFORMS
-    ("arena.width", _POSITIVE, 18.0, "arena_width"),
-    ("arena.height", _POSITIVE, 18.0, "arena_height"),
+    ("arena.width", POSITIVE, 18.0, "arena_width"),
+    ("arena.height", POSITIVE, 18.0, "arena_height"),
     ("robots.poses", _POSES, None, "poses"),  # None: a line layout places them
     ("robots.layout", Literal["line"], "line", None),
     ("robots.count", Annotated[int, ">= 1", lambda n: n >= 1], 1, None),
-    ("robots.spacing", _POSITIVE, 1.0, None),
+    ("robots.spacing", POSITIVE, 1.0, None),
     ("robots.headings", float | list[float] | Literal["random", "inward"], 0.0, None),
     ("robots.heading_jitter", _AT_LEAST_0, 0.0, None),
     ("pattern.kind", Literal[PATTERN_KINDS], None, "pattern"),
     ("pattern.params", dict, {}, "pattern_params"),  # keys by kind: _PARAMS
     ("seed", Annotated[int, ">= 0", lambda n: n >= 0], 0, "seed"),
     ("duration", _AT_LEAST_0, 60.0, "duration"),
-    ("dt", _POSITIVE, 0.1, "dt"),
+    ("dt", POSITIVE, 0.1, "dt"),
     ("extra_walls", list[tuple[float, float, float, float]], [], "extra_walls"),
-    ("staleness_limit", _POSITIVE, DEFAULT_STALENESS_LIMIT, "staleness_limit"),
+    ("staleness_limit", POSITIVE, DEFAULT_STALENESS_LIMIT, "staleness_limit"),
 )
 # mapping path -> the keys it may hold
 _LEVELS: dict[str, set] = {"": {path.split(".")[0] for path, *_ in _KEYS}}
@@ -251,11 +183,11 @@ def _lookup(raw: dict) -> dict:
     values = {"": raw}
     for path, names in _LEVELS.items():  # "" first, then arena, robots, pattern
         if path:
-            values[path] = _load(path, dict, raw.get(path))
+            values[path] = load_typed(path, dict, raw.get(path))
         _known({"": "scenario", "robots": "robot"}.get(path, path), values[path], names)
     for path, typ, default, _ in _KEYS:
         parent, _, name = path.rpartition(".")
-        values[path] = _load(path, typ, values[parent][name]) if name in values[parent] else default
+        values[path] = load_typed(path, typ, values[parent][name]) if name in values[parent] else default
     return values
 
 
@@ -297,7 +229,7 @@ def _pattern(
     _known(f"{kind} parameter", given, types)
     params = dict(PATTERN_DEFAULTS.get(platform, {}).get(kind, {}))
     for key, value in given.items():
-        loaded = _load(f"{kind} parameter pattern.params.{key}", types[key], value)
+        loaded = load_typed(f"{kind} parameter pattern.params.{key}", types[key], value)
         # numbers stay as written (an int stays an int), as headers record
         # them, and a pair as the list a header gives back
         if types[key] in (float, tuple[float, float]):

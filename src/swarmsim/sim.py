@@ -58,7 +58,7 @@ import numpy as np
 from .bus import Envelope, MessageBus, VOTE_TOPIC
 from .core import DriveCommand, FieldRequest, Pose2D, ScanSnapshot, beam_trig
 from .core import nearest_distances, potential_fields, segment_distances, vector_to_drive
-from .core import wrap_angle
+from .core import GRID_MIN_ROBOTS, near_pairs, wrap_angle
 from .patterns.base import Pattern
 from .platforms import PlatformSpec
 from .protection import ProtectionState, arbitrate, avoidance_field, note_command, triggered
@@ -171,6 +171,8 @@ class WorldState:
             raise ValueError("dt must be positive")
         if self.radii.shape != (len(self.poses),):
             raise ValueError(f"need one radius per pose, got {self.radii.shape} radii")
+        if not (self.radii >= 0).all() or not np.isfinite(self.radii).all():
+            raise ValueError(f"radii must be finite and non-negative, got {self.radii.tolist()}")
 
     @property
     def clock(self) -> float:
@@ -259,20 +261,31 @@ def raycast_scan(
         np.minimum.at(best, k, np.where(hit, t, np.inf))
 
     # Neighbour cut, by the same argument: the nearest point of a body lies
-    # its radius short of its centre.
-    mx = ox[None, :] - ox[:, None]  # (R, R): body j seen from robot i
-    my = oy[None, :] - oy[:, None]
-    d2 = mx * mx + my * my
-    keep = d2 <= (cut + radii[None, :] + _CULL_EPS) ** 2
-    np.fill_diagonal(keep, False)
-    i, j = np.nonzero(keep)
+    # its radius short of its centre. A large swarm tests only the pairs of
+    # near_pairs' cells, whose side is the cut's reach with room for
+    # rounding; the pairs it leaves out all fail the test.
+    if R >= GRID_MIN_ROBOTS:
+        side = (cut + radii.max() + _CULL_EPS) * (1 + 1e-9)
+        i, j = near_pairs(ox, oy, side)
+        mx, my = ox[j] - ox[i], oy[j] - oy[i]  # body j seen from robot i
+        d2 = mx * mx + my * my
+        keep = d2 <= (cut + radii[j] + _CULL_EPS) ** 2
+        i, j, mx, my, d2 = i[keep], j[keep], mx[keep], my[keep], d2[keep]
+    else:
+        mx = ox[None, :] - ox[:, None]  # (R, R): body j seen from robot i
+        my = oy[None, :] - oy[:, None]
+        d2 = mx * mx + my * my
+        keep = d2 <= (cut + radii[None, :] + _CULL_EPS) ** 2
+        np.fill_diagonal(keep, False)
+        i, j = np.nonzero(keep)
+        mx, my, d2 = mx[i, j], my[i, j], d2[i, j]
     if i.size:
-        mx, my, r = mx[i, j], my[i, j], radii[j]
+        r = radii[j]
         c = mx * mx + my * my - r * r
         # Beam window: the body spans asin(r/d) either side of the bearing to
         # its centre; one more beam on each side. Beams outside it give a
         # discriminant below zero by far more than rounding, or point away.
-        d = np.sqrt(d2[i, j])
+        d = np.sqrt(d2)
         inside = d <= r * (1.0 + _INSIDE_MARGIN)
         half = np.arcsin(r / np.maximum(d, r))
         centre = (np.arctan2(my, mx) - heading[i]) / step

@@ -1,6 +1,7 @@
 """Command line harness tests, run in-process through main()."""
 
 import json
+import math
 import re
 import tempfile
 
@@ -242,6 +243,40 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
         assert "MISMATCH" in out and "first difference: header differs" in out
     else:
         assert (code, err) == (2, error)
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("robot_ids", None, "scenario.robot_ids: None is not list[int]"),
+        ("robot_ids", [0, 1, 2, 3, 4, 5, True], "scenario.robot_ids: True is not a number"),
+        ("radii", None, "scenario.radii: None is not list[float]"),
+        ("radii", [0.15], "scenario.radii has 1 radii for 7 robot_ids"),
+        ("radii", [0.15] * 6 + ["0.15"], "scenario.radii: '0.15' is not a number"),
+        ("radii", [0.15] * 6 + [math.nan], "scenario.radii: nan is not a finite number"),
+        ("walls", "x", "scenario.walls: 'x' is not list[tuple[float, float, float, float]]"),
+        ("walls", [[0, 0, 1]], "scenario.walls: [0, 0, 1] is not tuple[float, float, float, float]"),
+        ("dt", None, "scenario.dt: None is not a number"),
+        ("dt", "0.1", "scenario.dt: '0.1' is not a number"),
+        ("dt", 0, "scenario.dt: 0 is not > 0"),
+        ("poses", None, "scenario.poses: None is not list[tuple[float, float, float]]"),
+        ("pattern_params", [1], "scenario.pattern_params: [1] is not a mapping"),
+    ],
+)
+def test_metrics_names_a_wrongly_typed_header_value(
+    tmp_path, capsys, waffle_trace, key, value, message
+):
+    """A header value of the wrong type or length stops metrics with one
+    error line naming its key path, before any file is written."""
+    header, rows = waffle_trace.read_text().split("\n", 1)
+    meta = json.loads(header[len(HEADER_PREFIX):])
+    meta["scenario"][key] = value
+    path = tmp_path / "trace.csv"
+    path.write_text(HEADER_PREFIX + json.dumps(meta) + "\n" + rows)
+    capsys.readouterr()
+    code = main(["metrics", str(path), "--out", str(tmp_path / "metrics")])
+    assert (code, capsys.readouterr().err) == (2, f"error: trace header {message}\n")
+    assert not (tmp_path / "metrics").exists()
 
 
 def _summary(text: str) -> list[str]:

@@ -6,10 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swarmsim.core import (
+    GRID_MIN_ROBOTS,
     ATTRACTIVE,
     REPULSIVE,
     DriveCommand,
@@ -18,6 +19,7 @@ from swarmsim.core import (
     ScanSnapshot,
     Vector2,
     beam_trig,
+    near_pairs,
     nearest_obstacle,
     potential_field,
     potential_fields,
@@ -25,6 +27,8 @@ from swarmsim.core import (
     vector_to_drive,
     wrap_angle,
 )
+
+from swarmsim.sim import _CULL_EPS
 
 from conftest import make_scan, scan_from_array, scans
 from oracles import potential_field_reference, segment_distances_reference
@@ -381,3 +385,66 @@ def test_drive_respects_limits_totally(force):
     cmd = vector_to_drive(force, limits)
     assert 0.0 <= cmd.linear <= limits.max_linear + 1e-12
     assert abs(cmd.angular) <= limits.max_angular + 1e-12
+
+
+# ------------------------------------------------------- neighbour candidates
+
+
+@st.composite
+def _point_sets(draw):
+    """Points on both sides of GRID_MIN_ROBOTS in count: random ones, ones
+    on a cell edge of the lowest point and one ulp either side of it, and
+    a far pair of points within one side of each other, above or below the
+    rest and within or past 2**16 sides of them."""
+    side = draw(st.sampled_from([0.3, 1.0, 1.3, 3.650001]))
+    count = draw(st.sampled_from([1, 2, 9, GRID_MIN_ROBOTS - 1, GRID_MIN_ROBOTS, 90]))
+    edge = st.builds(
+        lambda k, shift: float(np.nextafter(k * side, shift)) if shift else k * side,
+        st.integers(0, 8),
+        st.sampled_from([0.0, math.inf, -math.inf]),
+    )
+    cell = edge | st.floats(0.0, 9 * side)
+    points = draw(st.lists(st.tuples(cell, cell), min_size=count, max_size=count))
+    points[0] = (0.0, 0.0)  # the lowest point, up to an ulp
+    if draw(st.booleans()):
+        far = draw(st.sampled_from([1e4, 1e12, -1e12]))
+        points += [(far, far), (far + 0.5 * side, far - 0.25 * side)]
+    n, groups = len(points), draw(st.integers(1, 3))
+    group = np.array(draw(st.lists(st.integers(0, groups - 1), min_size=n, max_size=n)))
+    radius = st.sampled_from([0.0, 0.125, 0.15, 0.4])
+    radii = np.array(draw(st.lists(radius, min_size=n, max_size=n)))
+    x, y = np.array(points).T
+    return x, y, side, (None if groups == 1 else group), radii
+
+
+@settings(max_examples=150)
+@given(_point_sets())
+def test_near_pairs_hold_every_pair_within_the_side_and_the_dense_keep_set(points):
+    """Candidates: distinct points of one group, grouped by a ascending,
+    with every pair whose |dx| and |dy| are within side * (1 - 1e-10).
+    With the sense's side for a cut, the sense's keep test on them keeps
+    the dense (R, R) keep set."""
+    x, y, side, group, radii = points
+    a, b = near_pairs(x, y, side, group)
+    g = np.zeros(len(x), dtype=int) if group is None else group
+    assert (a != b).all() and (g[a] == g[b]).all() and (np.diff(a) >= 0).all()
+    found = set(zip(a.tolist(), b.tolist()))
+    assert len(found) == len(a)
+    dx, dy = np.abs(x[:, None] - x), np.abs(y[:, None] - y)
+    near = (dx <= side * (1 - 1e-10)) & (dy <= side * (1 - 1e-10)) & (g[:, None] == g)
+    np.fill_diagonal(near, False)
+    assert set(zip(*(k.tolist() for k in np.nonzero(near)))) <= found
+
+    # raycast_scan's neighbour cut, dense and on the cell grid
+    cut = side / (1 + 1e-9) - radii.max() - _CULL_EPS
+    if cut <= 0:
+        return
+    mx, my = x[None, :] - x[:, None], y[None, :] - y[:, None]
+    keep = (mx * mx + my * my <= (cut + radii[None, :] + _CULL_EPS) ** 2) & (g[:, None] == g)
+    np.fill_diagonal(keep, False)
+    a, b = near_pairs(x, y, (cut + radii.max() + _CULL_EPS) * (1 + 1e-9), group)
+    mx, my = x[b] - x[a], y[b] - y[a]
+    kept = mx * mx + my * my <= (cut + radii[b] + _CULL_EPS) ** 2
+    assert set(zip(a[kept].tolist(), b[kept].tolist())) == set(
+        zip(*(k.tolist() for k in np.nonzero(keep)))
+    )

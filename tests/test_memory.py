@@ -12,12 +12,22 @@ peaked at 9.3 MB (write), 9.4 MB (read) on a 30,000-row trace and at 186 MB
 peak. The writer's formatting tables of distinct values are held one block
 at a time too: its ceiling, and the reader's, are the peaks of the per-row
 writer and reader they replaced (3.34 MB and 5.05 MB).
+
+From 64 robots on (core.GRID_MIN_ROBOTS), metrics and the sense take their
+neighbour pairs from a cell grid, not from (R, R) arrays, so their memory
+grows with the robots, not with their square. With the dense pairs, a block
+of one tick of 2,500 robots peaked at 150 MB in metrics, and one step of a
+2,500-robot grid at 208 MB; with the grid they peak at 3.1 MB and 34 MB.
+Where the 2,500 robots bunch (a pile and a few stragglers, or one robot
+1,000 km off) the metrics' cells shrink to what the pile needs, and the
+metrics peak at 4.3 MB, against the dense pass's 150 MB.
 """
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from swarmsim import build_simulation, compute_metrics, load_scenario, read_trace, write_trace
 from swarmsim.sim import rect_walls
@@ -67,6 +77,35 @@ def test_compute_metrics_peak_stays_below_32_mb_at_200_robots():
     assert peak < 32 * MB, f"compute_metrics peaked at {peak / MB:.1f} MB"
 
 
+def test_compute_metrics_peak_stays_below_16_mb_at_2500_robots():
+    trace = synthetic_trace(2500, 10)
+    report, peak = traced_peak(compute_metrics, trace)
+    assert report.tick_count == 10
+    assert peak < 16 * MB, f"compute_metrics peaked at {peak / MB:.1f} MB"
+
+
+def _bunched(layout: str) -> np.ndarray:
+    """2,500 (x, y) positions that a bounding box alone would bin coarsely."""
+    rng = np.random.default_rng(1)
+    if layout == "pile and stragglers":
+        # a hex pile of 2,490 bodies 0.3 m apart, 10 robots over a 1 km square
+        k = np.arange(2490)
+        pile = np.stack([(k % 50) * 0.3 + 0.15 * ((k // 50) % 2), (k // 50) * 0.26], axis=1)
+        return np.vstack([pile, rng.uniform(-500.0, 500.0, (10, 2))])
+    points = rng.uniform(-30.0, 30.0, (2500, 2))
+    points[-1] = -1e6  # one robot 1,000 km below and left of the rest
+    return points
+
+
+@pytest.mark.parametrize("layout", ["pile and stragglers", "far outlier"])
+def test_compute_metrics_peak_stays_below_16_mb_at_2500_bunched_robots(layout):
+    trace = synthetic_trace(2500, 10)
+    trace.x[:], trace.y[:] = np.tile(_bunched(layout), (10, 1)).T
+    report, peak = traced_peak(compute_metrics, trace)
+    assert report.tick_count == 10
+    assert peak < 16 * MB, f"compute_metrics peaked at {peak / MB:.1f} MB"
+
+
 def test_trace_write_and_read_peaks_stay_below_the_whole_trace_forms(tmp_path):
     trace = synthetic_trace(100, 300)
     path = tmp_path / "trace.csv"
@@ -111,3 +150,13 @@ def test_simulated_run_holds_its_trace_as_typed_columns():
     assert len(trace.tick) == 49 * 300
     assert held < 2.0 * MB, f"a run and its trace held {held / MB:.2f} MB"
     assert all(getattr(trace, name) is getattr(columns, name) for name in COLUMN_NAMES)
+
+
+def test_one_step_of_2500_robots_stays_below_48_mb():
+    """Attraction on a 50 x 50 grid 1.3 m apart: each robot senses the
+    bodies within 2 m, about 10 of them, not all 2,499."""
+    raw = crowd_scenario(side=50)
+    raw.update(arena={"width": 70.0, "height": 70.0}, pattern={"kind": "attraction"})
+    sim = build_simulation(load_scenario(raw))
+    _, peak = traced_peak(sim.run, 1)
+    assert peak < 48 * MB, f"one step peaked at {peak / MB:.1f} MB"

@@ -3,11 +3,12 @@
 import json
 import math
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -19,6 +20,7 @@ from oracles import (
 )
 import swarmsim.metrics as metrics_module
 import swarmsim.trace as trace_module
+from swarmsim.core import GRID_MIN_ROBOTS
 from swarmsim import compute_metrics, load_scenario, read_trace, run, write_trace
 from swarmsim.metrics import MetricsReport, write_metrics_json, write_series_csv
 from swarmsim.trace import COLUMN_NAMES, SCHEMA, Trace
@@ -188,13 +190,37 @@ def test_malformed_tick_grid_rejected_naming_tick_and_robot(damage, where):
 _GRID = st.integers(0, 4).map(lambda k: 0.1 * k)  # coincident and overlapping bodies
 
 
+def _clustered(draw, robots, ticks):
+    """(ticks, robots, 2) positions in a few tight or loose clusters, with
+    coincident bodies, and maybe a far robot, or a non-finite cell."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centres = rng.uniform(-10.0, 10.0, (draw(st.integers(1, 4)), 2))
+    spread = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    pos = centres[rng.integers(0, len(centres), robots)]
+    pos = pos + rng.normal(0.0, spread, (ticks, robots, 2))
+    pos[:, 1] = pos[:, 0]  # coincident
+    far = draw(st.sampled_from([None, 50.0, 1e6, 1e12]))
+    if far is not None:
+        pos[:, -1] = far
+    if draw(st.integers(0, 9)) == 0:
+        pos[rng.integers(ticks), rng.integers(robots), rng.integers(2)] = draw(
+            st.sampled_from([math.nan, math.inf, -math.inf])
+        )
+    return pos.tolist()
+
+
 @st.composite
 def _pair_scenes(draw):
-    robots = draw(st.integers(1, 6))
+    """Up to 6 robots on a coarse grid, or on both sides of the cell grid's
+    threshold in clusters (_clustered)."""
+    robots = draw(st.integers(1, 6) | st.integers(GRID_MIN_ROBOTS - 2, 80))
     ticks = draw(st.integers(1, 7))
     cells = st.one_of(_GRID, st.floats(-1.0, 1.0))
-    row = st.lists(st.tuples(cells, cells), min_size=robots, max_size=robots)
-    positions = draw(st.lists(row, min_size=ticks, max_size=ticks))
+    if robots <= 6:
+        row = st.lists(st.tuples(cells, cells), min_size=robots, max_size=robots)
+        positions = draw(st.lists(row, min_size=ticks, max_size=ticks))
+    else:
+        positions = _clustered(draw, robots, ticks)
     radius = st.sampled_from([0.05, 0.1, 0.15, 0.25])
     radii = draw(st.lists(radius, min_size=robots, max_size=robots))
     # interior walls, a zero-length one among them when both ends coincide
@@ -205,32 +231,88 @@ def _pair_scenes(draw):
     return positions, radii, walls, ticks_per_block
 
 
-@given(_pair_scenes())
-def test_pair_terms_match_the_masked_reference(scene):
+# 70 robots in a 0.24 x 0.36 m pile: the spacing is far under a contact
+# distance, and every colliding pair must still be a candidate.
+_PILE = ([[[0.04 * (k % 7), 0.04 * (k // 7)] for k in range(70)]], [0.15] * 70, [], 1)
+# A cell side of 0.5 m, from the largest radius. Robot 1's one candidate
+# is robot 0, 0.46 m away, but the surface of robot 2, two cells off, is
+# nearer; the other 67 robots share a point 1 m up.
+_SURFACE_OUTSIDE_THE_CELLS = (
+    [[[0.0, 0.0], [0.46, 0.0], [1.06, 0.0]] + [[0.5, 1.0]] * 67],
+    [0.05, 0.05, 0.25] + [0.05] * 67,
+    [],
+    1,
+)
+
+# 66 robots 0.35 m apart and 4 stragglers up to 150 m off: the bounding box
+# gives one cell for the pile, which shrinks to the pile's spacing, and the
+# stragglers take their dense rows.
+_PILE_AND_STRAGGLERS = (
+    [
+        [[0.35 * (k % 11), 0.35 * (k // 11)] for k in range(66)]
+        + [[100.0, 0.0], [0.0, 100.0], [100.0, 100.0], [-50.0, 60.0]]
+    ],
+    [0.15] * 70,
+    [],
+    1,
+)
+
+
+def test_pair_terms_match_the_masked_reference(monkeypatch):
     """Blocks of one tick, several ticks with or without a remainder, or the
-    whole trace give the bits of the one-array reference."""
-    positions, radii, walls, ticks_per_block = scene
-    pos = np.asarray(positions, dtype=float)
-    _, robots, _ = pos.shape
-    trace = make_trace(positions, walls=walls)
-    trace.meta["scenario"]["radii"] = radii
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(metrics_module, "BLOCK_CELLS", ticks_per_block * robots * (robots + len(walls)))
-        report = compute_metrics(trace)
-    xs, ys = pos[:, :, 0], pos[:, :, 1]
-    min_pairwise, clearance, collisions = pair_metrics_reference(
-        xs, ys, np.asarray(radii), np.asarray(walls, dtype=float).reshape(-1, 4)
-    )
-    centroid = np.hypot(xs - xs.mean(axis=1, keepdims=True), ys - ys.mean(axis=1, keepdims=True))
-    for got, want in [
-        (report.min_pairwise_distance, min_pairwise),
-        (report.clearance, clearance),
-        (report.mean_distance_to_centroid, centroid.mean(axis=1)),
-    ]:
-        assert list(map(float.hex, got.ravel().tolist())) == list(
-            map(float.hex, want.ravel().tolist())
+    whole trace give the bits of the one-array reference, through the dense
+    pass and through the cell grid: its shrunk cells and dense-row fallback
+    among them."""
+    ran = Counter()
+    near_pairs, dense_rows = metrics_module.near_pairs, metrics_module._dense_rows
+
+    def counted_near_pairs(*args):
+        pairs = near_pairs(*args)
+        ran.update(["shrink" if isinstance(pairs, int) else "grid"])
+        return pairs
+
+    def counted_dense_rows(bx, by, radii, rows):
+        ran.update(["fallback" if rows.size < bx.size else "dense"])
+        return dense_rows(bx, by, radii, rows)
+
+    monkeypatch.setattr(metrics_module, "near_pairs", counted_near_pairs)
+    monkeypatch.setattr(metrics_module, "_dense_rows", counted_dense_rows)
+
+    # the parent's 100 examples for the small scenes, about half of these
+    @settings(max_examples=200)
+    @given(_pair_scenes())
+    @example(_PILE)
+    @example(_SURFACE_OUTSIDE_THE_CELLS)
+    @example(_PILE_AND_STRAGGLERS)
+    def check(scene):
+        positions, radii, walls, ticks_per_block = scene
+        pos = np.asarray(positions, dtype=float)
+        _, robots, _ = pos.shape
+        trace = make_trace(positions, walls=walls)
+        trace.meta["scenario"]["radii"] = radii
+        with pytest.MonkeyPatch.context() as mp:
+            cells = ticks_per_block * robots * (robots + len(walls))
+            mp.setattr(metrics_module, "BLOCK_CELLS", cells)
+            report = compute_metrics(trace)
+        xs, ys = pos[:, :, 0], pos[:, :, 1]
+        min_pairwise, clearance, collisions = pair_metrics_reference(
+            xs, ys, np.asarray(radii), np.asarray(walls, dtype=float).reshape(-1, 4)
         )
-    assert report.collision_count == collisions
+        centroid = np.hypot(
+            xs - xs.mean(axis=1, keepdims=True), ys - ys.mean(axis=1, keepdims=True)
+        )
+        for got, want in [
+            (report.min_pairwise_distance, min_pairwise),
+            (report.clearance, clearance),
+            (report.mean_distance_to_centroid, centroid.mean(axis=1)),
+        ]:
+            assert list(map(float.hex, got.ravel().tolist())) == list(
+                map(float.hex, want.ravel().tolist())
+            )
+        assert report.collision_count == collisions
+
+    check()
+    assert all(ran[way] for way in ("dense", "grid", "shrink", "fallback")), ran
 
 
 # ------------------------------------------------------------------- opinions

@@ -28,7 +28,7 @@ from swarmsim import (
     wrap_angle,
 )
 import swarmsim.sim
-from swarmsim.core import FieldRequest, ScanSnapshot, nearest_obstacle
+from swarmsim.core import GRID_MIN_ROBOTS, FieldRequest, ScanSnapshot, nearest_obstacle
 from swarmsim.patterns.base import Pattern, TickResult
 from swarmsim.scenario import PATTERN_KINDS
 from swarmsim.sim import (
@@ -235,8 +235,9 @@ def test_scan_hit_beyond_max_encodes_as_inf():
     assert not scan.valid_mask()[0]
 
 
-def _crowded_world(rng, range_max):
-    """Random bodies of mixed radii in a walled arena with interior walls.
+def _crowded_world(rng, range_max, count=None):
+    """Random bodies of mixed radii in a walled arena with interior walls,
+    count + 4 of them, or 5 to 17.
 
     The first body sits on a 1/64 m grid, so that one body touches its
     centre exactly and another has its centre exactly range_max + r away;
@@ -249,7 +250,8 @@ def _crowded_world(rng, range_max):
         ang, length = rng.uniform(0.0, math.tau), rng.uniform(0.2, 3.0)
         walls.append([[x0, y0, x0 + length * math.cos(ang), y0 + length * math.sin(ang)]])
     half = width / 2 - 0.5
-    poses = [[float(v) for v in rng.uniform(-half, half, 2)] for _ in range(rng.integers(1, 14))]
+    count = rng.integers(1, 14) if count is None else count
+    poses = [[float(v) for v in rng.uniform(-half, half, 2)] for _ in range(count)]
     radii = [float(rng.choice([0.0625, 0.125, 0.15, 0.25, 0.4])) for _ in poses]
     x0, y0 = poses[0] = [round(v * 64) / 64 for v in poses[0]]
     poses.append([x0 + 0.03, y0 - 0.02])  # overlaps the first body's centre
@@ -280,6 +282,21 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
         expect = reference_scans(world.poses.tolist(), world.radii.tolist(), world.walls, spec)
         for row, expected in zip(sweep, expect):
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize("count", [GRID_MIN_ROBOTS - 5, GRID_MIN_ROBOTS + 10])
+def test_scan_pass_on_both_sides_of_the_cell_grid_matches_per_robot_raycast(count):
+    """Below GRID_MIN_ROBOTS the neighbour cut is the dense (R, R) pass,
+    above it the cell grid's candidates; both give raycast's bits, with a
+    body exactly range_max + r from another."""
+    rng = np.random.default_rng(count)
+    for _ in range(6):
+        range_max = float(rng.choice([1.0, 2.5, 3.5]))
+        spec = dataclasses.replace(WAFFLE, beam_count=90, range_max=range_max)
+        world = _crowded_world(rng, range_max, count)
+        sweep = raycast_scan(world, spec)
+        expect = reference_scans(world.poses.tolist(), world.radii.tolist(), world.walls, spec)
+        assert sweep.view(np.int64).tolist() == np.array(expect).view(np.int64).tolist()
 
 
 @pytest.mark.parametrize("toward", [math.inf, -math.inf], ids=["up", "down"])
@@ -441,6 +458,14 @@ def test_world_rejects_radii_not_matching_poses(radii):
     poses = [Pose2D(0, 0, 0), Pose2D(1, 0, 0)]
     with pytest.raises(ValueError, match="one radius per pose"):
         WorldState(walls=rect_walls(4, 4), poses=poses, radii=radii)
+
+
+@pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
+def test_world_rejects_a_radius_not_finite_and_non_negative(radius):
+    """The sense's cell grid takes its side from the largest radius."""
+    poses = [Pose2D(0, 0, 0), Pose2D(1, 0, 0)]
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        WorldState(walls=rect_walls(4, 4), poses=poses, radii=[0.1, radius])
 
 
 def test_world_rejects_nonpositive_dt():
@@ -1043,6 +1068,29 @@ def _reuse_grid(kind, cells, headings, decision, seed):
     return build_simulation(load_scenario(raw))
 
 
+def _large_grid(kind, spacing, seed):
+    """8 x 9 jittered robots, past GRID_MIN_ROBOTS, so that the sense takes
+    its body candidates from the cell grid; walls 1.5 m from the grid."""
+    rng = np.random.default_rng(seed)
+    cells = [(i, j) for i in range(8) for j in range(9)]
+    poses = [
+        [spacing * (i - 3.5), spacing * (j - 4), float(rng.uniform(-math.pi, math.pi))]
+        for i, j in cells
+    ]
+    for pose in poses:
+        pose[0] += float(rng.uniform(-0.1, 0.1)) * spacing
+    raw = {
+        "name": "large grid",
+        "platform": "turtlebot3_waffle_pi",
+        "arena": {"width": 7 * spacing + 3.0, "height": 8 * spacing + 3.0},
+        "robots": {"poses": poses},
+        "pattern": {"kind": kind},
+        "seed": seed,
+        "duration": 1.0,
+    }
+    return build_simulation(load_scenario(raw))
+
+
 # Robots driving into outer and interior walls, and others far from any.
 _PRESSED_AGAINST_WALLS = (
     np.vstack([rect_walls(4.0, 4.0), [[-0.5, 0.6, 0.8, 0.6]]]),
@@ -1075,6 +1123,12 @@ _SCENES = {
         st.sampled_from([None, 0.05]),
     )),
     "pressed against walls": st.builds(lambda: (150, _driven(*_PRESSED_AGAINST_WALLS))),
+    "grid past the cell threshold": st.tuples(st.integers(1, 3), st.builds(
+        _large_grid,
+        st.sampled_from(["attraction", "dispersion"]),
+        st.sampled_from([0.6, 1.3]),
+        st.integers(0, 1),
+    )),
     "wall-free float edges": st.tuples(st.integers(1, 5), st.builds(
         _driven,
         st.just(NO_WALLS),
