@@ -169,11 +169,17 @@ def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
     return np.hypot(px - (ax + s * ex), py - (ay + s * ey))
 
 
-# Swarms of at least this many robots take their neighbour candidates from
-# near_pairs' cell grid; smaller ones keep the dense (R, R) pass. Measured on
-# 2 vCPUs, with the grid at every R the sense cost the aggregation benchmark
-# (R = 7) 29% and crowd (R = 49) 8% more run time; on scaling_sweep's grids
-# a step cost the same or less with it at R = 100 and 196.
+# Swarms of at least this many robots take the sense's body cut from
+# near_pairs' cell grid; smaller ones keep the dense (R, R) pass. (Metrics
+# take their pairs from the grid at every R.) Measured on 2 vCPUs, with the
+# grid at every R the sense cost the aggregation benchmark (R = 7) 29% and
+# crowd (R = 49) 8% more run time; on scaling_sweep's grids a step cost the
+# same or less with it at R = 100 and 196. At R = 64 and 81 (scaling_sweep
+# --measure 8 and 9, 21 alternating rounds) a step cost, grid on against
+# off, median µs per robot-tick: attraction 20.0 against 17.1 at 64 and 21.3
+# against 20.4 at 81, dispersion 6.0 against 5.4 and 5.7 against 5.6; the
+# paired ratios' medians were 1.12, 1.05, 1.05 and 1.03. So the crossover
+# lies between 81 and 100, and 64 costs those sizes 3-12% of a step.
 GRID_MIN_ROBOTS = 64
 # Cell indices along an axis that _axis_cells counts from the lowest value;
 # past them it splits the values into runs.

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GRID_MIN_ROBOTS, near_pairs, segment_distances
+from .core import near_pairs, segment_distances
 from .trace import Trace, block_rows, float_texts, text_cells, write_rows
 from .typed import POSITIVE, load_typed
 
@@ -98,24 +98,26 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     clock = trace.clock.reshape(T, R)[:, :1].reshape(T)
     opinions = trace.opinion.reshape(T, R)
 
-    mean_dist = _mean_distance_to_centroid(xs, ys)
-
     min_pairwise = np.empty(T)
     clearance = np.empty((T, R))
     collisions = 0
     step = max(1, BLOCK_CELLS // (R * (R + len(walls)) or 1))
-    for start in range(0, T, step):
-        ticks = slice(start, start + step)
-        bx, by = xs[ticks], ys[ticks]
-        # A large swarm takes its pairs from the cell grid where it can, and
-        # any swarm its (b, R, R) pairs where not.
-        terms = _near_pair_terms(bx, by, radii) if R >= GRID_MIN_ROBOTS else None
-        near, surface, hits = terms or _dense_rows(bx, by, radii, np.arange(bx.size))
-        min_pairwise[ticks] = near.reshape(-1, R).min(axis=1)
-        surface = surface.reshape(-1, R)
-        collisions += hits
-        wall_clear = segment_distances(bx[..., None], by[..., None], walls)
-        np.minimum(wall_clear.min(axis=2, initial=np.inf), surface, out=clearance[ticks])
+    # A non-finite position gives NaN terms (inf - inf, inf * 0), as the
+    # one-array reference does; numpy's warning on each says nothing more.
+    with np.errstate(invalid="ignore"):
+        mean_dist = _mean_distance_to_centroid(xs, ys)
+        for start in range(0, T, step):
+            ticks = slice(start, start + step)
+            bx, by = xs[ticks], ys[ticks]
+            # pairs from the cell grid where it can, the (b, R, R) pass where not
+            near, surface, hits = _near_pair_terms(bx, by, radii) or _dense_rows(
+                bx, by, radii, np.arange(bx.size)
+            )
+            min_pairwise[ticks] = near.reshape(-1, R).min(axis=1)
+            surface = surface.reshape(-1, R)
+            collisions += hits
+            wall_clear = segment_distances(bx[..., None], by[..., None], walls)
+            np.minimum(wall_clear.min(axis=2, initial=np.inf), surface, out=clearance[ticks])
     collision_count = collisions // 2
 
     movement_only = opinions.size and np.isnan(opinions).all()  # rows, but no opinion cell

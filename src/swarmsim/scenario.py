@@ -318,6 +318,13 @@ def _parse(source: str | Path, text: str):
 
 
 def validate_scenario(config: ScenarioConfig) -> None:
+    # tick_count rounds duration / dt; a duration between two ticks would
+    # lose or gain part of a step with no word.
+    steps = config.duration / config.dt
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        raise ScenarioError(
+            f"duration: {config.duration!r} is not a whole number of steps of dt: {config.dt!r}"
+        )
     spec = config.spec
     radius = spec.body_radius
     x, y = np.array([(p.x, p.y) for p in config.poses]).T

@@ -196,6 +196,14 @@ def test_run_on_malformed_yaml_prints_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_with_a_duration_between_two_ticks_prints_one_error_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "experiment2", "--duration", "0.15", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: duration: 0.15 is not a whole number of steps of dt: 0.1\n"
+    assert not out.exists()
+
+
 def test_replay_of_a_truncated_trace_prints_one_error_line(tmp_path, capsys):
     out = tmp_path / "out"
     main(["run", "experiment1-waffle", "--seed", "1", "--duration", "0.5", "--out", str(out)])
@@ -221,6 +229,7 @@ def waffle_trace(tmp_path_factory):
     return out / "trace.csv"
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize("key", HEADER_KEYS)
 def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_trace, key):
     header, rows = waffle_trace.read_text().split("\n", 1)
@@ -245,6 +254,7 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
         assert (code, err) == (2, error)
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -327,6 +337,7 @@ def test_run_prints_the_agreed_opinion_and_its_range(tmp_path, capsys):
     ) in text.splitlines()
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize("kind, params, written", INT_PARAMETERS)
 def test_int_parameters_keep_their_header_bytes_and_replay(tmp_path, capsys, kind, params, written):
     # Headers record a parameter as written; an int read back as a float

@@ -13,11 +13,11 @@ peak. The writer's formatting tables of distinct values are held one block
 at a time too: its ceiling, and the reader's, are the peaks of the per-row
 writer and reader they replaced (3.34 MB and 5.05 MB).
 
-From 64 robots on (core.GRID_MIN_ROBOTS), metrics and the sense take their
-neighbour pairs from a cell grid, not from (R, R) arrays, so their memory
-grows with the robots, not with their square. With the dense pairs, a block
-of one tick of 2,500 robots peaked at 150 MB in metrics, and one step of a
-2,500-robot grid at 208 MB; with the grid they peak at 3.1 MB and 34 MB.
+Metrics at every R, and the sense from 64 robots on (core.GRID_MIN_ROBOTS),
+take their neighbour pairs from a cell grid, not from (R, R) arrays, so
+their memory grows with the robots, not with their square. With the dense
+pairs, a block of one tick of 2,500 robots peaked at 150 MB in metrics, and
+one step of a 2,500-robot grid at 208 MB; with the grid they peak at 3.1 MB and 34 MB.
 Where the 2,500 robots bunch (a pile and a few stragglers, or one robot
 1,000 km off) the metrics' cells shrink to what the pile needs, and the
 metrics peak at 4.3 MB, against the dense pass's 150 MB.

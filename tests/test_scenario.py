@@ -542,6 +542,10 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         ({"duration": math.nan}, "duration"),
         ({"duration": math.inf}, "duration"),
         ({"duration": -1}, "duration"),
+        ({"duration": 0.05}, "duration: 0.05 is not a whole number of steps of dt: 0.1"),
+        ({"duration": 0.15}, "duration: 0.15 is not a whole number of steps of dt: 0.1"),
+        ({"duration": 0.25}, "duration: 0.25 is not a whole number of steps of dt: 0.1"),
+        ({"duration": 1e300, "dt": 1e-10}, "duration: 1e+300 is not a whole number"),
         ({"arena": {"width": "big", "height": 10.0}}, "arena.width"),
         ({"arena": {"width": 10.0, "height": 0}}, "arena.height"),
         ({"arena": {"width": math.inf, "height": 10.0}}, "arena.width"),
@@ -577,6 +581,10 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         "nan-duration",
         "infinite-duration",
         "negative-duration",
+        "half-step-duration",
+        "step-and-a-half-duration",
+        "two-and-a-half-step-duration",
+        "duration-of-more-steps-than-a-float-holds",
         "width-not-a-number",
         "zero-height",
         "infinite-width",
@@ -639,6 +647,7 @@ def _curved_turns_yaml(text):
     )
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "text, key",
     _WRONGLY_TYPED,
@@ -796,6 +805,7 @@ INT_PARAMS = [
 ]
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "source",
     PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS] + INT_PARAMS,
@@ -883,6 +893,7 @@ def of_type(key_type, value):
     return False
 
 
+@pytest.mark.scenario_keys
 def test_key_types_cover_every_key():
     paths = {path for path, *_ in _KEYS}
     assert set(KEY_TYPES) == paths | {path.split(".")[0] for path in paths}
@@ -906,6 +917,7 @@ def _raises_naming(raw, path):
     assert f"{path}: " in str(info.value)
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", sorted(KEY_TYPES))
 @settings(max_examples=40)
 @given(value=WRONG_VALUES)
@@ -914,6 +926,7 @@ def test_wrongly_typed_key_raises_naming_its_path(path, value):
     _raises_naming(_with_value(path, value), path)
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "kind, key",
     [
@@ -940,6 +953,7 @@ TOO_LARGE_AT = {
 }
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", TOO_LARGE_AT)
 def test_wrongly_typed_number_too_large_for_a_float_names_its_key(path):
     value = TOO_LARGE_AT[path]
@@ -951,6 +965,7 @@ def test_wrongly_typed_number_too_large_for_a_float_names_its_key(path):
     _raises_naming(raw, path)
 
 
+@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", ["arena", "robots", "pattern", "pattern.params"])
 def test_null_mapping_loads_as_an_empty_one(path):
     def load(value):
