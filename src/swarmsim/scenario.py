@@ -317,14 +317,25 @@ def _parse(source: str | Path, text: str):
     raise ScenarioError(f"{source}{where}: {problem}") from error
 
 
+def _whole_steps(key: str, value: float, dt: float, least: int) -> None:
+    """Reject a time that is not a whole number of steps of dt, or is fewer
+    than least steps; the tolerance takes 6.0 / 0.1 = 59.99999999999999 as 60."""
+    steps = value / dt
+    if (
+        not math.isfinite(steps)
+        or abs(steps - round(steps)) > 1e-9 * max(1.0, steps)
+        or round(steps) < least
+    ):
+        at_least = f", at least {least}," if least else ""
+        raise ScenarioError(
+            f"{key}: {value!r} is not a whole number{at_least} of steps of dt: {dt!r}"
+        )
+
+
 def validate_scenario(config: ScenarioConfig) -> None:
     # tick_count rounds duration / dt; a duration between two ticks would
     # lose or gain part of a step with no word.
-    steps = config.duration / config.dt
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
-        raise ScenarioError(
-            f"duration: {config.duration!r} is not a whole number of steps of dt: {config.dt!r}"
-        )
+    _whole_steps("duration", config.duration, config.dt, 0)
     spec = config.spec
     radius = spec.body_radius
     x, y = np.array([(p.x, p.y) for p in config.poses]).T
@@ -360,6 +371,11 @@ def validate_scenario(config: ScenarioConfig) -> None:
         _build_behavior(config, 0)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"bad {kind} parameters: {exc}") from exc
+    # A voting window and the decision time end on a tick: a window shorter
+    # than a step would close many windows per tick, one at a time.
+    for key in ("window_length", "decision_duration"):
+        if key in params:
+            _whole_steps(f"pattern.params.{key}", params[key], config.dt, 1)
     for key in ("attraction_range", "dispersion_range"):
         if params.get(key, math.inf) <= spec.range_min:
             raise ScenarioError(f"{key} must exceed the sensor floor")

@@ -106,7 +106,8 @@ def pair_metrics_reference(xs, ys, radii, walls=np.empty((0, 4))):
     apart; the clearance is the nearer of the robot-surface term and the
     (T, R, S) wall term."""
     T, R = xs.shape
-    pair = np.hypot(xs[:, :, None] - xs[:, None, :], ys[:, :, None] - ys[:, None, :])
+    with np.errstate(invalid="ignore"):  # inf - inf where a position is inf
+        pair = np.hypot(xs[:, :, None] - xs[:, None, :], ys[:, :, None] - ys[:, None, :])
     eye = np.eye(R, dtype=bool)
     pair_masked = np.where(eye[None, :, :], np.inf, pair)
     if R > 1:

@@ -229,7 +229,6 @@ def waffle_trace(tmp_path_factory):
     return out / "trace.csv"
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize("key", HEADER_KEYS)
 def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_trace, key):
     header, rows = waffle_trace.read_text().split("\n", 1)
@@ -254,7 +253,6 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
         assert (code, err) == (2, error)
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -337,7 +335,6 @@ def test_run_prints_the_agreed_opinion_and_its_range(tmp_path, capsys):
     ) in text.splitlines()
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize("kind, params, written", INT_PARAMETERS)
 def test_int_parameters_keep_their_header_bytes_and_replay(tmp_path, capsys, kind, params, written):
     # Headers record a parameter as written; an int read back as a float

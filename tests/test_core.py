@@ -417,7 +417,6 @@ def _point_sets(draw):
     return x, y, side, (None if groups == 1 else group), radii
 
 
-@pytest.mark.near_pairs
 @settings(max_examples=150)
 @given(_point_sets())
 def test_near_pairs_hold_every_pair_within_the_side_and_the_dense_keep_set(points):

@@ -546,6 +546,36 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         ({"duration": 0.15}, "duration: 0.15 is not a whole number of steps of dt: 0.1"),
         ({"duration": 0.25}, "duration: 0.25 is not a whole number of steps of dt: 0.1"),
         ({"duration": 1e300, "dt": 1e-10}, "duration: 1e+300 is not a whole number"),
+        (
+            {"pattern": {"kind": "majority", "params": {"window_length": 0.05}}},
+            "pattern.params.window_length: 0.05 is not a whole number, at least 1, of steps of dt: 0.1",
+        ),
+        (
+            {"pattern": {"kind": "voter", "params": {"window_length": 1.05}}},
+            "pattern.params.window_length: 1.05 is not a whole number, at least 1, of steps",
+        ),
+        (
+            {"pattern": {"kind": "majority", "params": {"window_length": 1e-12}}},
+            "pattern.params.window_length: 1e-12 is not a whole number, at least 1, of steps",
+        ),
+        (
+            {
+                "pattern": {
+                    "kind": "discussed_dispersion",
+                    "params": {"mapping": {0: 1.0}, "window_length": 0.25},
+                }
+            },
+            "pattern.params.window_length: 0.25 is not a whole number, at least 1, of steps",
+        ),
+        (
+            {
+                "pattern": {
+                    "kind": "discussed_dispersion",
+                    "params": {"mapping": {0: 1.0}, "decision_duration": 20.05},
+                }
+            },
+            "pattern.params.decision_duration: 20.05 is not a whole number, at least 1, of steps",
+        ),
         ({"arena": {"width": "big", "height": 10.0}}, "arena.width"),
         ({"arena": {"width": 10.0, "height": 0}}, "arena.height"),
         ({"arena": {"width": math.inf, "height": 10.0}}, "arena.width"),
@@ -585,6 +615,11 @@ def test_bad_count_or_opinion_value_names_the_key(robots, pattern, key):
         "step-and-a-half-duration",
         "two-and-a-half-step-duration",
         "duration-of-more-steps-than-a-float-holds",
+        "half-step-window",
+        "voter-window-between-two-ticks",
+        "window-of-no-whole-step",
+        "mapped-window-between-two-ticks",
+        "decision-between-two-ticks",
         "width-not-a-number",
         "zero-height",
         "infinite-width",
@@ -647,7 +682,6 @@ def _curved_turns_yaml(text):
     )
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "text, key",
     _WRONGLY_TYPED,
@@ -805,7 +839,6 @@ INT_PARAMS = [
 ]
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "source",
     PRESETS + [kind_scenario(kind) for kind in PATTERN_KINDS] + INT_PARAMS,
@@ -893,7 +926,6 @@ def of_type(key_type, value):
     return False
 
 
-@pytest.mark.scenario_keys
 def test_key_types_cover_every_key():
     paths = {path for path, *_ in _KEYS}
     assert set(KEY_TYPES) == paths | {path.split(".")[0] for path in paths}
@@ -917,7 +949,6 @@ def _raises_naming(raw, path):
     assert f"{path}: " in str(info.value)
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", sorted(KEY_TYPES))
 @settings(max_examples=40)
 @given(value=WRONG_VALUES)
@@ -926,7 +957,6 @@ def test_wrongly_typed_key_raises_naming_its_path(path, value):
     _raises_naming(_with_value(path, value), path)
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize(
     "kind, key",
     [
@@ -953,7 +983,6 @@ TOO_LARGE_AT = {
 }
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", TOO_LARGE_AT)
 def test_wrongly_typed_number_too_large_for_a_float_names_its_key(path):
     value = TOO_LARGE_AT[path]
@@ -965,7 +994,6 @@ def test_wrongly_typed_number_too_large_for_a_float_names_its_key(path):
     _raises_naming(raw, path)
 
 
-@pytest.mark.scenario_keys
 @pytest.mark.parametrize("path", ["arena", "robots", "pattern", "pattern.params"])
 def test_null_mapping_loads_as_an_empty_one(path):
     def load(value):

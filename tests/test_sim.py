@@ -61,7 +61,6 @@ class ConstantDrive(Pattern):
 # ---------------------------------------------------------------- kinematics
 
 
-@pytest.mark.move_phase
 def test_integrate_straight_line():
     p = integrate_pose(Pose2D(1.0, 2.0, math.pi / 2), DriveCommand(0.5, 0.0), 2.0)
     assert p.x == pytest.approx(1.0, abs=1e-12)
@@ -69,7 +68,6 @@ def test_integrate_straight_line():
     assert p.theta == pytest.approx(math.pi / 2)
 
 
-@pytest.mark.move_phase
 def test_integrate_quarter_arc():
     # Unit speed and unit turn rate for a quarter period traces a quarter
     # of the unit circle: the robot ends at (1, 1) facing +y.
@@ -79,7 +77,6 @@ def test_integrate_quarter_arc():
     assert p.theta == pytest.approx(math.pi / 2, abs=1e-12)
 
 
-@pytest.mark.move_phase
 def test_integrate_rest_and_spin():
     rest = integrate_pose(Pose2D(0.3, -0.7, 1.0), DriveCommand(0.0, 0.0), 0.1)
     assert (rest.x, rest.y, rest.theta) == (0.3, -0.7, 1.0)
@@ -88,7 +85,6 @@ def test_integrate_rest_and_spin():
     assert spin.theta == pytest.approx(2.0)
 
 
-@pytest.mark.move_phase
 def test_integrate_continuous_across_turn_rate_branch():
     # The straight-line shortcut for tiny turn rates must agree with the
     # arc formula in the limit.
@@ -101,7 +97,6 @@ def test_integrate_continuous_across_turn_rate_branch():
     assert a.y == pytest.approx(b.y, abs=1e-9)
 
 
-@pytest.mark.move_phase
 @given(
     x=st.floats(-10, 10),
     y=st.floats(-10, 10),
@@ -119,7 +114,6 @@ def test_integrate_matches_rk4_oracle(x, y, theta, v, w, dt):
     assert abs(wrap_angle(p.theta - float(ot))) < 1e-6
 
 
-@pytest.mark.move_phase
 @pytest.mark.parametrize(
     "theta",
     [
@@ -290,7 +284,6 @@ def test_scan_pass_matches_per_robot_raycast_bit_for_bit(beams):
             assert np.array_equal(row.view(np.int64), expected.view(np.int64))
 
 
-@pytest.mark.near_pairs
 @pytest.mark.parametrize("count", [GRID_MIN_ROBOTS - 5, GRID_MIN_ROBOTS + 10])
 def test_scan_pass_on_both_sides_of_the_cell_grid_matches_per_robot_raycast(count):
     """Below GRID_MIN_ROBOTS the neighbour cut is the dense (R, R) pass,
@@ -521,7 +514,6 @@ def test_drive_into_wall_suppression_prevents_contact():
     assert max(cols.x) < 2.0 - WAFFLE.body_radius
 
 
-@pytest.mark.move_phase
 @pytest.mark.parametrize("v, w", [(1e308, 0.0), (1e308, 1e-8), (0.0, 1e308), (0.0, -1e308)])
 def test_non_finite_step_raises_as_integrate_pose_does(v, w):
     """A position that overflows fails the finite check; a heading that
@@ -686,7 +678,6 @@ def test_standing_swarm_senses_once(raycast_calls):
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.move_phase
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
 def test_pose_edit_between_steps_is_sensed(k):
     sim = _standing_sim([Pose2D(-1.0, 0.0, 0.3), Pose2D(1.0, 0.5, 2.0)])
@@ -698,7 +689,6 @@ def test_pose_edit_between_steps_is_sensed(k):
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.move_phase
 @pytest.mark.parametrize(
     "k, value, message",
     [
@@ -726,7 +716,6 @@ def test_pose_edit_to_a_pose_no_tick_stores_raises(k, value, message):
     assert sim.world.tick == 1 and len(sim.columns.tick) == 2
 
 
-@pytest.mark.move_phase
 @pytest.mark.parametrize("k", [0, 1, 2], ids=["x", "y", "theta"])
 def test_sign_of_zero_flip_is_sensed(raycast_calls, k):
     sim = _standing_sim([Pose2D(0.0, 0.0, 0.0), Pose2D(1.0, 0.5, 2.0)])
@@ -739,7 +728,6 @@ def test_sign_of_zero_flip_is_sensed(raycast_calls, k):
     assert _last_scans(sim).tobytes() == expected.tobytes()
 
 
-@pytest.mark.move_phase
 def test_pose_edit_next_to_a_wall_is_bounded_afresh():
     """An in-place edit between steps puts a robot next to a wall. The wall
     bound measures the move from the poses wall distances were taken at, so
@@ -791,7 +779,6 @@ def test_walls_are_read_only_as_the_reach_assumes():
 # ------------------------------------------------- sense cut at the reach
 
 
-@pytest.mark.reference_tick
 @given(
     seed=st.integers(0, 2**32 - 1),
     beams=st.sampled_from([1, 3, 7, 90, 360, 361]),
@@ -887,7 +874,6 @@ def _reach_sim(kind):
     return sim
 
 
-@pytest.mark.reference_tick
 @pytest.mark.parametrize(
     "kind, owner, name",
     [
@@ -1042,7 +1028,6 @@ def _wall_run(platform, seed, read_range, threshold):
     return Simulation(world, nodes, spec, meta={})
 
 
-@pytest.mark.reference_tick
 def test_wall_bound_takes_wall_distances_once_far_from_the_walls(monkeypatch):
     # experiment1-waffle: no robot comes within 3 m of a wall, against a 2 m
     # reach and a few centimetres of travel per tick.
@@ -1154,7 +1139,6 @@ _SCENES = {
 }
 
 
-@pytest.mark.reference_tick
 @pytest.mark.parametrize("family", list(_SCENES))
 @settings(max_examples=40)
 @given(data=st.data())
@@ -1168,7 +1152,6 @@ def test_whole_runs_match_the_reference_tick_bit_for_bit(family, data):
     assert _hex_columns(sim.columns) == reference_run(world, nodes, sim.spec, ticks)
 
 
-@pytest.mark.reference_tick
 def test_wall_bound_takes_wall_distances_at_most_once_a_tick_near_the_walls(monkeypatch):
     """A reach of 0.05 m, short of a step plus a radius: the sense takes no
     wall distance once the robots are clear of the cut, and the move phase
@@ -1193,7 +1176,6 @@ def test_wall_bound_takes_wall_distances_at_most_once_a_tick_near_the_walls(monk
     assert _hex_columns(sim.columns) == reference_run(*start, sim.spec, 150)
 
 
-@pytest.mark.reference_tick
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
 def test_every_kind_senses_to_its_reach_with_the_bits_of_a_full_sense(kind, seed):
