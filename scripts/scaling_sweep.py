@@ -4,8 +4,9 @@
 Runs attraction (or dispersion, with --kind) on a square grid of robots
 1.3 m apart, for R = 9, 25, 49, 100, 196, 900 and 2,500, in a 40 m arena or
 one 6 m wider than the grid where that is larger. A measurement is the
-best of three timings of Simulation.step in µs per robot-tick, in its own
-process with one checkout's src/ on the path. In each of ROUNDS rounds the
+best of three timings of Simulation.step in µs per robot-tick, and of
+compute_metrics on each of those runs' traces, in its own process with one
+checkout's src/ on the path. In each of ROUNDS rounds the
 checkouts take turns at every R, in an order that flips each round, so a
 drift in host speed falls on all of them alike; each R gets the median and
 quartiles.
@@ -63,21 +64,27 @@ def scenario(side: int, kind: str = "attraction") -> dict:
     }
 
 
-def measure(side: int, kind: str) -> float:
-    """Best of REPEATS fresh runs, in µs of Simulation.step per robot-tick."""
-    from swarmsim import build_simulation, load_scenario
+def measure(side: int, kind: str) -> tuple[float, float]:
+    """Best of REPEATS fresh runs, in µs per robot-tick of Simulation.step
+    and of compute_metrics on the run's trace."""
+    from swarmsim import build_simulation, compute_metrics, load_scenario
+    from swarmsim.trace import trace_from_columns
 
     config = load_scenario(scenario(side, kind))
-    best = math.inf
+    step = metrics = math.inf
     for _ in range(REPEATS):
         sim = build_simulation(config)
         start = time.perf_counter()
         sim.run(TICKS)
-        best = min(best, time.perf_counter() - start)
-    return best / (TICKS * side * side) * 1e6
+        step = min(step, time.perf_counter() - start)
+        trace = trace_from_columns(sim.meta, sim.columns)
+        start = time.perf_counter()
+        compute_metrics(trace)
+        metrics = min(metrics, time.perf_counter() - start)
+    return step / (TICKS * side * side) * 1e6, metrics / (TICKS * side * side) * 1e6
 
 
-def run_tree(root: Path, side: int, kind: str) -> float:
+def run_tree(root: Path, side: int, kind: str) -> tuple[float, float]:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     env.update({v: "1" for v in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     out = subprocess.run(
@@ -87,12 +94,12 @@ def run_tree(root: Path, side: int, kind: str) -> float:
         capture_output=True,
         text=True,
     )
-    return float(out.stdout.split()[-1])
+    return float(out.stdout.split()[-1]), float(out.stderr.split()[-1])
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"q1": round(q1, 1), "median": round(median, 1), "q3": round(q3, 1)}
+    return {"q1": round(q1, 2), "median": round(median, 2), "q3": round(q3, 2)}
 
 
 def commit(root: Path) -> str:
@@ -121,29 +128,40 @@ def main() -> None:
     args = ap.parse_args()
     kinds = args.kind or ["attraction"]
     if args.measure:
-        print(measure(args.measure, kinds[0]))
+        # the step cost alone on stdout, as a one-number check reads it
+        step, metrics = measure(args.measure, kinds[0])
+        print(step)
+        print(metrics, file=sys.stderr)
         return
 
     default = f"change={Path(__file__).resolve().parents[1]}"
     trees = dict(t.split("=", 1) for t in args.tree or [default])
     roots = {label: Path(d).resolve() for label, d in trees.items()}
     samples = {
-        label: {kind: {str(side * side): [] for side in SIDES} for kind in kinds} for label in roots
+        label: {
+            layer: {kind: {str(side * side): [] for side in SIDES} for kind in kinds}
+            for layer in ("step", "metrics")
+        }
+        for label in roots
     }
     for round_ in range(ROUNDS):
         order = list(roots) if round_ % 2 == 0 else list(roots)[::-1]
         for kind in kinds:
             for side in SIDES:
                 for label in order:
-                    us = run_tree(roots[label], side, kind)
-                    samples[label][kind][str(side * side)].append(us)
+                    step, metrics = run_tree(roots[label], side, kind)
+                    samples[label]["step"][kind][str(side * side)].append(step)
+                    samples[label]["metrics"][kind][str(side * side)].append(metrics)
                     print(
-                        f"round {round_} {kind} R={side * side:4d} {label:>10s} {us:9.1f}",
+                        f"round {round_} {kind} R={side * side:4d} {label:>10s}"
+                        f" step {step:9.1f} metrics {metrics:7.2f}",
                         flush=True,
                     )
 
     doc = {
-        "what": f"Simulation.step time per robot-tick, by pattern kind, on a 1.3 m grid "
+        "what": f"Simulation.step time per robot-tick (us_per_robot_tick), and "
+        f"compute_metrics time per robot-tick on the run's trace "
+        f"(metrics_us_per_robot_tick), by pattern kind, on a 1.3 m grid "
         f"in a {ARENA:g} m arena or one 6 m wider than the grid, {TICKS} ticks, "
         f"best of {REPEATS} runs per process; "
         f"median and quartiles over {ROUNDS} alternating rounds",
@@ -159,7 +177,11 @@ def main() -> None:
                 "commit": commit(root),
                 "us_per_robot_tick": {
                     kind: {r: quartiles(us) for r, us in by_r.items()}
-                    for kind, by_r in samples[label].items()
+                    for kind, by_r in samples[label]["step"].items()
+                },
+                "metrics_us_per_robot_tick": {
+                    kind: {r: quartiles(us) for r, us in by_r.items()}
+                    for kind, by_r in samples[label]["metrics"].items()
                 },
             }
             for label, root in roots.items()

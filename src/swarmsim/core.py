@@ -179,7 +179,9 @@ def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
 # off, median µs per robot-tick: attraction 20.0 against 17.1 at 64 and 21.3
 # against 20.4 at 81, dispersion 6.0 against 5.4 and 5.7 against 5.6; the
 # paired ratios' medians were 1.12, 1.05, 1.05 and 1.03. So the crossover
-# lies between 81 and 100, and 64 costs those sizes 3-12% of a step.
+# lies between 81 and 100, and 64 costs those sizes 3-12% of a step. These
+# figures were taken while near_pairs gave each pair from both ends, 9 cells
+# a point, not from a half shell, which the sense now mirrors.
 GRID_MIN_ROBOTS = 64
 # Cell indices along an axis that _axis_cells counts from the lowest value;
 # past them it splits the values into runs.
@@ -193,12 +195,12 @@ def near_pairs(
     limit: int | None = None,
 ):
     """Candidate neighbour pairs of the finite points (x[k], y[k]): index
-    arrays (a, b), a != b, of the points of one group (group[k], small
-    non-negative ints; one group when None) in the same or adjacent square
-    cells of the given positive, finite side, grouped by a in ascending
-    order. Where the candidates, each point's pair with itself among them,
-    would number more than limit, their number instead, found before any
-    pair array is built.
+    arrays (a, b) holding each unordered pair of distinct points of one
+    group (group[k], small non-negative ints; one group when None) in the
+    same or adjacent square cells of the given positive, finite side once,
+    as (a, b) or (b, a), in no set order. Where the candidates would number
+    more than limit, their number instead, found before any pair array is
+    built.
 
     Every pair of a group whose |x_a - x_b| and |y_a - y_b| are both at most
     side * (1 - 1e-10) is a candidate, so every pair closer than that is.
@@ -213,32 +215,35 @@ def near_pairs(
     key = ((0 if group is None else group) * nx + cx + 1) * ny + cy + 1
     order = np.argsort(key, kind="stable")
     ranked = key[order]
-    # Occupied cell k holds the points order[first[k]:first[k] + size[k]],
-    # and point p lies in cell of[p].
+    # Occupied cell k holds the sorted points first[k]:first[k] + size[k],
+    # and sorted point p lies in cell of[p].
     starts = np.diff(ranked, prepend=-1) != 0
     (first,) = np.nonzero(starts)
     size = np.diff(first, append=ranked.size)
-    of = np.empty_like(order)
-    of[order] = np.cumsum(starts) - 1
-    # Each occupied cell's 9 neighbours, as (neighbour, cell) arrays whose
-    # rows are sorted queries: their first point and size, 0 where empty.
+    of = np.cumsum(starts) - 1
+    # A half shell: each occupied cell's 4 forward neighbours, (cx, cy + 1)
+    # and (cx + 1, cy - 1..cy + 1), whose mirrors are the other 4, as
+    # (neighbour, cell) arrays of sorted queries: their first sorted point
+    # and size, 0 where empty.
     cells = ranked[first]
-    wanted = (np.arange(-1, 2)[:, None] * ny + np.arange(-1, 2)).reshape(9, 1) + cells
+    wanted = np.array([1, ny - 1, ny, ny + 1])[:, None] + cells
     at = np.minimum(np.searchsorted(cells, wanted), cells.size - 1)
     found = cells[at] == wanted
-    lo = np.where(found, first[at], 0).T
-    count = np.where(found, size[at], 0).T
-    # Point a's 9 neighbours in row-major (a, neighbour) order; pair p is
-    # the (p - start[c])-th point of its neighbour c.
-    lo, count = lo[of].ravel(), count[of].ravel()
-    if limit is not None and count.sum() > limit:
-        return int(count.sum())
-    cell = np.repeat(np.arange(count.size), count)
+    lo = np.where(found, first[at], 0)[:, of]
+    count = np.where(found, size[at], 0)[:, of]
+    # Sorted point p's 5 slots, slot-major: the points after it in its own
+    # cell, then its cell's 4 forward neighbours; pair q of slot s is the
+    # (q - start[s])-th point from lo[s].
+    p = np.arange(ranked.size)
+    lo = np.concatenate((p + 1, lo.ravel()))
+    count = np.concatenate(((first + size)[of] - p - 1, count.ravel()))
+    total = int(count.sum())
+    if limit is not None and total > limit:
+        return total
     start = np.cumsum(count) - count
-    b = order[lo[cell] + np.arange(cell.size) - start[cell]]
-    a = cell // 9
-    other = a != b
-    return a[other], b[other]
+    a = np.repeat(np.tile(order, 5), count)
+    b = order[np.repeat(lo - start, count) + np.arange(total)]
+    return a, b
 
 
 def _axis_cells(v: np.ndarray, side: float) -> np.ndarray:

@@ -22,15 +22,17 @@ import numpy as np
 
 from .core import near_pairs, segment_distances
 from .trace import Trace, block_rows, float_texts, text_cells, write_rows
-from .typed import POSITIVE, load_typed
+from .typed import POSITIVE, load_typed, whole_steps
 
 # Pair and wall distance cells held at a time: a block of b ticks holds the
 # (b, R, R) robot distances and the (b, R, S) wall distances.
 BLOCK_CELLS = 1 << 18
-# The cell grid's candidate pairs a (tick, robot) row may take on average,
-# and how many times a block's cell side may shrink to stay under it (each
-# time by 0.9 or more; by about 7 where 2,500 robots share a cell).
-_PAIR_BUDGET = 32
+# The cell grid's candidate pairs, each counted once for its two rows, that
+# a block may take per (tick, robot) row on average (about half the 32 a row
+# took when each pair came from both ends, its pair with itself among
+# them), and how many times a block's cell side may shrink to stay under it
+# (each time by 0.9 or more; by about 7 where 2,500 robots share a cell).
+_PAIR_BUDGET = 16
 _SHRINKS = 16
 
 
@@ -77,11 +79,11 @@ def compute_metrics(trace: Trace) -> MetricsReport:
     params = load_typed(
         "trace header scenario.pattern_params", dict, scenario.get("pattern_params")
     )
-    window_length = load_typed(
-        "trace header scenario.pattern_params.window_length",
-        float,
-        params.get("window_length") or 0,
-    )
+    window_path = "trace header scenario.pattern_params.window_length"
+    window_length = load_typed(window_path, float, params.get("window_length") or 0)
+    if window_length:
+        # as at load: a window shorter than a step would close many a tick
+        whole_steps(window_path, window_length, dt, 1)
     R = len(robot_ids)
     if len(radii) != R:
         raise ValueError(f"trace header scenario.radii has {len(radii)} radii for {R} robot_ids")
@@ -195,16 +197,18 @@ def _near_pair_terms(bx: np.ndarray, by: np.ndarray, radii: np.ndarray):
         side = max(side * 0.9 * math.sqrt(limit / pairs), least)
     if isinstance(pairs, int):
         return None
+    # Each pair once, its terms to both ends: hypot and + take no sign or
+    # order, so d and the contact distance are the dense pass's both ways.
     a, o = pairs
     d = np.hypot(x[a] - x[o], y[a] - y[o])
     r = np.tile(radii, b)
-    hits = int(np.count_nonzero(d < r[a] + r[o]))
+    ra, ro = r[a], r[o]
+    hits = 2 * int(np.count_nonzero(d < ra + ro))
+    ends = np.concatenate((a, o))
     near = np.full(b * R, np.inf)
+    np.minimum.at(near, ends, np.concatenate((d, d)))
     surface = np.full(b * R, np.inf)
-    if a.size:
-        first = np.flatnonzero(np.diff(a, prepend=-1))
-        near[a[first]] = np.minimum.reduceat(d, first)
-        surface[a[first]] = np.minimum.reduceat(d - r[o], first)
+    np.minimum.at(surface, ends, np.concatenate((d - ro, d - ra)))
     cut = side * (1 - 1e-9)
     (far,) = np.nonzero((near > cut) | (surface > cut - radii.max()))
     if far.size:

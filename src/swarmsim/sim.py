@@ -263,10 +263,12 @@ def raycast_scan(
     # Neighbour cut, by the same argument: the nearest point of a body lies
     # its radius short of its centre. A large swarm tests only the pairs of
     # near_pairs' cells, whose side is the cut's reach with room for
-    # rounding; the pairs it leaves out all fail the test.
+    # rounding, each pair both ways; the pairs it leaves out all fail the
+    # test.
     if R >= GRID_MIN_ROBOTS:
         side = (cut + radii.max() + _CULL_EPS) * (1 + 1e-9)
         i, j = near_pairs(ox, oy, side)
+        i, j = np.concatenate((i, j)), np.concatenate((j, i))
         mx, my = ox[j] - ox[i], oy[j] - oy[i]  # body j seen from robot i
         d2 = mx * mx + my * my
         keep = d2 <= (cut + radii[j] + _CULL_EPS) ** 2

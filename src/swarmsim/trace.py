@@ -81,7 +81,13 @@ def trace_from_columns(meta: dict, columns) -> Trace:
     an int column that is not an int64 integer raises, naming column and row."""
     arrays = {}
     for i, (name, dtype) in enumerate(SCHEMA):
-        values = np.asarray(getattr(columns, name))
+        values = getattr(columns, name)
+        if dtype is float and not isinstance(values, np.ndarray):
+            # float() of each cell, the value np.asarray's cast gives, without
+            # that array; int columns keep np.asarray, whose cell check
+            # rejects 1.5 where np.fromiter would cut it to 1.
+            values = np.fromiter(values, float, len(values))
+        values = np.asarray(values)
         if dtype is int and values.dtype.kind not in "bi":
             _integer_cells(i, values, 0, _int_text, "an int64")  # raises on a non-integer cell
         arrays[name] = np.asarray(values, dtype=dtype)

@@ -1,5 +1,6 @@
 """Typed values: the loader that checks a scenario key, and a trace
-header's copy of it, against its type, naming the key path when it fails.
+header's copy of it, against its type, and the rule that a time is a whole
+number of steps, each naming the key path when it fails.
 """
 
 from __future__ import annotations
@@ -81,3 +82,18 @@ def load_typed(path: str, typ, value):
 
 
 POSITIVE = Annotated[float, "> 0", lambda v: v > 0]
+
+
+def whole_steps(path: str, value: float, dt: float, least: int) -> None:
+    """Reject a time that is not a whole number of steps of dt, or is fewer
+    than least steps; the tolerance takes 6.0 / 0.1 = 59.99999999999999 as 60."""
+    steps = value / dt
+    if (
+        not math.isfinite(steps)
+        or abs(steps - round(steps)) > 1e-9 * max(1.0, steps)
+        or round(steps) < least
+    ):
+        at_least = f", at least {least}," if least else ""
+        raise ScenarioError(
+            f"{path}: {value!r} is not a whole number{at_least} of steps of dt: {dt!r}"
+        )

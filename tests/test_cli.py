@@ -269,6 +269,18 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
         ("dt", 0, "scenario.dt: 0 is not > 0"),
         ("poses", None, "scenario.poses: None is not list[tuple[float, float, float]]"),
         ("pattern_params", [1], "scenario.pattern_params: [1] is not a mapping"),
+        (
+            "pattern_params",
+            {"window_length": 1e-4},
+            "scenario.pattern_params.window_length: 0.0001 is not a whole number,"
+            " at least 1, of steps of dt: 0.1",
+        ),
+        (
+            "pattern_params",
+            {"window_length": 0.15},
+            "scenario.pattern_params.window_length: 0.15 is not a whole number,"
+            " at least 1, of steps of dt: 0.1",
+        ),
     ],
 )
 def test_metrics_names_a_wrongly_typed_header_value(

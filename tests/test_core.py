@@ -420,20 +420,19 @@ def _point_sets(draw):
 @settings(max_examples=150)
 @given(_point_sets())
 def test_near_pairs_hold_every_pair_within_the_side_and_the_dense_keep_set(points):
-    """Candidates: distinct points of one group, grouped by a ascending,
-    with every pair whose |dx| and |dy| are within side * (1 - 1e-10).
-    With the sense's side for a cut, the sense's keep test on them keeps
-    the dense (R, R) keep set."""
+    """Candidates: distinct points of one group, each unordered pair once in
+    either order, with every pair whose |dx| and |dy| are within
+    side * (1 - 1e-10). With the sense's side for a cut, the sense's keep
+    test on them, mirrored, keeps the dense (R, R) keep set."""
     x, y, side, group, radii = points
     a, b = near_pairs(x, y, side, group)
     g = np.zeros(len(x), dtype=int) if group is None else group
-    assert (a != b).all() and (g[a] == g[b]).all() and (np.diff(a) >= 0).all()
-    found = set(zip(a.tolist(), b.tolist()))
+    assert (a != b).all() and (g[a] == g[b]).all()
+    found = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     assert len(found) == len(a)
     dx, dy = np.abs(x[:, None] - x), np.abs(y[:, None] - y)
     near = (dx <= side * (1 - 1e-10)) & (dy <= side * (1 - 1e-10)) & (g[:, None] == g)
-    np.fill_diagonal(near, False)
-    assert set(zip(*(k.tolist() for k in np.nonzero(near)))) <= found
+    assert set(zip(*(k.tolist() for k in np.nonzero(np.triu(near, 1))))) <= found
 
     # raycast_scan's neighbour cut, dense and on the cell grid
     cut = side / (1 + 1e-9) - radii.max() - _CULL_EPS
@@ -443,6 +442,7 @@ def test_near_pairs_hold_every_pair_within_the_side_and_the_dense_keep_set(point
     keep = (mx * mx + my * my <= (cut + radii[None, :] + _CULL_EPS) ** 2) & (g[:, None] == g)
     np.fill_diagonal(keep, False)
     a, b = near_pairs(x, y, (cut + radii.max() + _CULL_EPS) * (1 + 1e-9), group)
+    a, b = np.concatenate((a, b)), np.concatenate((b, a))
     mx, my = x[b] - x[a], y[b] - y[a]
     kept = mx * mx + my * my <= (cut + radii[b] + _CULL_EPS) ** 2
     assert set(zip(a[kept].tolist(), b[kept].tolist())) == set(

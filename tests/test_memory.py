@@ -21,6 +21,12 @@ one step of a 2,500-robot grid at 208 MB; with the grid they peak at 3.1 MB and 
 Where the 2,500 robots bunch (a pile and a few stragglers, or one robot
 1,000 km off) the metrics' cells shrink to what the pile needs, and the
 metrics peak at 4.3 MB, against the dense pass's 150 MB.
+
+A few robots pay for the grid's index arrays instead: on a 600-tick,
+7-robot experiment1-waffle trace (one block) the metrics peaked at 2.13 MB
+while near_pairs gave each pair from both ends, 9 neighbour slots a row,
+against 0.78 MB with the dense pass. Each pair once, from a half shell of 5
+slots a row, they peak at 1.33 MB; the ceiling below is under 2.13 MB.
 """
 
 import math
@@ -82,6 +88,16 @@ def test_compute_metrics_peak_stays_below_16_mb_at_2500_robots():
     report, peak = traced_peak(compute_metrics, trace)
     assert report.tick_count == 10
     assert peak < 16 * MB, f"compute_metrics peaked at {peak / MB:.1f} MB"
+
+
+def test_compute_metrics_peak_stays_below_1_6_mb_at_7_robots():
+    config = load_scenario("experiment1-waffle", seed=0, duration=60.0)
+    sim = build_simulation(config)
+    sim.run(config.tick_count())
+    trace = trace_from_columns(sim.meta, sim.columns)
+    report, peak = traced_peak(compute_metrics, trace)
+    assert report.tick_count == 600
+    assert peak < 1.6 * MB, f"compute_metrics peaked at {peak / MB:.2f} MB"
 
 
 def _bunched(layout: str) -> np.ndarray:

@@ -375,9 +375,13 @@ def _opinion_scenes(draw):
     if draw(st.booleans()):
         opinions[:, draw(st.integers(0, robots - 1))] = math.nan
     dt = draw(st.sampled_from([0.1, 0.05, 1 / 3]))
-    window_length = draw(
-        st.one_of(st.none(), st.sampled_from([0.2, 0.3, 1.1, 2.2]), st.floats(0.01, 5.0))
-    )
+    # a whole number of steps, as the header must hold: the float product,
+    # the decimal a scenario would write (0.3 for 3 steps of 0.1), or either
+    # an ulp off
+    steps = draw(st.integers(1, 50))
+    window = draw(st.sampled_from([steps * dt, round(steps * dt, 12)]))
+    window = float(np.nextafter(window, draw(st.sampled_from([window, math.inf, -math.inf]))))
+    window_length = draw(st.none() | st.just(window))
     return opinions, dt, window_length
 
 
@@ -385,7 +389,7 @@ def _opinion_scenes(draw):
 def test_opinion_terms_match_the_loop_references(scene):
     """Window histograms and consensus time equal the window-by-window and
     tick-by-tick loops, for empty traces, unvoted rows and robots, and
-    boundaries that fall between, on or next to tick times."""
+    boundaries that fall on or next to tick times."""
     opinions, dt, window_length = scene
     ticks, robots = opinions.shape
     trace = make_trace(
@@ -589,6 +593,34 @@ def test_trace_from_columns_rejects_a_fractional_int_cell(name, cell, shown):
     with pytest.raises(ValueError) as info:
         trace_module.trace_from_columns(trace.meta, columns)
     assert str(info.value) == f"trace column {name!r}, row 3: {shown} is not an int64"
+
+
+_COLUMN_CELLS = {
+    "floats": [0.1, -0.0, 1e300, 5e-324],
+    "ints": [0, -3, 2**53 + 1, 2**63 - 1],
+    "bools": [True, False],
+    "float32 scalars": [np.float32(0.1), np.float32(-1e-45)],
+    "NaN and infinities": [math.nan, math.inf, -math.inf],
+}
+_COLUMN_CELLS["mixed"] = [cell for cells in _COLUMN_CELLS.values() for cell in cells]
+
+
+@pytest.mark.parametrize("kind", list(_COLUMN_CELLS))
+def test_trace_from_columns_takes_a_list_as_the_array_numpy_makes_of_it(kind):
+    """Float columns given as lists (read through np.fromiter) and as arrays
+    give the same bits; int columns take whole cells either way."""
+    cells = _COLUMN_CELLS[kind]
+    whole = kind in ("ints", "bools")
+    lists = {
+        name: list(cells) if dtype is float or whole else list(range(len(cells)))
+        for name, dtype in SCHEMA
+    }
+    arrays = {name: np.asarray(values) for name, values in lists.items()}
+    listed = trace_module.trace_from_columns({}, SimpleNamespace(**lists))
+    arrayed = trace_module.trace_from_columns({}, SimpleNamespace(**arrays))
+    for name in COLUMN_NAMES:
+        got, want = getattr(listed, name), getattr(arrayed, name)
+        assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes()), name
 
 
 @pytest.mark.parametrize("cell", ["1.5", "inf", "-0.5"])
