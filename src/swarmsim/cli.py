@@ -29,12 +29,14 @@ from pathlib import Path
 from .metrics import (
     compute_metrics,
     header_scenario,
+    header_value,
     initial_spread,
     write_metrics_json,
     write_series_csv,
 )
 from .scenario import from_meta, load_scenario, run
 from .trace import COLUMN_NAMES, read_trace
+from .typed import load_typed
 
 
 def _summary_lines(trace, report) -> list[str]:
@@ -47,15 +49,19 @@ def _summary_lines(trace, report) -> list[str]:
         lines.append(f"final min pairwise distance: {report.min_pairwise_distance[-1]:.4f}")
         lines.append(f"min clearance: {report.clearance.min():.4f}")
     scenario = header_scenario(trace.meta, "initial_opinions", "pattern_params")
-    opinions = scenario["initial_opinions"]
+    opinions = header_value(scenario, "initial_opinions", list[int] | None)
+    params = header_value(scenario, "pattern_params", dict)
+    mapping_path = "trace header scenario.pattern_params.mapping"
+    mapping = load_typed(mapping_path, dict[str, float], params.get("mapping", {}))
     if opinions is not None:
         lines.append(f"initial opinions: {opinions}")
     if report.consensus_time is not None:
         # every row of the consensus tick holds the agreed opinion
         agreed = int(trace.opinion[trace.clock == report.consensus_time][0])
         line = f"consensus at t={report.consensus_time:.1f}s on opinion {agreed}"
-        mapping = scenario["pattern_params"].get("mapping")
         if mapping:
+            if str(agreed) not in mapping:
+                raise ValueError(f"{mapping_path} has no range for the agreed opinion {agreed}")
             line += f", dispersion range {mapping[str(agreed)]} m"
         lines.append(line)
     elif opinions is not None:

@@ -19,8 +19,6 @@ REPULSIVE = "repulsive"
 
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
-    if -math.pi < theta <= math.pi:
-        return theta  # what math.remainder returns on this interval
     w = math.remainder(theta, math.tau)
     if w <= -math.pi:
         w += math.tau
@@ -157,12 +155,9 @@ def segment_distances(px, py, walls: np.ndarray) -> np.ndarray:
     ax, ay = walls[:, 0], walls[:, 1]
     ex, ey = walls[:, 2] - ax, walls[:, 3] - ay
     L2 = ex * ex + ey * ey
-    if (L2 > 0).all():  # no zero-length wall: skip errstate and where, the common case
+    with np.errstate(divide="ignore", invalid="ignore"):
         s = ((px - ax) * ex + (py - ay) * ey) / L2
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = ((px - ax) * ex + (py - ay) * ey) / L2
-        s = np.where(L2 > 0, s, 0.0)
+    s = np.where(L2 > 0, s, 0.0)
     # np.clip without its wrapper; they differ only in the sign of a zero
     # s, which no distance can show.
     s = np.minimum(np.maximum(s, 0.0), 1.0)

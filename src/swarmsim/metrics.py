@@ -63,7 +63,7 @@ def header_scenario(meta: dict, *keys: str) -> dict:
     return meta["scenario"]
 
 
-def _header_value(scenario: dict, key: str, typ):
+def header_value(scenario: dict, key: str, typ):
     """scenario[key] loaded as a typ, or a ScenarioError (a ValueError)
     naming its path, such as trace header scenario.radii."""
     return load_typed(f"trace header scenario.{key}", typ, scenario[key])
@@ -71,11 +71,11 @@ def _header_value(scenario: dict, key: str, typ):
 
 def compute_metrics(trace: Trace) -> MetricsReport:
     scenario = header_scenario(trace.meta, "robot_ids", "radii", "walls", "dt")
-    robot_ids = _header_value(scenario, "robot_ids", list[int])
-    radii = np.array(_header_value(scenario, "radii", list[float]), dtype=float)
-    walls = _header_value(scenario, "walls", list[tuple[float, float, float, float]])
+    robot_ids = header_value(scenario, "robot_ids", list[int])
+    radii = np.array(header_value(scenario, "radii", list[float]), dtype=float)
+    walls = header_value(scenario, "walls", list[tuple[float, float, float, float]])
     walls = np.array(walls, dtype=float).reshape(-1, 4)
-    dt = _header_value(scenario, "dt", POSITIVE)
+    dt = header_value(scenario, "dt", POSITIVE)
     params = load_typed(
         "trace header scenario.pattern_params", dict, scenario.get("pattern_params")
     )
@@ -211,8 +211,7 @@ def _near_pair_terms(bx: np.ndarray, by: np.ndarray, radii: np.ndarray):
     np.minimum.at(surface, ends, np.concatenate((d - ro, d - ra)))
     cut = side * (1 - 1e-9)
     (far,) = np.nonzero((near > cut) | (surface > cut - radii.max()))
-    if far.size:
-        near[far], surface[far], _ = _dense_rows(bx, by, radii, far)
+    near[far], surface[far], _ = _dense_rows(bx, by, radii, far)
     return near, surface, hits
 
 
@@ -260,8 +259,11 @@ def _mean_distance_to_centroid(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def initial_spread(trace: Trace) -> float:
     """Mean distance to the centroid of the start poses the header records."""
-    scenario = header_scenario(trace.meta, "poses")
-    poses = _header_value(scenario, "poses", list[tuple[float, float, float]])
+    scenario = header_scenario(trace.meta, "poses", "robot_ids")
+    poses = header_value(scenario, "poses", list[tuple[float, float, float]])
+    R = len(header_value(scenario, "robot_ids", list[int]))
+    if len(poses) != R:
+        raise ValueError(f"trace header scenario.poses has {len(poses)} poses for {R} robot_ids")
     xs, ys, _ = np.array(poses, dtype=float).reshape(-1, 3).T
     return float(_mean_distance_to_centroid(xs, ys))
 

@@ -26,6 +26,7 @@ from .metrics import (
     MetricsReport,
     compute_metrics,
     header_scenario,
+    header_value,
     write_metrics_json,
     write_series_csv,
 )
@@ -422,16 +423,21 @@ def to_meta(config: ScenarioConfig) -> dict:
 def from_meta(meta: dict) -> ScenarioConfig:
     """The scenario a trace header records, resolved again by load_scenario.
 
-    Fails, naming the key, if the header lacks a key this reads, and fails
-    if its platform_spec differs from the packaged preset.
+    Fails, naming the key, if the header lacks a key this reads or holds
+    one of the wrong type, and fails if its platform_spec differs from the
+    packaged preset.
     """
     fields = [field for *_, field in _KEYS if field and not field.startswith("arena_")]
     sc = header_scenario(meta, "arena", "initial_opinions", "platform_spec", *fields)
     recorded = dict(sc)
-    recorded["arena_width"], recorded["arena_height"] = sc["arena"]
-    params = recorded["pattern_params"] = dict(sc["pattern_params"])
+    arena = header_value(sc, "arena", tuple[float, float])
+    recorded["arena_width"], recorded["arena_height"] = arena
+    params = recorded["pattern_params"] = dict(header_value(sc, "pattern_params", dict))
+    spec = header_value(sc, "platform_spec", dict)
     if "mapping" in params:
-        params["mapping"] = {int(k): v for k, v in params["mapping"].items()}
+        path = "trace header scenario.pattern_params.mapping"
+        mapping = load_typed(path, dict, params["mapping"])
+        params["mapping"] = {int(k): v for k, v in mapping.items()}
     if sc["initial_opinions"] is not None:
         params["opinions"] = sc["initial_opinions"]
     raw: dict = {}
@@ -440,7 +446,7 @@ def from_meta(meta: dict) -> ScenarioConfig:
         if field:
             (raw.setdefault(parent, {}) if parent else raw)[name] = recorded[field]
     config = load_scenario(raw)
-    spec, preset = sc["platform_spec"], asdict(config.spec)
+    preset = asdict(config.spec)
     differ = sorted(k for k in spec.keys() | preset.keys() if spec.get(k) != preset.get(k))
     if differ:
         raise ScenarioError(

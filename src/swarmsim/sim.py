@@ -171,8 +171,8 @@ class WorldState:
             raise ValueError("dt must be positive")
         if self.radii.shape != (len(self.poses),):
             raise ValueError(f"need one radius per pose, got {self.radii.shape} radii")
-        if not (self.radii >= 0).all() or not np.isfinite(self.radii).all():
-            raise ValueError(f"radii must be finite and non-negative, got {self.radii.tolist()}")
+        if not (self.radii > 0).all() or not np.isfinite(self.radii).all():
+            raise ValueError(f"radii must be finite and positive, got {self.radii.tolist()}")
 
     @property
     def clock(self) -> float:
@@ -226,8 +226,6 @@ def raycast_scan(
     B = spec.beam_count
     poses = world.poses
     R = len(poses)
-    if R == 0:
-        return np.empty((0, B))
     cut = min(reach, spec.range_max)
     radii = world.radii
     ox, oy, heading = poses[:, 0], poses[:, 1], poses[:, 2]

@@ -253,6 +253,15 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
         assert (code, err) == (2, error)
 
 
+def _with_header_value(trace_path, path, key, value):
+    """trace_path's trace, written to path with scenario[key] set to value."""
+    header, rows = trace_path.read_text().split("\n", 1)
+    meta = json.loads(header[len(HEADER_PREFIX):])
+    meta["scenario"][key] = value
+    path.write_text(HEADER_PREFIX + json.dumps(meta) + "\n" + rows)
+    return path
+
+
 @pytest.mark.parametrize(
     "key, value, message",
     [
@@ -281,6 +290,8 @@ def test_metrics_and_replay_name_a_missing_header_key(tmp_path, capsys, waffle_t
             "scenario.pattern_params.window_length: 0.15 is not a whole number,"
             " at least 1, of steps of dt: 0.1",
         ),
+        ("poses", [[0.0, 0.0, 0.0]], "scenario.poses has 1 poses for 7 robot_ids"),
+        ("initial_opinions", "abc", "scenario.initial_opinions: 'abc' is not list[int]"),
     ],
 )
 def test_metrics_names_a_wrongly_typed_header_value(
@@ -288,15 +299,77 @@ def test_metrics_names_a_wrongly_typed_header_value(
 ):
     """A header value of the wrong type or length stops metrics with one
     error line naming its key path, before any file is written."""
-    header, rows = waffle_trace.read_text().split("\n", 1)
-    meta = json.loads(header[len(HEADER_PREFIX):])
-    meta["scenario"][key] = value
-    path = tmp_path / "trace.csv"
-    path.write_text(HEADER_PREFIX + json.dumps(meta) + "\n" + rows)
+    path = _with_header_value(waffle_trace, tmp_path / "trace.csv", key, value)
     capsys.readouterr()
     code = main(["metrics", str(path), "--out", str(tmp_path / "metrics")])
     assert (code, capsys.readouterr().err) == (2, f"error: trace header {message}\n")
     assert not (tmp_path / "metrics").exists()
+
+
+@pytest.fixture(scope="module")
+def voting_trace(tmp_path_factory):
+    """A discussed-dispersion trace that reaches consensus, at 2.1 s."""
+    out = tmp_path_factory.mktemp("voting")
+    args = ["run", "experiment2", "--seed", "1", "--duration", "3", "--out", str(out)]
+    assert main(args) == 0
+    return out / "trace.csv"
+
+
+@pytest.mark.parametrize(
+    "command, key, value",
+    [
+        pytest.param(command, key, value, id=f"{command}-{key}={json.dumps(value)}")
+        for command in ("metrics", "replay")
+        for key in _META["scenario"]
+        for value in [None, "x", 1, [], {}, [1, 2, 3]]
+    ],
+)
+def test_metrics_and_replay_end_cleanly_on_any_header_value(
+    tmp_path, capsys, voting_trace, command, key, value
+):
+    """Whatever a header key holds, metrics and replay exit 0, report a
+    MISMATCH, or print one error line; none raises."""
+    path = _with_header_value(voting_trace, tmp_path / "trace.csv", key, value)
+    capsys.readouterr()
+    code = main([command, str(path), "--out", str(tmp_path / command)])
+    out, err = capsys.readouterr()
+    if code == 1:
+        assert "MISMATCH" in out and "\nfirst difference: " in out
+    elif code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        (
+            "metrics",
+            "pattern_params",
+            {"decision_duration": 20.0, "mapping": {"1": 1.0, "2": 1.4}, "window_length": 1.0},
+            "scenario.pattern_params.mapping has no range for the agreed opinion 0",
+        ),
+        ("replay", "arena", [1, 2, 3], "scenario.arena: [1, 2, 3] is not tuple[float, float]"),
+        (
+            "replay",
+            "pattern_params",
+            {"decision_duration": 20.0, "mapping": [1], "window_length": 1.0},
+            "scenario.pattern_params.mapping: [1] is not a mapping",
+        ),
+        ("replay", "platform_spec", "x", "scenario.platform_spec: 'x' is not a mapping"),
+    ],
+)
+def test_metrics_and_replay_name_a_header_value_they_cannot_read(
+    tmp_path, capsys, voting_trace, command, key, value, message
+):
+    """A header value that the summary or replay reshapes, of the wrong
+    shape, stops either command with one error line naming its key path."""
+    path = _with_header_value(voting_trace, tmp_path / "trace.csv", key, value)
+    capsys.readouterr()
+    code = main([command, str(path), "--out", str(tmp_path / command)])
+    assert (code, capsys.readouterr().err) == (2, f"error: trace header {message}\n")
+    assert not (tmp_path / command).exists()
 
 
 def _summary(text: str) -> list[str]:

@@ -460,11 +460,12 @@ def test_world_rejects_radii_not_matching_poses(radii):
         WorldState(walls=rect_walls(4, 4), poses=poses, radii=radii)
 
 
-@pytest.mark.parametrize("radius", [-0.1, math.nan, math.inf])
-def test_world_rejects_a_radius_not_finite_and_non_negative(radius):
-    """The sense's cell grid takes its side from the largest radius."""
+@pytest.mark.parametrize("radius", [-0.1, 0.0, math.nan, math.inf])
+def test_world_rejects_a_radius_not_finite_and_positive(radius):
+    """The sense's cell grid takes its side from the largest radius, and the
+    wall-contact move spaces its waypoints a radius apart."""
     poses = [Pose2D(0, 0, 0), Pose2D(1, 0, 0)]
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    with pytest.raises(ValueError, match="finite and positive"):
         WorldState(walls=rect_walls(4, 4), poses=poses, radii=[0.1, radius])
 
 
